@@ -37,8 +37,8 @@ def main() -> None:
     t0 = time.time()
     result = regular_quotient_extension(seed.graph, K, quo.rooted, args.s)
     print("mixed extension: type %s, group order %d (%.1fs)" % (
-        result.schlafli, result.data["group_order"], time.time() - t0))
-    for name, ok, detail in result.verdicts:
+        result.schlafli, result.report.data["group_order"], time.time() - t0))
+    for name, ok, detail in result.report.verdicts:
         print("  %-32s %s %s" % (name, "pass" if ok else "FAIL", detail))
 
 

@@ -1,20 +1,21 @@
 """Chiral maniplex extensions: flag graphs, GPR-graphs and verified
 permutation-group constructions."""
 
-from .permcore import (GroupWord, Perm, PermGroup, compose, evaluate_word,
-                       group_order, is_member, left_product, order_of,
+from .permcore import (GroupWord, Perm, PermGroup, disjoint_union,
+                       evaluate_word, left_product, orbit_partition,
                        word_action)
 from .maniplex import (FreenessError, Maniplex, Orientation, PreconditionError,
-                       RootedManiplex, RotationSystem, Symmetry,
-                       classify_symmetry, covers, dually_bipartite_colouring,
-                       facets, find_rooted_automorphism,
+                       Report, RootedManiplex, RotationSystem, Symmetry,
+                       VerificationError, classify_symmetry, covers,
+                       dually_bipartite_colouring, facets, find_rooted_automorphism,
+                       forced_map, forced_map_between,
                        intersection_property_check, is_orientable,
                        rotation_system, schlafli, tau, validate)
 from .toroidal import (TorusParams, build_toroidal_map, canonical_params,
                        expected_flag_count, is_chiral_params, regular_quotient)
-from .gpr import (ExtensionReport, GprGraph, VerificationError, cayley_gpr,
-                  check_tau_relations, components, gpr_group,
-                  rooted_digraph_isomorphic, verify_extension_criterion)
+from .gpr import (GprGraph, cayley_gpr, check_tau_relations, components,
+                  gpr_group, rooted_digraph_isomorphic,
+                  verify_extension_criterion)
 from .extend_db import (DbExtensionResult, Matching, build_matching,
                         extend_dually_bipartite, facet_word, rho_bar)
 from .two_s_m import (TwoSM, build_two_s_m, lift_automorphism,

@@ -1,8 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 verification failure, 3 precondition failure,
-4 I/O or schema error. The worker cap for parallel sweeps is read from
-the CHIREX_THREADS environment variable.
+4 I/O or schema error.
 """
 
 from __future__ import annotations
@@ -13,9 +12,9 @@ import sys
 import time
 
 from .extend_db import extend_dually_bipartite
-from .gpr import VerificationError, gpr_group, verify_extension_criterion
-from .maniplex import (PreconditionError, classify_symmetry, schlafli,
-                       Symmetry)
+from .gpr import gpr_group, verify_extension_criterion
+from .maniplex import (PreconditionError, Symmetry, VerificationError,
+                       classify_symmetry, schlafli)
 from .mix import regular_quotient_extension
 from .serial import (SchemaError, gpr_from_json, gpr_to_json, group_to_json,
                      load_json, maniplex_from_json, maniplex_to_json,
@@ -106,13 +105,13 @@ def _cmd_mix_extend(args) -> int:
     result = regular_quotient_extension(ext, facet, quotient, args.s)
     out = report_to_json(
         "mix-extend", {"s": args.s, "q": result.q},
-        result.verdicts,
-        orders={"group": result.data["group_order"],
-                "facet_subgroup": result.data["facet_order"]},
+        result.report.verdicts,
+        orders={"group": result.report.data["group_order"],
+                "facet_subgroup": result.report.data["facet_order"]},
         schlafli=result.schlafli, timing=time.time() - t0)
     if args.report:
         save_json(args.report, out)
-    print("type %s, group order %s" % (result.schlafli, result.data["group_order"]))
+    print("type %s, group order %s" % (result.schlafli, result.report.data["group_order"]))
     return EXIT_OK
 
 
@@ -148,8 +147,8 @@ def _cmd_pipeline(args) -> int:
                  mix_result.schlafli[-1], time.time() - t0))
         if args.out_prefix:
             save_json(args.out_prefix + ".mix.report.json", report_to_json(
-                "mix-extend", {"s": args.mix_s, "q": q}, mix_result.verdicts,
-                orders={"group": mix_result.data["group_order"]},
+                "mix-extend", {"s": args.mix_s, "q": q}, mix_result.report.verdicts,
+                orders={"group": mix_result.report.data["group_order"]},
                 schlafli=mix_result.schlafli))
     return EXIT_OK
 

@@ -12,12 +12,12 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-from .gpr import (ExtensionReport, GprGraph, VerificationError,
-                  check_tau_relations, gpr_group, verify_extension_criterion)
-from .maniplex import (PreconditionError, RootedManiplex, RotationSystem,
-                       Symmetry, classify_symmetry, colour_components,
-                       dually_bipartite_colouring, facets, rotation_system)
-from .permcore import GroupWord, Perm, orbit_of
+from .gpr import GprGraph, check_tau_relations, verify_extension_criterion
+from .maniplex import (Maniplex, PreconditionError, Report, RootedManiplex,
+                       RotationSystem, Symmetry, VerificationError,
+                       classify_symmetry, dually_bipartite_colouring,
+                       rotation_system)
+from .permcore import GroupWord, Perm, orbit_of, orbit_partition
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class DbExtensionResult:
     graph: GprGraph
     t: Perm
     matching: Matching
-    report: ExtensionReport
+    report: Report
     last_entry: int
     s: int
     base_vertex: int
@@ -100,7 +100,8 @@ def rho_bar(w: GroupWord, n: int) -> GroupWord:
     return GroupWord(tuple(out))
 
 
-def _check_preconditions(K: RootedManiplex):
+def _check_preconditions(K: RootedManiplex) -> list[int]:
+    """The facet 2-colouring of K, after checking every input condition."""
     man = K.maniplex
     if K.rank < 3:
         raise PreconditionError("extension needs rank at least 3")
@@ -111,17 +112,14 @@ def _check_preconditions(K: RootedManiplex):
         raise PreconditionError("input maniplex is not dually bipartite")
     # regular facets: the base facet as a standalone maniplex must be
     # regular (all facets are isomorphic by flag transitivity)
-    from .maniplex import Maniplex as _M
-
-    facet_flags = colour_components(man, range(man.rank - 1))
-    blk = next(b for b in facet_flags if K.base_flag in b)
+    facet_flags, facet_of = orbit_partition(man.adjacency[:-1], man.num_flags)
+    blk = facet_flags[facet_of[K.base_flag]]
     pos = {f: i for i, f in enumerate(blk)}
-    sub_adj = tuple(Perm(pos[man.adjacency[i].images[f]] for f in blk)
-                    for i in range(man.rank - 1))
-    sub = _M(man.rank - 1, sub_adj)
+    sub_adj = tuple(Perm(pos[r.images[f]] for f in blk) for r in man.adjacency[:-1])
+    sub = Maniplex(man.rank - 1, sub_adj)
     if classify_symmetry(RootedManiplex(sub, pos[K.base_flag])) is not Symmetry.REGULAR:
         raise PreconditionError("facets of the input are not regular")
-    return colouring, facet_flags
+    return colouring
 
 
 def build_matching(K: RootedManiplex, colouring, s: int,
@@ -140,11 +138,8 @@ def build_matching(K: RootedManiplex, colouring, s: int,
     copies = 2 * s
     rng = random.Random(seed) if seed is not None else None
 
-    facet_list = facets(K.maniplex)
-    facet_of_flag = {}
-    for j, blk in enumerate(facet_list):
-        for f in blk:
-            facet_of_flag[f] = j
+    man = K.maniplex
+    _, facet_of_flag = orbit_partition(man.adjacency[:-1], man.num_flags)
     cbar = [colouring[facet_of_flag[f]] for f in rs.white_flags]
     w0 = rs.base
     if cbar[w0] != 1:
@@ -176,14 +171,8 @@ def build_matching(K: RootedManiplex, colouring, s: int,
     for k in range(1, n):
         orbit_k[k] = frozenset(orbit_of(w0, rs.sigma[k - 1:]))
 
-    facet_comps = []  # {1..n-2}-components of the white flags
-    comp_of = [-1] * W
-    for v in range(W):
-        if comp_of[v] == -1:
-            orb = sorted(orbit_of(v, rs.sigma[: n - 2])) if n > 2 else [v]
-            for u in orb:
-                comp_of[u] = len(facet_comps)
-            facet_comps.append(tuple(orb))
+    # {1..n-2}-components of the white flags
+    facet_comps, comp_of = orbit_partition(rs.sigma[: n - 2], W)
 
     base_orbit = orbit_k[n - 1]  # flags s_{n-1}^j w0, handled by steps 1-2
     # step 3: anchor the remaining components, odd copies choose
@@ -241,7 +230,7 @@ def build_matching(K: RootedManiplex, colouring, s: int,
 def extend_dually_bipartite(K: RootedManiplex, s: int,
                             seed: int | None = None) -> DbExtensionResult:
     """Run the matching construction and verify everything it claims."""
-    colouring, _ = _check_preconditions(K)
+    colouring = _check_preconditions(K)
     matching = build_matching(K, colouring, s, seed)
     rs = rotation_system(K)
     n = K.rank

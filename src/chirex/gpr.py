@@ -8,15 +8,12 @@ mechanical verifier for the four-condition chiral extension criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .maniplex import (PreconditionError, RootedManiplex, RotationSystem,
-                       Symmetry, classify_symmetry, rotation_system)
-from .permcore import Perm, PermGroup, left_product, orbit_of
-
-
-class VerificationError(RuntimeError):
-    """A construction failed one of its verified conditions."""
+from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
+                       classify_symmetry, forced_map_between, rotation_system)
+from .maniplex import VerificationError  # noqa: F401  (re-exported)
+from .permcore import Perm, PermGroup, left_product, orbit_partition
 
 
 @dataclass(frozen=True)
@@ -54,46 +51,8 @@ class ComponentIndex:
 def components(G: GprGraph, I) -> ComponentIndex:
     """Connected components under the arrows with labels in I."""
     labels = tuple(sorted(set(I)))
-    perms = [G.arrow(k) for k in labels]
-    V = G.num_vertices
-    block_of = [-1] * V
-    blocks = []
-    for v in range(V):
-        if block_of[v] == -1:
-            orb = sorted(orbit_of(v, perms)) if perms else [v]
-            for u in orb:
-                block_of[u] = len(blocks)
-            blocks.append(tuple(orb))
+    blocks, block_of = orbit_partition([G.arrow(k) for k in labels], G.num_vertices)
     return ComponentIndex(labels=labels, blocks=tuple(blocks), block_of=tuple(block_of))
-
-
-def components_union_find(G: GprGraph, I) -> ComponentIndex:
-    """Union-find cross-check of :func:`components`."""
-    labels = tuple(sorted(set(I)))
-    V = G.num_vertices
-    parent = list(range(V))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for k in labels:
-        imgs = G.arrow(k).images
-        for v in range(V):
-            a, b = find(v), find(imgs[v])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
-    for v in range(V):
-        groups.setdefault(find(v), []).append(v)
-    blocks = tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
-    block_of = [-1] * V
-    for i, blk in enumerate(blocks):
-        for v in blk:
-            block_of[v] = i
-    return ComponentIndex(labels=labels, blocks=blocks, block_of=tuple(block_of))
 
 
 def cayley_gpr(M: RootedManiplex) -> GprGraph:
@@ -102,14 +61,6 @@ def cayley_gpr(M: RootedManiplex) -> GprGraph:
         raise PreconditionError("Cayley GPR-graph needs a rotary maniplex")
     rs = rotation_system(M)
     return GprGraph(rank=M.rank - 1, arrows=rs.sigma)
-
-
-def cayley_gpr_base(M: RootedManiplex) -> tuple[GprGraph, int]:
-    """Cayley GPR-graph together with the base-flag vertex."""
-    if classify_symmetry(M) is Symmetry.OTHER:
-        raise PreconditionError("Cayley GPR-graph needs a rotary maniplex")
-    rs = rotation_system(M)
-    return GprGraph(rank=M.rank - 1, arrows=rs.sigma), rs.base
 
 
 def _restrict(G: GprGraph, verts) -> GprGraph:
@@ -139,31 +90,11 @@ def rooted_digraph_isomorphic(G: GprGraph, H: GprGraph,
     V = G.num_vertices
     if V != H.num_vertices:
         return False
-    fwd = [a.images for a in G.arrows] + [a.inverse().images for a in G.arrows]
-    fwd_h = [a.images for a in H.arrows] + [a.inverse().images for a in H.arrows]
+    rows_g = [a.images for a in G.arrows] + [a.inverse().images for a in G.arrows]
+    rows_h = [a.images for a in H.arrows] + [a.inverse().images for a in H.arrows]
     for root_img in range(V):
-        mapping = [-1] * V
-        mapping[0] = root_img
-        used = [False] * V
-        used[root_img] = True
-        stack = [0]
-        ok = True
-        while stack and ok:
-            a = stack.pop()
-            b = mapping[a]
-            for ga, gh in zip(fwd, fwd_h):
-                a2, b2 = ga[a], gh[b]
-                if mapping[a2] == -1:
-                    if used[b2]:
-                        ok = False
-                        break
-                    mapping[a2] = b2
-                    used[b2] = True
-                    stack.append(a2)
-                elif mapping[a2] != b2:
-                    ok = False
-                    break
-        if ok and -1 not in mapping:
+        mapping = forced_map_between(rows_g, rows_h, 0, root_img)
+        if mapping is not None and -1 not in mapping and len(set(mapping)) == V:
             return True
     return False
 
@@ -173,30 +104,14 @@ def gpr_group(G: GprGraph) -> PermGroup:
                      names=tuple("s%d" % k for k in range(1, G.rank + 1)))
 
 
-@dataclass
-class ExtensionReport:
-    verdicts: list[tuple[str, bool, str]] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-
-    def add(self, condition: str, ok: bool, detail: str = "") -> None:
-        self.verdicts.append((condition, ok, detail))
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.verdicts)
-
-    def failing(self) -> list[str]:
-        return [name for name, ok, _ in self.verdicts if not ok]
-
-
-def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> ExtensionReport:
+def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> Report:
     """Check the four conditions under which a GPR-graph with labels
     1..n defines a chiral (n+1)-polytope with facets isomorphic to K.
     """
     n = G.rank
     if K.rank != n:
         raise PreconditionError("facet rank %d does not match label count %d" % (K.rank, n))
-    report = ExtensionReport()
+    report = Report()
     cay = cayley_gpr(K)
 
     facet_labels = range(1, n)

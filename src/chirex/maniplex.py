@@ -8,13 +8,12 @@ moves a flag by applying r_j first.
 from __future__ import annotations
 
 import enum
-import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .permcore import Perm, PermGroup, left_product, orbit_of
+from .permcore import (Perm, PermGroup, disjoint_union, left_product, orbit_of,
+                       orbit_partition)
 
 
 class PreconditionError(ValueError):
@@ -25,14 +24,8 @@ class FreenessError(PreconditionError):
     """The rotation group does not act freely on white flags."""
 
 
-def worker_count() -> int:
-    """Worker cap for parallel verification sweeps (CHIREX_THREADS)."""
-    raw = os.environ.get("CHIREX_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
+class VerificationError(RuntimeError):
+    """A construction failed one of its verified conditions."""
 
 
 @dataclass(frozen=True)
@@ -76,15 +69,22 @@ class Orientation:
 
 
 @dataclass
-class ValidationReport:
-    entries: list[tuple[str, bool, str]] = field(default_factory=list)
+class Report:
+    """Named verdicts (condition, passed, detail) of a check, plus the
+    numbers it measured on the way."""
 
-    def add(self, axiom: str, ok: bool, detail: str = "") -> None:
-        self.entries.append((axiom, ok, detail))
+    verdicts: list[tuple[str, bool, str]] = field(default_factory=list)
+    data: dict = field(default_factory=dict)
+
+    def add(self, condition: str, ok: bool, detail: str = "") -> None:
+        self.verdicts.append((condition, ok, detail))
 
     @property
     def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.entries)
+        return all(ok for _, ok, _ in self.verdicts)
+
+    def failing(self) -> list[str]:
+        return [name for name, ok, _ in self.verdicts if not ok]
 
 
 class Symmetry(enum.Enum):
@@ -93,9 +93,9 @@ class Symmetry(enum.Enum):
     OTHER = "Other"
 
 
-def validate(M: Maniplex) -> ValidationReport:
+def validate(M: Maniplex) -> Report:
     """Check the four flag-graph axioms plus connectivity."""
-    report = ValidationReport()
+    report = Report()
     N = M.num_flags
     ok = True
     for i, r in enumerate(M.adjacency):
@@ -197,29 +197,32 @@ def rotation_system(M: RootedManiplex) -> RotationSystem:
     return RotationSystem(white_flags=white, sigma=tuple(sigma), base=windex[M.base_flag])
 
 
-def tau(RS: RotationSystem, i: int, j: int) -> Perm:
-    """The element tau_{i,j} = sigma_{i+1} ... sigma_j (with the usual
-    conventions: identity when i == j or when i < j touches the ends,
-    and tau_{i,j} = tau_{j,i}^{-1} when i > j)."""
-    n = RS.rank
+def tau(sigma, i: int, j: int) -> Perm:
+    """The element tau_{i,j} = sigma_{i+1} ... sigma_j of the rank-n
+    rotation generators sigma = (sigma_1, ..., sigma_{n-1}), with the
+    usual conventions: identity when i == j or when i < j touches the
+    ends, and tau_{i,j} = tau_{j,i}^{-1} when i > j."""
+    n = len(sigma) + 1
     if not (-1 <= i <= n and -1 <= j <= n):
         raise IndexError("tau indices out of range")
+    degree = sigma[0].degree
     if i == j:
-        return Perm.identity(RS.degree)
+        return Perm.identity(degree)
     if i > j:
-        return tau(RS, j, i).inverse()
+        return tau(sigma, j, i).inverse()
     if i == -1 or j == n:
-        return Perm.identity(RS.degree)
-    return left_product(RS.sigma[i:j], degree=RS.degree)
+        return Perm.identity(degree)
+    return left_product(sigma[i:j], degree=degree)
 
 
-def _forced_map(adjacency, src: int, dst: int):
+def forced_map(adjacency, src: int, dst: int):
     """The unique colour-preserving map extending src -> dst, or None.
 
     adjacency is a list of image tuples. Every edge incident to a
     visited flag is checked, so a returned map is consistent on all
     edges; on a connected graph it is onto, hence a bijection when the
-    two graphs coincide.
+    two graphs coincide. A map between two graphs is a forced map on
+    their disjoint union (see :func:`forced_map_between`).
     """
     N = len(adjacency[0])
     mapping = [-1] * N
@@ -242,7 +245,7 @@ def _forced_map(adjacency, src: int, dst: int):
 def find_rooted_automorphism(M: Maniplex, phi: int, psi: int) -> Perm | None:
     """Colour-preserving flag-graph automorphism sending phi to psi."""
     rows = [r.images for r in M.adjacency]
-    mapping = _forced_map(rows, phi, psi)
+    mapping = forced_map(rows, phi, psi)
     if mapping is None or -1 in mapping:
         return None
     return Perm(mapping)
@@ -255,10 +258,10 @@ def classify_symmetry(M: RootedManiplex) -> Symmetry:
     rotations_exist = True
     for i in range(1, man.rank):
         target = rows[i - 1][rows[i][base]]  # the flag s_i(base)
-        if _forced_map(rows, base, target) is None:
+        if forced_map(rows, base, target) is None:
             rotations_exist = False
             break
-    reflection = _forced_map(rows, base, rows[0][base]) is not None
+    reflection = forced_map(rows, base, rows[0][base]) is not None
     if rotations_exist and reflection:
         return Symmetry.REGULAR
     if rotations_exist and not reflection:
@@ -274,46 +277,30 @@ def schlafli(M: RootedManiplex) -> list[int]:
     return [(man.adjacency[i] * man.adjacency[i - 1]).order() for i in range(1, man.rank)]
 
 
-def colour_components(M: Maniplex, colours) -> list[tuple[int, ...]]:
-    """Orbits of flags under the listed colours, ordered by least flag."""
-    perms = [M.adjacency[c] for c in colours]
-    seen = [False] * M.num_flags
-    out = []
-    for x in range(M.num_flags):
-        if not seen[x]:
-            orb = orbit_of(x, perms) if perms else [x]
-            for y in orb:
-                seen[y] = True
-            out.append(tuple(sorted(orb)))
-    return out
-
-
 def facets(M: Maniplex) -> list[tuple[int, ...]]:
     """Facet flag-orbits: drop the last colour, order by least flag."""
-    return colour_components(M, range(M.rank - 1))
+    return orbit_partition(M.adjacency[:-1], M.num_flags)[0]
+
+
+def forced_map_between(rows_a, rows_b, src: int, dst: int) -> list[int] | None:
+    """Forced map from graph a to graph b sending src to dst, run on the
+    disjoint union of the two graphs; entry -1 marks an unreached point."""
+    offset = len(rows_a[0])
+    union = [disjoint_union(ra, rb) for ra, rb in zip(rows_a, rows_b)]
+    mapping = forced_map(union, src, dst + offset)
+    if mapping is None:
+        return None
+    return [-1 if b == -1 else b - offset for b in mapping[:offset]]
 
 
 def covers(M: RootedManiplex, N: RootedManiplex) -> list[int] | None:
     """Rooted colour-preserving covering M -> N as a flag surjection."""
     if M.rank != N.rank:
         raise PreconditionError("rank mismatch %d vs %d" % (M.rank, N.rank))
-    rows_m = [r.images for r in M.maniplex.adjacency]
-    rows_n = [r.images for r in N.maniplex.adjacency]
-    Nn = N.maniplex.num_flags
-    mapping = [-1] * M.maniplex.num_flags
-    mapping[M.base_flag] = N.base_flag
-    stack = [M.base_flag]
-    while stack:
-        a = stack.pop()
-        b = mapping[a]
-        for rm, rn in zip(rows_m, rows_n):
-            a2, b2 = rm[a], rn[b]
-            if mapping[a2] == -1:
-                mapping[a2] = b2
-                stack.append(a2)
-            elif mapping[a2] != b2:
-                return None
-    if -1 in mapping or len(set(mapping)) != Nn:
+    mapping = forced_map_between([r.images for r in M.maniplex.adjacency],
+                                 [r.images for r in N.maniplex.adjacency],
+                                 M.base_flag, N.base_flag)
+    if mapping is None or -1 in mapping or len(set(mapping)) != N.maniplex.num_flags:
         return None
     return mapping
 
@@ -321,11 +308,7 @@ def covers(M: RootedManiplex, N: RootedManiplex) -> list[int] | None:
 def dually_bipartite_colouring(M: Maniplex, base_flag: int = 0) -> list[int] | None:
     """2-colouring of facets so that facets sharing an (n-2)-face get
     opposite colours; the base facet gets colour 1. None if impossible."""
-    facet_list = facets(M)
-    facet_of = [0] * M.num_flags
-    for idx, orb in enumerate(facet_list):
-        for f in orb:
-            facet_of[f] = idx
+    facet_list, facet_of = orbit_partition(M.adjacency[:-1], M.num_flags)
     last = M.adjacency[-1].images
     colour = [0] * len(facet_list)
     start = facet_of[base_flag]
@@ -348,7 +331,8 @@ def dually_bipartite_colouring(M: Maniplex, base_flag: int = 0) -> list[int] | N
         return None
     if M.rank >= 2:
         p_last = (M.adjacency[-1] * M.adjacency[-2]).order()
-        assert p_last % 2 == 0, "dually bipartite forces an even last entry"
+        if p_last % 2 != 0:
+            raise VerificationError("dually bipartite forces an even last entry")
     return colour
 
 
@@ -368,29 +352,12 @@ def intersection_property_check(RS: RotationSystem):
     for size in range(n + 1):
         subsets.extend(combinations(range(n), size))
 
-    def tau_orbit(I) -> frozenset[int]:
-        gens = [tau(RS, i, j) for i, j in combinations(I, 2)]
-        if not gens:
-            return frozenset({RS.base})
-        return frozenset(orbit_of(RS.base, gens))
-
-    orbits = {I: tau_orbit(I) for I in subsets}
-
-    def check_pair(pair):
-        I, J = pair
-        meet = tuple(sorted(set(I) & set(J)))
-        return (orbits[I] & orbits[J]) == orbits[meet]
-
-    pairs = [(I, J) for I in subsets for J in subsets]
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(check_pair, pairs))
-        for pair, ok in zip(pairs, results):
-            if not ok:
-                return False, pair
-    else:
-        for pair in pairs:
-            if not check_pair(pair):
-                return False, pair
+    orbits = {I: frozenset(orbit_of(RS.base, [tau(RS.sigma, i, j)
+                                              for i, j in combinations(I, 2)]))
+              for I in subsets}
+    for I in subsets:
+        for J in subsets:
+            meet = tuple(sorted(set(I) & set(J)))
+            if (orbits[I] & orbits[J]) != orbits[meet]:
+                return False, (I, J)
     return True, None

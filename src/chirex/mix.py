@@ -14,19 +14,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .gpr import (GprGraph, VerificationError, cayley_gpr_base, gpr_group,
-                  rooted_digraph_isomorphic)
-from .maniplex import (PreconditionError, RootedManiplex, RotationSystem,
-                       Symmetry, classify_symmetry, colour_components, covers,
-                       rotation_system)
-from .permcore import Perm, PermGroup, left_product
-from .two_s_m import TwoSM, build_two_s_m
+from .gpr import GprGraph, cayley_gpr, components, rooted_digraph_isomorphic
+from .maniplex import (PreconditionError, Report, RootedManiplex,
+                       RotationSystem, Symmetry, VerificationError,
+                       classify_symmetry, covers, facets, rotation_system, tau)
+from .permcore import Perm, PermGroup, disjoint_union, left_product
+from .two_s_m import build_two_s_m
 
 
 def paired_perm(g: Perm, h: Perm) -> Perm:
     """g and h acting side by side on the disjoint union of their points."""
-    d = g.degree
-    return Perm(tuple(g.images) + tuple(x + d for x in h.images))
+    return Perm(disjoint_union(g.images, h.images))
 
 
 @dataclass(frozen=True)
@@ -119,16 +117,6 @@ def intersection_property_group(sigma, cap: int = 1_000_000) -> tuple[bool, tupl
     sigma = tuple(sigma)
     degree = sigma[0].degree
     n = len(sigma) + 1  # rank of the would-be polytope
-
-    def tau_elt(i: int, j: int) -> Perm:
-        if i == j:
-            return Perm.identity(degree)
-        if i > j:
-            return tau_elt(j, i).inverse()
-        if i == -1 or j == n:
-            return Perm.identity(degree)
-        return left_product(sigma[i:j])
-
     subsets = []
     for size in range(n + 1):
         subsets.extend(combinations(range(n), size))
@@ -137,7 +125,7 @@ def intersection_property_group(sigma, cap: int = 1_000_000) -> tuple[bool, tupl
 
     def group_for(I) -> PermGroup:
         if I not in groups:
-            gens = [tau_elt(i, j) for i, j in combinations(I, 2)]
+            gens = [tau(sigma, i, j) for i, j in combinations(I, 2)]
             groups[I] = PermGroup(degree, gens)
         return groups[I]
 
@@ -177,12 +165,7 @@ class MixExtensionResult:
     schlafli: list[int]
     q: int  # last entry of the seed extension
     s: int
-    verdicts: list[tuple[str, bool, str]] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(ok for _, ok, _ in self.verdicts)
+    report: Report = field(default_factory=Report)
 
 
 def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
@@ -199,20 +182,20 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     result = MixExtensionResult(group=None, paired_gens=(), schlafli=[], q=0, s=s)
 
     def check(name: str, ok: bool, detail: str = "") -> None:
-        result.verdicts.append((name, ok, "" if ok else detail))
+        result.report.add(name, ok, "" if ok else detail)
         if not ok:
             raise VerificationError("%s: %s" % (name, detail or "failed"))
 
     check("facet-rank", K.rank == R.rank, "quotient rank differs")
     check("quotient-regular", classify_symmetry(R) is Symmetry.REGULAR,
           "quotient is not regular")
-    check("quotient-facets", len(colour_components(R.maniplex, range(R.rank - 1))) >= 2,
+    check("quotient-facets", len(facets(R.maniplex)) >= 2,
           "quotient has fewer than two facets")
     check("covers-quotient", covers(K, R) is not None,
           "the input does not cover the quotient")
 
-    cayK, _ = cayley_gpr_base(K)
-    comps = colour_components_gpr(P)
+    cayK = cayley_gpr(K)
+    comps = components(P, range(1, P.rank)).blocks
     check("facets-of-extension", all(
         rooted_digraph_isomorphic(GprGraph(P.rank - 1, P.arrows[:-1]), cayK, vertices=blk)
         for blk in comps),
@@ -239,7 +222,7 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     white_count = rotation_system(K).degree
     check("facet-subgroup-order", facet_order == white_count,
           "facet subgroup order %d != white flag count %d" % (facet_order, white_count))
-    result.data["facet_order"] = facet_order
+    result.report.data["facet_order"] = facet_order
 
     ok, witness = intersection_property_group(paired)
     check("intersection-property", ok, "failing pair %s" % (witness,))
@@ -256,11 +239,5 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
           "mirror map extends to an automorphism; result would be regular")
 
     result.schlafli = [p.order() for p in paired]
-    result.data["group_order"] = result.group.order()
+    result.report.data["group_order"] = result.group.order()
     return result
-
-
-def colour_components_gpr(G: GprGraph) -> list[tuple[int, ...]]:
-    """{1..n-1}-components of a GPR-graph (facet components)."""
-    from .gpr import components
-    return list(components(G, range(1, G.rank)).blocks)

@@ -115,15 +115,6 @@ class Perm:
         return "Perm[%d: %s]" % (self.degree, text)
 
 
-def compose(p: Perm, q: Perm) -> Perm:
-    """Left-to-right composition: compose(p, q)(x) == q(p(x))."""
-    return p * q
-
-
-def order_of(p: Perm) -> int:
-    return p.order()
-
-
 def left_product(perms, degree: int | None = None) -> Perm:
     """Product of left-acting maps: left_product([a, b])(x) == a(b(x)).
 
@@ -342,23 +333,8 @@ class PermGroup:
         return orbit_of(x, self.generators)
 
     def orbits(self) -> list[list[int]]:
-        seen = [False] * self.degree
-        out = []
-        for x in range(self.degree):
-            if not seen[x]:
-                orb = self.orbit(x)
-                for y in orb:
-                    seen[y] = True
-                out.append(orb)
-        return out
-
-
-def group_order(G: PermGroup) -> int:
-    return G.order()
-
-
-def is_member(G: PermGroup, p: Perm) -> bool:
-    return p in G
+        """All orbits, each sorted, ordered by least point."""
+        return [list(b) for b in orbit_partition(self.generators, self.degree)[0]]
 
 
 def orbit_of(x: int, perms) -> list[int]:
@@ -375,3 +351,29 @@ def orbit_of(x: int, perms) -> list[int]:
                 order.append(q)
                 queue.append(q)
     return order
+
+
+def orbit_partition(perms, degree: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Orbits of 0..degree-1 under the given permutations.
+
+    Returns (blocks, block_of): each block sorted, blocks ordered by their
+    least point, and block_of[x] the index of the block holding x. With
+    no permutations every point is its own block.
+    """
+    blocks: list[tuple[int, ...]] = []
+    block_of = [-1] * degree
+    for x in range(degree):
+        if block_of[x] == -1:
+            orb = sorted(orbit_of(x, perms))
+            index = len(blocks)
+            for y in orb:
+                block_of[y] = index
+            blocks.append(tuple(orb))
+    return blocks, block_of
+
+
+def disjoint_union(a, b) -> tuple[int, ...]:
+    """Image tuples a and b acting side by side on the disjoint union of
+    their point sets, b's points shifted past a's."""
+    d = len(a)
+    return tuple(a) + tuple(x + d for x in b)

@@ -23,11 +23,18 @@ def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which Python counts as an int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(data: dict, field: str, kind) -> Any:
+    if not isinstance(data, dict):
+        raise SchemaError("expected a JSON object, got %s" % type(data).__name__)
     if field not in data:
         raise SchemaError("missing field %r" % field)
     value = data[field]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and not _is_int(value)):
         raise SchemaError("field %r: expected %s, got %s"
                           % (field, kind.__name__, type(value).__name__))
     return value
@@ -36,9 +43,8 @@ def _require(data: dict, field: str, kind) -> Any:
 def _int_list(values, length: int, field: str) -> list[int]:
     if not isinstance(values, list) or len(values) != length:
         raise SchemaError("field %r: expected a list of %d integers" % (field, length))
-    for v in values:
-        if not isinstance(v, int):
-            raise SchemaError("field %r: non-integer entry" % field)
+    if not all(_is_int(v) for v in values):
+        raise SchemaError("field %r: non-integer entry" % field)
     return values
 
 
@@ -75,8 +81,7 @@ def maniplex_from_json(data: dict) -> RootedManiplex:
     man = Maniplex(rank=rank, adjacency=tuple(perms))
     report = validate(man)
     if not report.passed:
-        bad = [name for name, ok, _ in report.entries if not ok]
-        raise SchemaError("maniplex axioms fail on load: %s" % ", ".join(bad))
+        raise SchemaError("maniplex axioms fail on load: %s" % ", ".join(report.failing()))
     return RootedManiplex(man, base)
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .maniplex import (Maniplex, PreconditionError, RootedManiplex, Symmetry,
-                       classify_symmetry, colour_components)
+from .maniplex import (Maniplex, RootedManiplex, Symmetry, VerificationError,
+                       classify_symmetry, facets)
 from .permcore import Perm
 
 FAMILIES = ("44", "36", "63")
@@ -123,8 +123,8 @@ def _build_44(p: TorusParams) -> RootedManiplex:
                 k2 = next(kk for kk in range(4)
                           if (nx + off[kk][0], ny + off[kk][1]) == pos)
                 which2 = 0 if j2 == k2 else 1
-                if which2 == 1:
-                    assert j2 == (k2 - 1) % 4
+                if which2 == 1 and j2 != (k2 - 1) % 4:
+                    raise VerificationError("square edges %d and %d do not meet" % (j2, k2))
                 ci2 = cell_index[lat.canon(nx, ny)]
                 r2[v] = idx(ci2, k2, which2)
     man = Maniplex(rank=3, adjacency=(Perm(r0), Perm(r1), Perm(r2)))
@@ -174,8 +174,9 @@ def _build_36(p: TorusParams) -> RootedManiplex:
                     k2 = next(kk for kk in range(3)
                               if (nx + _TRI_OFF[t2][kk][0], ny + _TRI_OFF[t2][kk][1]) == pos)
                     which2 = 0 if j2 == k2 else 1
-                    if which2 == 1:
-                        assert j2 == (k2 - 1) % 3
+                    if which2 == 1 and j2 != (k2 - 1) % 3:
+                        raise VerificationError("triangle edges %d and %d do not meet"
+                                                % (j2, k2))
                     ci2 = cell_index[lat.canon(nx, ny)]
                     r2[v] = idx(ci2, t2, k2, which2)
     man = Maniplex(rank=3, adjacency=(Perm(r0), Perm(r1), Perm(r2)))
@@ -263,6 +264,8 @@ def regular_quotient(p: TorusParams) -> QuotientResult | None:
     if best is None:
         return None
     rooted = build_toroidal_map(best[1])
-    assert classify_symmetry(rooted) is Symmetry.REGULAR
-    assert len(colour_components(rooted.maniplex, range(rooted.rank - 1))) >= 2
+    if classify_symmetry(rooted) is not Symmetry.REGULAR:
+        raise VerificationError("quotient %s is not regular" % best[1])
+    if len(facets(rooted.maniplex)) < 2:
+        raise VerificationError("quotient %s has fewer than two facets" % best[1])
     return QuotientResult(params=best[1], rooted=rooted)

@@ -12,9 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .maniplex import (Maniplex, PreconditionError, RootedManiplex, Symmetry,
-                       _forced_map, classify_symmetry, colour_components,
-                       facets, schlafli, validate)
-from .permcore import Perm
+                       classify_symmetry, forced_map, schlafli, validate)
+from .permcore import Perm, orbit_partition
 
 
 @dataclass(frozen=True)
@@ -63,24 +62,19 @@ class TwoSM:
 
 def _facet_labels(M: RootedManiplex) -> tuple[int, tuple[int, ...]]:
     """Facet count and flag -> facet label, base facet relabelled to 0."""
-    blocks = facets(M.maniplex)
-    base_idx = next(i for i, b in enumerate(blocks) if M.base_flag in b)
-    order = [base_idx] + [i for i in range(len(blocks)) if i != base_idx]
-    facet_of = [0] * M.maniplex.num_flags
-    for new_j, old in enumerate(order):
-        for f in blocks[old]:
-            facet_of[f] = new_j
-    return len(blocks), tuple(facet_of)
+    man = M.maniplex
+    blocks, block_of = orbit_partition(man.adjacency[:-1], man.num_flags)
+    base_idx = block_of[M.base_flag]
+    # the base facet becomes 0 and the facets before it move up by one
+    relabel = [j + 1 if j < base_idx else j for j in range(len(blocks))]
+    relabel[base_idx] = 0
+    return len(blocks), tuple(relabel[j] for j in block_of)
 
 
 def every_ridge_in_two_facets(M: Maniplex) -> bool:
     """True iff no (n-2)-face lies in a single facet, i.e. the last
     colour always changes the facet."""
-    blocks = facets(M)
-    facet_of = [0] * M.num_flags
-    for j, b in enumerate(blocks):
-        for f in b:
-            facet_of[f] = j
+    _, facet_of = orbit_partition(M.adjacency[:-1], M.num_flags)
     last = M.adjacency[-1].images
     return all(facet_of[f] != facet_of[last[f]] for f in range(M.num_flags))
 
@@ -239,7 +233,7 @@ def verify_aut_structure(M: RootedManiplex, s: int) -> AutStructureReport:
     rows = [r.images for r in big.adjacency]
     base = tsm.base_flag
     count = sum(1 for psi in range(big.num_flags)
-                if _forced_map(rows, base, psi) is not None)
+                if forced_map(rows, base, psi) is not None)
     expected = M.maniplex.num_flags * 2 * s ** (tsm.m - 1)
     return AutStructureReport(automorphism_count=count, expected=expected,
                               flags=big.num_flags, symbol=schlafli(tsm.rooted))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import permutations, product
 
 from chirex.maniplex import Maniplex, RootedManiplex
 from chirex.permcore import Perm
@@ -26,6 +26,44 @@ def brute_force_closure(gens, degree: int, cap: int = 10_000):
                     nxt.append(q)
         frontier = nxt
     return seen
+
+
+def components_union_find(perms, degree: int):
+    """Union-find cross-check of ``permcore.orbit_partition``: the same
+    (blocks, block_of) pair, found by merging each point with its images."""
+    parent = list(range(degree))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in perms:
+        for v in range(degree):
+            a, b = find(v), find(g.images[v])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    groups: dict[int, list[int]] = {}
+    for v in range(degree):
+        groups.setdefault(find(v), []).append(v)
+    blocks = [tuple(sorted(g)) for _, g in sorted(groups.items())]
+    block_of = [-1] * degree
+    for i, blk in enumerate(blocks):
+        for v in blk:
+            block_of[v] = i
+    return blocks, block_of
+
+
+def brute_force_isomorphic(G, H) -> bool:
+    """True iff some bijection of the vertices carries every arrow of the
+    GPR-graph G onto the arrow of H with the same label."""
+    V = G.num_vertices
+    if G.rank != H.rank or V != H.num_vertices:
+        return False
+    pairs = [(a.images, b.images) for a, b in zip(G.arrows, H.arrows)]
+    return any(all(pi[ga[v]] == ha[pi[v]] for ga, ha in pairs for v in range(V))
+               for pi in permutations(range(V)))
 
 
 def polygon(p: int) -> RootedManiplex:

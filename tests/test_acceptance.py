@@ -120,9 +120,9 @@ def test_criterion_5_regular_quotient_pipeline():
     assert white_count == 80  # |Aut+(K)| for the free rotation action
     for s in (2, 3):
         result = regular_quotient_extension(seed.graph, K, quotient.rooted, s)
-        assert result.passed, [n for n, ok, _ in result.verdicts if not ok]
-        assert result.data["facet_order"] == 80
-        assert dict((n, ok) for n, ok, _ in result.verdicts)["intersection-property"]
+        assert result.report.passed, result.report.failing()
+        assert result.report.data["facet_order"] == 80
+        assert dict((n, ok) for n, ok, _ in result.report.verdicts)["intersection-property"]
         assert not is_regular_via_mix(result.paired_gens)
         assert result.schlafli[-1] == math.lcm(q, 2 * s)
     elapsed = time.time() - t0

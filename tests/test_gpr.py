@@ -1,14 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chirex.gpr import (GprGraph, cayley_gpr, cayley_gpr_base, check_tau_relations,
-                        components, components_union_find, gpr_group,
-                        rooted_digraph_isomorphic, verify_extension_criterion)
-from chirex.maniplex import PreconditionError
-from chirex.permcore import Perm
+from chirex.gpr import (GprGraph, cayley_gpr, check_tau_relations, components,
+                        gpr_group, rooted_digraph_isomorphic,
+                        verify_extension_criterion)
+from chirex.maniplex import PreconditionError, rotation_system
+from chirex.permcore import Perm, orbit_of
 from chirex.toroidal import TorusParams, build_toroidal_map
 
-from helpers import cube, hemicube
+from helpers import brute_force_isomorphic, components_union_find, cube
 
 
 def perms(degree):
@@ -45,19 +45,20 @@ class TestComponents:
     def test_union_find_cross_check(self, arrows):
         G = GprGraph(len(arrows), tuple(arrows))
         labels = tuple(range(1, len(arrows) + 1))
-        assert components(G, labels) == components_union_find(G, labels)
-        assert components(G, labels[:1]) == components_union_find(G, labels[:1])
+        for chosen in (labels, labels[:1]):
+            comp = components(G, chosen)
+            blocks, block_of = components_union_find([G.arrow(k) for k in chosen], 7)
+            assert comp.blocks == tuple(blocks) and comp.block_of == tuple(block_of)
 
 
 class TestCayley:
     def test_chiral_torus(self):
         rooted = build_toroidal_map(TorusParams("44", 2, 1))
-        G, base = cayley_gpr_base(rooted)
+        G = cayley_gpr(rooted)
         assert G.num_vertices == 20
         assert G.rank == 2
         assert gpr_group(G).order() == 20  # free and transitive
-        assert 0 <= base < 20
-        assert cayley_gpr(rooted).arrows == G.arrows
+        assert G.arrows == rotation_system(rooted).sigma
 
     def test_needs_rotary(self):
         from chirex.maniplex import Symmetry, classify_symmetry, validate
@@ -98,6 +99,29 @@ class TestIsomorphism:
         assert rooted_digraph_isomorphic(double, G, vertices=blk)
         with pytest.raises(ValueError):
             rooted_digraph_isomorphic(double, G, vertices=range(5))
+
+    def test_consistent_but_not_injective_map_rejected(self):
+        # folding the 4-cycle onto two 2-cycles respects every arrow but
+        # sends two vertices to each image
+        cycle = GprGraph(1, (Perm.from_cycles(4, [(0, 1, 2, 3)]),))
+        two_cycles = GprGraph(1, (Perm.from_cycles(4, [(0, 1), (2, 3)]),))
+        assert not rooted_digraph_isomorphic(cycle, two_cycles)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_against_brute_force(self, data):
+        V = data.draw(st.integers(1, 5))
+        k = data.draw(st.integers(1, 2))
+        arrows = data.draw(st.lists(perms(V), min_size=k, max_size=k))
+        if data.draw(st.booleans()):
+            shuffle = data.draw(perms(V))
+            other = [shuffle.inverse() * a * shuffle for a in arrows]
+        else:
+            other = data.draw(st.lists(perms(V), min_size=k, max_size=k))
+        G, H = GprGraph(k, tuple(arrows)), GprGraph(k, tuple(other))
+        # forced extension from vertex 0 only reaches all of a connected G
+        connected = len(orbit_of(0, G.arrows)) == V
+        assert rooted_digraph_isomorphic(G, H) == (connected and brute_force_isomorphic(G, H))
 
 
 class TestExtensionCriterion:

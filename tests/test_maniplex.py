@@ -2,13 +2,11 @@ import pytest
 
 from chirex.maniplex import (FreenessError, Maniplex, PreconditionError,
                              RootedManiplex, Symmetry, classify_symmetry,
-                             colour_components, covers,
-                             dually_bipartite_colouring, facets,
+                             covers, dually_bipartite_colouring, facets,
                              find_rooted_automorphism,
                              intersection_property_check, is_orientable,
-                             rotation_system, schlafli, tau, validate,
-                             worker_count)
-from chirex.permcore import Perm, left_product
+                             rotation_system, schlafli, tau, validate)
+from chirex.permcore import Perm, left_product, orbit_partition
 
 from helpers import cube, hemicube, polygon
 
@@ -24,12 +22,12 @@ class TestValidate:
         r1 = Perm.from_cycles(4, [(0, 1), (2, 3)])
         report = validate(Maniplex(2, (r0, r1)))
         assert not report.passed
-        assert any(name == "involution" and not ok for name, ok, _ in report.entries)
+        assert any(name == "involution" and not ok for name, ok, _ in report.verdicts)
 
     def test_shared_neighbour_fails(self):
         r = Perm.from_cycles(4, [(0, 1), (2, 3)])
         report = validate(Maniplex(2, (r, r)))
-        assert "distinct-neighbours" in [n for n, ok, _ in report.entries if not ok]
+        assert "distinct-neighbours" in report.failing()
 
     def test_far_commutation_fails(self):
         # r_0 and r_2 must commute; a 6-cycle square of involutions does not
@@ -37,13 +35,13 @@ class TestValidate:
         r1 = Perm.from_cycles(6, [(1, 2), (3, 4), (5, 0)])
         r2 = Perm.from_cycles(6, [(0, 3), (1, 4), (2, 5)])
         report = validate(Maniplex(3, (r0, r1, r2)))
-        assert "far-commutation" in [n for n, ok, _ in report.entries if not ok]
+        assert "far-commutation" in report.failing()
 
     def test_disconnected_fails_transitivity(self):
         r0 = Perm.from_cycles(8, [(0, 1), (2, 3), (4, 5), (6, 7)])
         r1 = Perm.from_cycles(8, [(1, 2), (3, 0), (5, 6), (7, 4)])
         report = validate(Maniplex(2, (r0, r1)))
-        assert "transitivity" in [n for n, ok, _ in report.entries if not ok]
+        assert "transitivity" in report.failing()
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):
@@ -109,13 +107,13 @@ class TestRotationSystem:
     def test_tau_conventions(self):
         rs = rotation_system(cube())
         ident = Perm.identity(rs.degree)
-        assert tau(rs, 1, 1) == ident
-        assert tau(rs, -1, 2) == ident
-        assert tau(rs, 0, 3) == ident
-        assert tau(rs, 0, 2) == left_product([rs.sigma[0], rs.sigma[1]])
-        assert tau(rs, 2, 0) == tau(rs, 0, 2).inverse()
+        assert tau(rs.sigma, 1, 1) == ident
+        assert tau(rs.sigma, -1, 2) == ident
+        assert tau(rs.sigma, 0, 3) == ident
+        assert tau(rs.sigma, 0, 2) == left_product([rs.sigma[0], rs.sigma[1]])
+        assert tau(rs.sigma, 2, 0) == tau(rs.sigma, 0, 2).inverse()
         with pytest.raises(IndexError):
-            tau(rs, -2, 1)
+            tau(rs.sigma, -2, 1)
 
     def test_intersection_property_cube(self):
         ok, witness = intersection_property_check(rotation_system(cube()))
@@ -137,14 +135,13 @@ class TestComponents:
         assert all(len(b) == 8 for b in blocks)
 
     def test_vertices_and_edges(self):
-        man = cube().maniplex
-        vertices = colour_components(man, (1, 2))
-        edges = colour_components(man, (0, 2))
+        r0, r1, r2 = cube().maniplex.adjacency
+        vertices, _ = orbit_partition([r1, r2], 48)
+        edges, _ = orbit_partition([r0, r2], 48)
         assert len(vertices) == 8 and len(edges) == 12
 
     def test_empty_colour_set(self):
-        man = polygon(3).maniplex
-        assert colour_components(man, ()) == [(i,) for i in range(6)]
+        assert orbit_partition([], 6)[0] == [(i,) for i in range(6)]
 
 
 class TestCovers:
@@ -173,19 +170,3 @@ class TestDuallyBipartite:
     def test_cube_faces_are_not_two_colourable(self):
         assert dually_bipartite_colouring(cube().maniplex) is None
 
-
-def test_worker_count(monkeypatch):
-    monkeypatch.delenv("CHIREX_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("CHIREX_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("CHIREX_THREADS", "0")
-    assert worker_count() == 1
-    monkeypatch.setenv("CHIREX_THREADS", "garbage")
-    assert worker_count() == 1
-
-
-def test_intersection_property_parallel(monkeypatch):
-    monkeypatch.setenv("CHIREX_THREADS", "2")
-    ok, _ = intersection_property_check(rotation_system(cube()))
-    assert ok

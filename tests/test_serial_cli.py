@@ -175,3 +175,17 @@ class TestCli:
         garbled = tmp_path / "garbled.json"
         garbled.write_text("[1,")
         assert main(["classify", str(garbled)]) == 4
+
+    def test_top_level_not_an_object(self, tmp_path):
+        for text in ("5", "null", "[1, 2]"):
+            path = tmp_path / "scalar.json"
+            path.write_text(text)
+            assert main(["classify", str(path)]) == 4
+
+    def test_booleans_are_not_integers(self, tmp_path, capsys):
+        path = tmp_path / "bools.json"
+        path.write_text('{"rank":1,"flags":2,"adjacency":[[true,false]],"base_flag":false}')
+        assert main(["classify", str(path)]) == 4
+        assert "base_flag" in capsys.readouterr().err
+        path.write_text('{"rank":1,"flags":2,"adjacency":[[true,false]],"base_flag":0}')
+        assert main(["classify", str(path)]) == 4

@@ -1,0 +1,19 @@
+"""Checks on the source tree itself rather than on its behaviour."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "chirex"
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so a check written as one
+    # silently disappears; every check must raise an exception instead
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []

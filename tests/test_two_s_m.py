@@ -1,7 +1,7 @@
 import pytest
 
 from chirex.maniplex import (PreconditionError, Symmetry, classify_symmetry,
-                             colour_components, covers, schlafli, validate)
+                             covers, facets, schlafli, validate)
 from chirex.maniplex import Maniplex, RootedManiplex
 from chirex.permcore import Perm
 from chirex.toroidal import TorusParams, build_toroidal_map
@@ -59,7 +59,7 @@ class TestBuild:
         M = m20()
         tsm = build_two_s_m(M, 2)
         big = tsm.maniplex
-        blocks = colour_components(big, range(big.rank - 1))
+        blocks = facets(big)
         assert all(len(b) == M.maniplex.num_flags for b in blocks)
         base_block = next(b for b in blocks if tsm.base_flag in b)
         pos = {f: i for i, f in enumerate(base_block)}
