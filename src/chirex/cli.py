@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 verification failure, 3 precondition failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -153,7 +154,11 @@ def _cmd_pipeline(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared, so callers must not
+    change it: an argparse parser is a web of reference cycles that only the
+    cyclic collector frees, and in-process callers run many commands."""
     parser = argparse.ArgumentParser(prog="chirex",
                                      description="chiral maniplex extension toolkit")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -44,18 +44,23 @@ class DbExtensionResult:
     base_vertex: int
 
 
-def facet_word(RS: RotationSystem, phi_f: int, phi: int) -> GroupWord:
+def facet_word(RS: RotationSystem, phi_f: int, phi: int,
+               inverses=None) -> GroupWord:
     """A word in s_1..s_{n-2} whose left action takes phi_f to phi.
 
     Letters are 0-based: letter index i stands for s_{i+1}. The word is
     found by BFS, which is fine because any two words for the same pair
-    evaluate to the same group element (the action is free).
+    evaluate to the same group element (the action is free). A caller
+    that asks for many words passes ``inverses``, the image tuples of
+    s_1^{-1}..s_{n-2}^{-1}, so that they are computed once.
     """
     gens = RS.sigma[: RS.rank - 2]
+    if inverses is None:
+        inverses = [g.inverse().images for g in gens]
     moves = []
     for i, g in enumerate(gens):
         moves.append((i, 1, g.images))
-        moves.append((i, -1, g.inverse().images))
+        moves.append((i, -1, inverses[i]))
     # parent[v] = (previous vertex, letter); prepending a letter applies
     # the new generator last, i.e. on the left
     parent: dict[int, tuple[int, tuple[int, int]] | None] = {phi_f: None}
@@ -202,6 +207,8 @@ def build_matching(K: RootedManiplex, colouring, s: int,
 
     # step 4: spread each anchor edge over its component via rho
     facet_gens = rs.sigma[: n - 2]
+    images = {1: [g.images for g in facet_gens],
+              -1: [g.inverse().images for g in facet_gens]}
     for (ell, ci), av in anchor.items():
         phi_f = av % W
         pv = partner[av]
@@ -209,13 +216,12 @@ def build_matching(K: RootedManiplex, colouring, s: int,
         for flag in facet_comps[ci]:
             if flag == phi_f:
                 continue
-            word = facet_word(rs, phi_f, flag)
+            word = facet_word(rs, phi_f, flag, images[-1])
             bar = rho_bar(word, n)
             # left action of the word on psi: rightmost letter first
             target = psi
             for idx, exp in reversed(bar.letters):
-                g = facet_gens[idx] if exp == 1 else facet_gens[idx].inverse()
-                target = g.images[target]
+                target = images[exp][idx][target]
             match(vid(flag, ell), vid(target, ell2))
 
     matching = Matching(num_copies=copies, partner=tuple(partner))

@@ -11,6 +11,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import math
+import mmap
 from collections import deque
 from dataclasses import dataclass
 from functools import reduce
@@ -177,114 +178,118 @@ def word_action(gens, word: GroupWord, degree: int | None = None) -> Perm:
 
 
 class _Chain:
-    """Deterministic Schreier-Sims stabiliser chain.
+    """Certified, deterministic incremental Schreier-Sims stabiliser chain.
 
-    Permutations are kept as numpy index arrays internally so that
-    composition is a single fancy-indexing operation; degrees in the
-    thousands with group orders far beyond 64 bits stay tractable.
+    Permutations are numpy int32 image arrays. Level i keeps base[i], its
+    strong generators S_i (fixing base[:i]) and one array of inverse coset
+    representatives that only gains rows (row r of ``uinv[i]`` maps
+    ``pts[i][r]`` to base[i]; ``row_of[i][p]`` is p's row or -1), with at
+    most 25 % spare rows, in an anonymous mapping (a freed large malloc
+    block raises glibc's mmap threshold and leaves a fragmented heap).
+    Input generators join S_0..S_j; a residue found at level i lies in
+    <S_i>, so it joins S_{i+1}..S_j only. A per-level, per-generator cursor
+    marks verified rows, so no Schreier generator is sifted twice; they go
+    in 2-D batches of at most ``BATCH`` entries, first residue inserted.
     """
+
+    BATCH = 1 << 14
 
     def __init__(self, gens, degree: int):
         import numpy as np
-
         self._np = np
         self.degree = degree
         self.identity = np.arange(degree, dtype=np.int32)
-        self.base: list[int] = []
-        self.level_gens: list[list] = []
-        # level i: point -> (u, u_inv) with u mapping base[i] to point
-        self.transversals: list[dict[int, tuple]] = []
+        self.base, self.gens, self.cursor = [], [], []  # one entry per level
+        self.pts, self.uinv, self.row_of = [], [], []
+        self.sifts = 0
         for g in gens:
-            self._add(np.array(g, dtype=np.int32))
-        self._verify()
+            h, j = self._strip(np.array(g, dtype=np.int32))
+            if (h != self.identity).any():
+                self._insert(h, 0, j)
+        i = len(self.base) - 1
+        while i >= 0:
+            i = self._check(i)
 
-    def _is_identity(self, g) -> bool:
-        return bool((g == self.identity).all())
-
-    def _inv(self, g):
-        inv = self._np.empty(self.degree, dtype=self._np.int32)
-        inv[g] = self.identity
-        return inv
-
-    def _extend_base(self, g) -> None:
-        moved = self._np.nonzero(g != self.identity)[0]
-        x = int(moved[0])
-        self.base.append(x)
-        self.level_gens.append([])
-        self.transversals.append({x: (self.identity, self.identity)})
-
-    def _rebuild_transversal(self, i: int) -> None:
-        tr = {self.base[i]: (self.identity, self.identity)}
-        queue = deque([self.base[i]])
-        gens = self.level_gens[i]
-        while queue:
-            p = queue.popleft()
-            u = tr[p][0]
-            for s in gens:
-                q = int(s[p])
-                if q not in tr:
-                    v = s[u]  # apply u, then s
-                    tr[q] = (v, self._inv(v))
-                    queue.append(q)
-        self.transversals[i] = tr
+    def _insert(self, h, lo: int, j: int) -> None:
+        # h fixes base[:j] and joins S_lo..S_j, whose orbits are closed again
+        np = self._np
+        if j == len(self.base):
+            b = int(np.flatnonzero(h != self.identity)[0])
+            row_of = (self.identity == b).astype(np.int32) - 1  # b is row 0, the rest -1
+            for store, item in zip((self.base, self.gens, self.cursor, self.pts, self.uinv,
+                                    self.row_of), (b, [], [], [b], self.identity[None], row_of)):
+                store.append(item)
+        for lev in range(lo, j + 1):
+            gens, pts, row_of = self.gens[lev], self.pts[lev], self.row_of[lev]
+            gens.append(h)
+            self.cursor[lev].append(0)
+            # old rows are closed under the older generators, new rows under none
+            edges = [(r, h) for r in np.flatnonzero(row_of[h[pts]] < 0).tolist()]
+            new = []  # the edge (row r, generator s) reaching each new point
+            for r, s in edges:
+                q = int(s[pts[r]])
+                if row_of[q] < 0:
+                    row_of[q] = len(pts)
+                    edges += [(len(pts), t) for t in gens]
+                    new.append((r, s))
+                    pts.append(q)
+            inv, old = self.uinv[lev], len(pts) - len(new)
+            if len(pts) > len(inv):  # a quarter more rows at least, old rows copied once
+                n = max(len(pts), len(inv) + len(inv) // 4)
+                inv = np.frombuffer(mmap.mmap(-1, 4 * n * self.degree), np.int32).reshape(n, -1)
+                inv[:old], self.uinv[lev] = self.uinv[lev][:old], inv
+            for k, (r, s) in enumerate(new, old):
+                inv[k, s] = inv[r]  # u_k = u_r * s, so u_k^{-1}[s[y]] = u_r^{-1}[y]
 
     def _strip(self, g, start: int = 0):
         for i in range(start, len(self.base)):
-            entry = self.transversals[i].get(int(g[self.base[i]]))
-            if entry is None:
+            r = self.row_of[i][g[self.base[i]]]
+            if r < 0:
                 return g, i
-            g = entry[1][g]  # g * u^{-1}
+            g = self.uinv[i][r][g]  # g * u^{-1}
         return g, len(self.base)
 
-    def _insert(self, h, j: int) -> None:
-        # h is a new strong generator fixing base[:j]
-        if j == len(self.base):
-            self._extend_base(h)
-        for lev in range(j + 1):
-            self.level_gens[lev].append(h)
-        for lev in range(j, -1, -1):
-            self._rebuild_transversal(lev)
-
-    def _add(self, g) -> None:
-        h, j = self._strip(g)
-        if not self._is_identity(h):
-            self._insert(h, j)
-
-    def _verify(self) -> None:
-        # check every Schreier generator sifts to the identity, deepest
-        # level first; a failure adds a strong generator and resumes there
-        i = len(self.base) - 1
-        while i >= 0:
-            dirty = False
-            tr = self.transversals[i]
-            gens = self.level_gens[i]
-            for p in list(tr):
-                u = tr[p][0]
-                for s in gens:
-                    q = int(s[p])
-                    sch = tr[q][1][s[u]]  # u * s * u_q^{-1}
-                    if self._is_identity(sch):
-                        continue
-                    h, j = self._strip(sch, i + 1)
-                    if not self._is_identity(h):
-                        self._insert(h, j)
-                        i = j
-                        dirty = True
-                        break
-                if dirty:
-                    break
-            if not dirty:
-                i -= 1
+    def _check(self, i: int) -> int:
+        """Resume verifying level i; the next level to verify (i - 1 when done)."""
+        np = self._np
+        inv, row_of, pts = self.uinv[i], self.row_of[i], self.pts[i]
+        for k, s in enumerate(self.gens[i]):
+            while self.cursor[i][k] < len(pts):
+                a = self.cursor[i][k]
+                b = min(len(pts), a + max(1, self.BATCH // self.degree))
+                w = inv[row_of[s[pts[a:b]]][:, None], s]  # s * u_q^{-1}
+                rows = a + np.flatnonzero((w != inv[a:b]).any(axis=1))
+                g = np.empty((len(rows), self.degree), dtype=np.int32)
+                np.put_along_axis(g, inv[rows], w[rows - a], axis=1)  # u_p * s * u_q^{-1}
+                self.sifts += len(rows)
+                bad = len(rows)  # sift g in place, up to the first row leaving an orbit
+                for lev in range(i + 1, len(self.base)):
+                    at = self.row_of[lev][g[:bad, self.base[lev]]]
+                    mv = at.nonzero()[0]  # a row fixing the base point stays as it is
+                    out = (at[mv] < 0).nonzero()[0]
+                    if len(out):
+                        bad, mv = int(mv[out[0]]), mv[:out[0]]
+                    g[mv] = self.uinv[lev][at[mv][:, None], g[mv]]
+                moved = (g[:bad] != self.identity).any(axis=1).nonzero()[0]
+                bad = int(moved[0]) if len(moved) else bad
+                self.cursor[i][k] = b if bad == len(rows) else int(rows[bad]) + 1
+                if bad < len(rows):  # its partly sifted row strips to the same residue
+                    h, j = self._strip(g[bad].copy(), i + 1)
+                    self._insert(h, i + 1, j)
+                    return j
+        return i - 1
 
     def order(self) -> int:
-        n = 1
-        for tr in self.transversals:
-            n *= len(tr)
-        return n
+        return math.prod(len(p) for p in self.pts)
 
     def contains(self, g) -> bool:
-        h, _ = self._strip(self._np.array(g, dtype=self._np.int32))
-        return self._is_identity(h)
+        return bool((self._strip(self._np.array(g, self._np.int32))[0] == self.identity).all())
+
+    def stats(self) -> dict:
+        """Base length, strong generators, Schreier generators sifted, orbit lengths."""
+        strong = {id(h) for gens in self.gens for h in gens}
+        return {"base_length": len(self.base), "strong_generators": len(strong),
+                "schreier_sifts": self.sifts, "orbit_sizes": [len(p) for p in self.pts]}
 
 
 class PermGroup:

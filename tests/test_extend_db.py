@@ -24,6 +24,13 @@ class TestFacetWord:
             w = facet_word(rs, rs.base, phi)
             assert word_action(rs.sigma, w, rs.degree)(rs.base) == phi
 
+    def test_precomputed_inverses(self):
+        K = k31()
+        rs = rotation_system(K)
+        inverses = [g.inverse().images for g in rs.sigma[: K.rank - 2]]
+        for phi in orbit_of(rs.base, rs.sigma[: K.rank - 2]):
+            assert facet_word(rs, rs.base, phi, inverses) == facet_word(rs, rs.base, phi)
+
     def test_unreachable_flag(self):
         K = k31()
         rs = rotation_system(K)

@@ -17,3 +17,21 @@ def test_no_assert_statements_in_the_package():
         found += ["%s:%d" % (path.name, node.lineno)
                   for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_sympy_is_not_imported_by_the_package():
+    # sympy is an independent oracle for the tests, never a runtime
+    # dependency of chirex
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += ["%s:%d" % (path.name, node.lineno)
+                      for name in names if name.split(".")[0] == "sympy"]
+    assert found == []
