@@ -4,9 +4,10 @@ permutation-group constructions."""
 from .permcore import (GroupWord, Perm, PermGroup, disjoint_union,
                        evaluate_word, left_product, orbit_partition,
                        word_action)
-from .maniplex import (FreenessError, Maniplex, Orientation, PreconditionError,
-                       Report, RootedManiplex, RotationSystem, Symmetry,
-                       VerificationError, classify_symmetry, covers,
+from .maniplex import (AutomorphismOrbit, FreenessError, Maniplex, Orientation,
+                       PreconditionError, Report, RootedManiplex, RotationSystem,
+                       Symmetry, VerificationError, automorphism_orbit,
+                       classify_symmetry, covers,
                        dually_bipartite_colouring, facets, find_rooted_automorphism,
                        forced_map, forced_map_between,
                        intersection_property_check, is_orientable,

@@ -251,6 +251,67 @@ def find_rooted_automorphism(M: Maniplex, phi: int, psi: int) -> Perm | None:
     return Perm(mapping)
 
 
+@dataclass(frozen=True)
+class AutomorphismOrbit:
+    orbit: list[int]  # the base flag first, then its images in discovery order
+    generators: list[tuple[int, ...]]  # image lists of the certified automorphisms
+    forced_maps: int
+
+
+def automorphism_orbit(M: Maniplex, base: int) -> AutomorphismOrbit:
+    """Orbit of the base flag under the automorphisms of a connected
+    flag graph; its size is |Aut(M)|, since automorphisms act freely.
+
+    Every flag psi not yet classified gets one forced map base -> psi.
+    A found automorphism is kept as a generator and the orbit is closed
+    under all generators. A failure excludes psi's whole orbit under the
+    generators kept so far: an automorphism a with base -> h(psi) would
+    make h^-1 a one with base -> psi.
+    """
+    N = M.num_flags
+    if len(orbit_of(base, M.adjacency)) != N:
+        raise PreconditionError("automorphism orbit needs a connected flag graph")
+    IMAGE = 1  # 0 marks an unknown flag, 2 + k the orbit of the k-th failure
+    state = [0] * N
+    state[base] = IMAGE
+    orbit = [base]
+    gens: list[tuple[int, ...]] = []
+    forced_maps = failures = 0
+    for psi in range(N):
+        if state[psi]:
+            continue
+        forced_maps += 1
+        aut = find_rooted_automorphism(M, base, psi)
+        if aut is not None:
+            gens.append(aut.images)
+            # the new generator moves the old points, every generator the new
+            old, i = len(orbit), 0
+            while i < len(orbit):
+                for h in (gens if i >= old else gens[-1:]):
+                    q = h[orbit[i]]
+                    if state[q] != IMAGE:
+                        if state[q]:
+                            raise VerificationError("flag %d is excluded and an image" % q)
+                        state[q] = IMAGE
+                        orbit.append(q)
+                i += 1
+            continue
+        tag = 2 + failures
+        failures += 1
+        state[psi] = tag
+        stack = [psi]
+        while stack:
+            p = stack.pop()
+            for h in gens:
+                q = h[p]
+                if state[q] != tag:
+                    if state[q] == IMAGE:
+                        raise VerificationError("flag %d is excluded and an image" % q)
+                    state[q] = tag
+                    stack.append(q)
+    return AutomorphismOrbit(orbit=orbit, generators=gens, forced_maps=forced_maps)
+
+
 def classify_symmetry(M: RootedManiplex) -> Symmetry:
     man = M.maniplex
     base = M.base_flag

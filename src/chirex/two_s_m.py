@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .maniplex import (Maniplex, PreconditionError, RootedManiplex, Symmetry,
-                       classify_symmetry, forced_map, schlafli, validate)
+                       automorphism_orbit, classify_symmetry, schlafli, validate)
 from .permcore import Perm, orbit_partition
 
 
@@ -212,6 +212,8 @@ class AutStructureReport:
     expected: int
     flags: int
     symbol: list[int]
+    forced_maps: int  # forced maps run to find the automorphisms
+    generators: int  # automorphisms kept to close the base-flag orbit
 
     @property
     def passed(self) -> bool:
@@ -221,6 +223,9 @@ class AutStructureReport:
 def verify_aut_structure(M: RootedManiplex, s: int) -> AutStructureReport:
     """Count automorphisms of 2s^M and compare with |Aut(M)| * 2 * s^(m-1).
 
+    The count is the size of the base flag's orbit under the
+    automorphisms that forced maps certify (:func:`automorphism_orbit`).
+
     Requires M regular (so |Aut(M)| equals the flag count) with every
     (n-2)-face in two facets.
     """
@@ -229,11 +234,9 @@ def verify_aut_structure(M: RootedManiplex, s: int) -> AutStructureReport:
     if not every_ridge_in_two_facets(M.maniplex):
         raise PreconditionError("an (n-2)-face lies in a single facet")
     tsm = build_two_s_m(M, s)
-    big = tsm.maniplex
-    rows = [r.images for r in big.adjacency]
-    base = tsm.base_flag
-    count = sum(1 for psi in range(big.num_flags)
-                if forced_map(rows, base, psi) is not None)
+    found = automorphism_orbit(tsm.maniplex, tsm.base_flag)
     expected = M.maniplex.num_flags * 2 * s ** (tsm.m - 1)
-    return AutStructureReport(automorphism_count=count, expected=expected,
-                              flags=big.num_flags, symbol=schlafli(tsm.rooted))
+    return AutStructureReport(automorphism_count=len(found.orbit), expected=expected,
+                              flags=tsm.maniplex.num_flags, symbol=schlafli(tsm.rooted),
+                              forced_maps=found.forced_maps,
+                              generators=len(found.generators))

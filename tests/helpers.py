@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from itertools import permutations, product
 
-from chirex.maniplex import Maniplex, RootedManiplex
+from chirex.maniplex import Maniplex, RootedManiplex, forced_map
 from chirex.permcore import Perm
 
 
@@ -53,6 +53,15 @@ def components_union_find(perms, degree: int):
         for v in blk:
             block_of[v] = i
     return blocks, block_of
+
+
+def aut_count_by_scan(M: Maniplex, base: int) -> int:
+    """|Aut(M)| of a connected flag graph by one forced map from the base
+    flag to every flag, O(N^2): the cross-check for
+    ``maniplex.automorphism_orbit``."""
+    rows = [r.images for r in M.adjacency]
+    return sum(1 for psi in range(M.num_flags)
+               if forced_map(rows, base, psi) is not None)
 
 
 def brute_force_isomorphic(G, H) -> bool:

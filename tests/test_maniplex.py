@@ -1,14 +1,17 @@
 import pytest
 
 from chirex.maniplex import (FreenessError, Maniplex, PreconditionError,
-                             RootedManiplex, Symmetry, classify_symmetry,
+                             RootedManiplex, Symmetry, automorphism_orbit,
+                             classify_symmetry,
                              covers, dually_bipartite_colouring, facets,
                              find_rooted_automorphism,
                              intersection_property_check, is_orientable,
                              rotation_system, schlafli, tau, validate)
-from chirex.permcore import Perm, left_product, orbit_partition
+from chirex.permcore import Perm, disjoint_union, left_product, orbit_partition
+from chirex.toroidal import TorusParams, build_toroidal_map
+from chirex.two_s_m import build_two_s_m
 
-from helpers import cube, hemicube, polygon
+from helpers import aut_count_by_scan, cube, hemicube, polygon, triangular_prism
 
 
 class TestValidate:
@@ -81,6 +84,55 @@ class TestSymmetry:
         for r in man.adjacency:
             assert g * r == r * g
         assert find_rooted_automorphism(man, 0, 0) == Perm.identity(48)
+
+
+def torus(family, b, c):
+    return build_toroidal_map(TorusParams(family, b, c))
+
+
+class TestAutomorphismOrbit:
+    def check_against_scan(self, M: Maniplex, base: int):
+        found = automorphism_orbit(M, base)
+        assert len(found.orbit) == len(set(found.orbit)) == aut_count_by_scan(M, base)
+        assert found.orbit[0] == base
+        members = set(found.orbit)
+        for g in found.generators:
+            assert all(g[r[f]] == r[g[f]] for r in (a.images for a in M.adjacency)
+                       for f in range(M.num_flags))
+            assert members == {g[f] for f in members}
+        return found
+
+    def test_regular_graphs_and_their_two_s_m(self):
+        for rooted in (polygon(4), cube(), hemicube(), torus("44", 2, 0),
+                       build_two_s_m(polygon(4), 2).rooted,
+                       build_two_s_m(torus("44", 2, 0), 2).rooted):
+            M = rooted.maniplex
+            found = self.check_against_scan(M, rooted.base_flag)
+            assert len(found.orbit) == M.num_flags
+            assert found.forced_maps == len(found.generators)
+
+    @pytest.mark.parametrize("family,b,c", [("44", 2, 1), ("44", 3, 1),
+                                            ("36", 2, 1), ("63", 1, 2)])
+    def test_chiral_maps_exclude_the_other_flag_orbit(self, family, b, c):
+        M = torus(family, b, c).maniplex
+        for base in (0, 7):
+            found = self.check_against_scan(M, base)
+            assert 2 * len(found.orbit) == M.num_flags
+            assert found.forced_maps <= 6
+
+    def test_non_rotary_graph(self):
+        M = triangular_prism().maniplex
+        for base in range(0, M.num_flags, 5):
+            found = self.check_against_scan(M, base)
+            assert len(found.orbit) < M.num_flags
+
+    def test_disconnected_graph_raises(self):
+        M = polygon(4).maniplex
+        twice = Maniplex(2, tuple(Perm(disjoint_union(r.images, r.images))
+                                  for r in M.adjacency))
+        for base in (0, 8):
+            with pytest.raises(PreconditionError):
+                automorphism_orbit(twice, base)
 
 
 class TestRotationSystem:

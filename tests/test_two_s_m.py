@@ -133,6 +133,15 @@ class TestAutomorphisms:
         assert report.passed
         assert report.expected == 8 * 2 * 2 ** 3 == 128
 
+    @pytest.mark.parametrize("b,c,s,count", [(2, 0, 2, 512), (2, 0, 3, 1728),
+                                             (2, 0, 4, 4096), (2, 0, 5, 8000),
+                                             (2, 2, 2, 16384)])
+    def test_aut_count_with_few_forced_maps(self, b, c, s, count):
+        report = verify_aut_structure(build_toroidal_map(TorusParams("44", b, c)), s)
+        assert report.passed
+        assert report.automorphism_count == report.expected == report.flags == count
+        assert report.generators <= report.forced_maps <= 16
+
     def test_aut_count_needs_regular(self):
         with pytest.raises(PreconditionError):
             verify_aut_structure(build_toroidal_map(TorusParams("44", 2, 1)), 2)
