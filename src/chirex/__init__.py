@@ -4,13 +4,12 @@ permutation-group constructions."""
 from .permcore import (GroupWord, Perm, PermGroup, disjoint_union,
                        evaluate_word, left_product, orbit_partition,
                        word_action)
-from .maniplex import (AutomorphismOrbit, FreenessError, Maniplex, Orientation,
+from .maniplex import (AutomorphismOrbit, Maniplex, Orientation,
                        PreconditionError, Report, RootedManiplex, RotationSystem,
                        Symmetry, VerificationError, automorphism_orbit,
                        classify_symmetry, covers,
                        dually_bipartite_colouring, facets, find_rooted_automorphism,
-                       forced_map, forced_map_between,
-                       intersection_property_check, is_orientable,
+                       forced_map, forced_map_between, is_orientable,
                        rotation_system, schlafli, tau, validate)
 from .toroidal import (TorusParams, build_toroidal_map, canonical_params,
                        expected_flag_count, is_chiral_params, regular_quotient)
@@ -22,9 +21,9 @@ from .extend_db import (DbExtensionResult, Matching, build_matching,
 from .two_s_m import (TwoSM, build_two_s_m, lift_automorphism,
                       translation_chi_automorphisms, two_s_m_type,
                       verify_aut_structure)
-from .mix import (DiamondGroup, diamond, enantiomorph_generators,
+from .mix import (diamond, enantiomorph_generators,
                   intersection_property_group, is_regular_via_mix,
-                  lemma_pre_quotient_check, regular_quotient_extension)
+                  regular_quotient_extension)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 import time
 
@@ -17,11 +16,11 @@ from .gpr import gpr_group, verify_extension_criterion
 from .maniplex import (PreconditionError, Symmetry, VerificationError,
                        classify_symmetry, schlafli)
 from .mix import regular_quotient_extension
-from .serial import (SchemaError, gpr_from_json, gpr_to_json, group_to_json,
-                     load_json, maniplex_from_json, maniplex_to_json,
-                     report_to_json, save_json)
+from .serial import (SchemaError, gpr_from_json, gpr_to_json, load_json,
+                     maniplex_from_json, maniplex_to_json, report_to_json,
+                     save_json)
 from .toroidal import TorusParams, build_toroidal_map, regular_quotient
-from .two_s_m import build_two_s_m, two_s_m_type
+from .two_s_m import build_two_s_m
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 2

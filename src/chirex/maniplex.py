@@ -20,10 +20,6 @@ class PreconditionError(ValueError):
     """An operation was called on input outside its contract."""
 
 
-class FreenessError(PreconditionError):
-    """The rotation group does not act freely on white flags."""
-
-
 class VerificationError(RuntimeError):
     """A construction failed one of its verified conditions."""
 
@@ -396,29 +392,3 @@ def dually_bipartite_colouring(M: Maniplex, base_flag: int = 0) -> list[int] | N
             raise VerificationError("dually bipartite forces an even last entry")
     return colour
 
-
-def intersection_property_check(RS: RotationSystem):
-    """Orbit form of the intersection property over all index pairs.
-
-    The rotation group must act freely on white flags; then subgroup
-    elements correspond to orbit points of the base flag and subgroup
-    intersections to orbit intersections. Returns (True, None) or
-    (False, (I, J)) with the first failing pair.
-    """
-    n = RS.rank
-    G = RS.group()
-    if G.order() != RS.degree or len(G.orbit(RS.base)) != RS.degree:
-        raise FreenessError("rotation group is not free and transitive on white flags")
-    subsets = []
-    for size in range(n + 1):
-        subsets.extend(combinations(range(n), size))
-
-    orbits = {I: frozenset(orbit_of(RS.base, [tau(RS.sigma, i, j)
-                                              for i, j in combinations(I, 2)]))
-              for I in subsets}
-    for I in subsets:
-        for J in subsets:
-            meet = tuple(sorted(set(I) & set(J)))
-            if (orbits[I] & orbits[J]) != orbits[meet]:
-                return False, (I, J)
-    return True, None

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .gpr import GprGraph, cayley_gpr, components, rooted_digraph_isomorphic
-from .maniplex import (PreconditionError, Report, RootedManiplex,
-                       RotationSystem, Symmetry, VerificationError,
-                       classify_symmetry, covers, facets, rotation_system, tau)
+from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
+                       VerificationError, classify_symmetry, covers, facets,
+                       rotation_system, tau)
 from .permcore import Perm, PermGroup, disjoint_union, left_product
 from .two_s_m import build_two_s_m
 
@@ -27,22 +27,12 @@ def paired_perm(g: Perm, h: Perm) -> Perm:
     return Perm(disjoint_union(g.images, h.images))
 
 
-@dataclass(frozen=True)
-class DiamondGroup:
-    left: PermGroup
-    right: PermGroup
-    product: PermGroup
-
-
-def diamond(G: PermGroup, H: PermGroup, pairing=None) -> DiamondGroup:
+def diamond(G: PermGroup, H: PermGroup) -> PermGroup:
     """Subgroup of G x H generated by positionally paired generators."""
-    if pairing is None:
-        pairing = list(range(len(G.generators)))
-    if len(pairing) != len(G.generators) or sorted(pairing) != list(range(len(H.generators))):
-        raise PreconditionError("pairing must match generators one to one")
-    gens = [paired_perm(g, H.generators[j]) for g, j in zip(G.generators, pairing)]
-    prod = PermGroup(G.degree + H.degree, gens, names=G.generator_names)
-    return DiamondGroup(left=G, right=H, product=prod)
+    if len(G.generators) != len(H.generators):
+        raise PreconditionError("diamond needs equal generator counts")
+    gens = [paired_perm(g, h) for g, h in zip(G.generators, H.generators)]
+    return PermGroup(G.degree + H.degree, gens, names=G.generator_names)
 
 
 def enantiomorph_generators(sigma) -> list[Perm]:
@@ -57,34 +47,12 @@ def enantiomorph_generators(sigma) -> list[Perm]:
     return out
 
 
-def is_regular_via_mix(RS_or_sigma) -> bool:
-    """True iff mapping each rotation generator to its mirror extends
+def is_regular_via_mix(G: PermGroup) -> bool:
+    """True iff mapping each rotation generator of G to its mirror extends
     to a group automorphism, tested by the order of the diamond of the
     group with its mirrored self."""
-    sigma = RS_or_sigma.sigma if isinstance(RS_or_sigma, RotationSystem) else tuple(RS_or_sigma)
-    G = PermGroup(sigma[0].degree, sigma)
-    H = PermGroup(sigma[0].degree, enantiomorph_generators(sigma))
-    return diamond(G, H).product.order() == G.order()
-
-
-def lemma_pre_quotient_check(gamma_gens, lambda_gens,
-                             assume_homomorphism: bool = False) -> bool:
-    """Hypotheses for pulling the intersection property back along the
-    generator mapping gamma_i -> lambda_i: the mapping must extend to a
-    homomorphism (diamond order = source order) and be injective on the
-    facet subgroup (all generators but the last)."""
-    gamma_gens = list(gamma_gens)
-    lambda_gens = list(lambda_gens)
-    if len(gamma_gens) != len(lambda_gens):
-        raise PreconditionError("generator lists must have equal length")
-    if not assume_homomorphism:
-        G = PermGroup(gamma_gens[0].degree, gamma_gens)
-        H = PermGroup(lambda_gens[0].degree, lambda_gens)
-        if diamond(G, H).product.order() != G.order():
-            return False
-    facet_src = PermGroup(gamma_gens[0].degree, gamma_gens[:-1])
-    facet_img = PermGroup(lambda_gens[0].degree, lambda_gens[:-1])
-    return facet_src.order() == facet_img.order()
+    H = PermGroup(G.degree, enantiomorph_generators(G.generators))
+    return diamond(G, H).order() == G.order()
 
 
 def _enumerate_elements(gens, degree: int, cap: int):
@@ -161,7 +129,6 @@ def intersection_property_group(sigma, cap: int = 1_000_000) -> tuple[bool, tupl
 @dataclass
 class MixExtensionResult:
     group: PermGroup
-    paired_gens: tuple[Perm, ...]
     schlafli: list[int]
     q: int  # last entry of the seed extension
     s: int
@@ -179,7 +146,7 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     n = K.rank
     if P.rank != n:
         raise PreconditionError("extension graph labels must match the facet rank")
-    result = MixExtensionResult(group=None, paired_gens=(), schlafli=[], q=0, s=s)
+    result = MixExtensionResult(group=None, schlafli=[], q=0, s=s)
 
     def check(name: str, ok: bool, detail: str = "") -> None:
         result.report.add(name, ok, "" if ok else detail)
@@ -211,14 +178,15 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     q = P.arrow(n).order()
     result.q = q
     paired = tuple(paired_perm(P.arrow(k), rs2.sigma[k - 1]) for k in range(1, n + 1))
-    result.paired_gens = paired
     result.group = PermGroup(paired[0].degree, paired,
                              names=tuple("s%d" % k for k in range(1, n + 1)))
 
-    check("facet-projection-collapses",
-          lemma_pre_quotient_check(paired, P.arrows, assume_homomorphism=True),
-          "facet subgroup of the mix does not project isomorphically")
+    # the mix projects onto <P.arrows> by construction, so the projection
+    # is an isomorphism on the facet subgroup iff the two orders agree
     facet_order = PermGroup(paired[0].degree, paired[:-1]).order()
+    check("facet-projection-collapses",
+          facet_order == PermGroup(P.num_vertices, P.arrows[:-1]).order(),
+          "facet subgroup of the mix does not project isomorphically")
     white_count = rotation_system(K).degree
     check("facet-subgroup-order", facet_order == white_count,
           "facet subgroup order %d != white flag count %d" % (facet_order, white_count))
@@ -234,7 +202,7 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     check("lcm-is-lcm-of-orders", last == math.lcm(q, rs2.sigma[n - 1].order()),
           "disjoint-support order law violated")
 
-    chiral_via_mix = not is_regular_via_mix(paired)
+    chiral_via_mix = not is_regular_via_mix(result.group)
     check("result-chiral", chiral_via_mix,
           "mirror map extends to an automorphism; result would be regular")
 

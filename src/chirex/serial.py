@@ -63,6 +63,8 @@ def maniplex_from_json(data: dict) -> RootedManiplex:
     flags = _require(data, "flags", int)
     adjacency = _require(data, "adjacency", list)
     base = _require(data, "base_flag", int)
+    if rank < 1:
+        raise SchemaError("rank must be at least 1, got %d" % rank)
     if len(adjacency) != rank:
         raise SchemaError("adjacency needs %d rows, found %d" % (rank, len(adjacency)))
     perms = []

@@ -89,110 +89,59 @@ def lattice_for(p: TorusParams) -> Lattice2D:
     return Lattice2D((p.b, p.c), (-p.c, p.b + p.c))
 
 
-def _build_44(p: TorusParams) -> RootedManiplex:
-    lat = lattice_for(p)
-    cells = lat.cells()
-    cell_index = {c: i for i, c in enumerate(cells)}
-    # flag = (cell, corner k in 0..3, which in {vertex-end 0, edge-end 1})
-    # corner k sits at offset off[k]; edge k joins corners k and k+1
-    off = ((0, 0), (1, 0), (1, 1), (0, 1))
-    # edge j of a cell meets edge j' of the neighbouring cell at (dx,dy)
-    edge_nbr = ((0, -1, 2), (1, 0, 3), (0, 1, 0), (-1, 0, 1))
-
-    def idx(cell: int, k: int, which: int) -> int:
-        return (cell * 4 + k) * 2 + which
-
-    N = len(cells) * 8
-    r0 = [0] * N
-    r1 = [0] * N
-    r2 = [0] * N
-    for ci, (x, y) in enumerate(cells):
-        for k in range(4):
-            for which in range(2):
-                v = idx(ci, k, which)
-                # r_0 swaps the two vertices of an edge within the face
-                if which == 0:
-                    r0[v] = idx(ci, (k + 1) % 4, 1)
-                else:
-                    r0[v] = idx(ci, (k + 3) % 4, 0)
-                r1[v] = idx(ci, k, 1 - which)
-                j = k if which == 0 else (k - 1) % 4
-                dx, dy, j2 = edge_nbr[j]
-                pos = (x + off[k][0], y + off[k][1])
-                nx, ny = x + dx, y + dy
-                k2 = next(kk for kk in range(4)
-                          if (nx + off[kk][0], ny + off[kk][1]) == pos)
-                which2 = 0 if j2 == k2 else 1
-                if which2 == 1 and j2 != (k2 - 1) % 4:
-                    raise VerificationError("square edges %d and %d do not meet" % (j2, k2))
-                ci2 = cell_index[lat.canon(nx, ny)]
-                r2[v] = idx(ci2, k2, which2)
-    man = Maniplex(rank=3, adjacency=(Perm(r0), Perm(r1), Perm(r2)))
-    return RootedManiplex(man, base_flag=idx(cell_index[lat.canon(0, 0)], 0, 0))
-
-
-# up triangle (t=0) has corners (0,0),(1,0),(0,1); down (t=1) has
-# (1,0),(1,1),(0,1); edge j joins corners j and j+1
-_TRI_OFF = (((0, 0), (1, 0), (0, 1)), ((1, 0), (1, 1), (0, 1)))
-# (t, edge j) -> (dx, dy, t', edge j')
-_TRI_NBR = {
-    (0, 0): (0, -1, 1, 1),
-    (0, 1): (0, 0, 1, 2),
-    (0, 2): (-1, 0, 1, 0),
-    (1, 0): (1, 0, 0, 2),
-    (1, 1): (0, 1, 0, 0),
-    (1, 2): (0, 0, 0, 1),
-}
-
-
-def _build_36(p: TorusParams) -> RootedManiplex:
-    lat = lattice_for(p)
-    cells = lat.cells()
-    cell_index = {c: i for i, c in enumerate(cells)}
-
-    def idx(cell: int, t: int, k: int, which: int) -> int:
-        return ((cell * 2 + t) * 3 + k) * 2 + which
-
-    N = len(cells) * 12
-    r0 = [0] * N
-    r1 = [0] * N
-    r2 = [0] * N
-    for ci, (x, y) in enumerate(cells):
-        for t in range(2):
-            for k in range(3):
-                for which in range(2):
-                    v = idx(ci, t, k, which)
-                    if which == 0:
-                        r0[v] = idx(ci, t, (k + 1) % 3, 1)
-                    else:
-                        r0[v] = idx(ci, t, (k + 2) % 3, 0)
-                    r1[v] = idx(ci, t, k, 1 - which)
-                    j = k if which == 0 else (k - 1) % 3
-                    dx, dy, t2, j2 = _TRI_NBR[(t, j)]
-                    pos = (x + _TRI_OFF[t][k][0], y + _TRI_OFF[t][k][1])
-                    nx, ny = x + dx, y + dy
-                    k2 = next(kk for kk in range(3)
-                              if (nx + _TRI_OFF[t2][kk][0], ny + _TRI_OFF[t2][kk][1]) == pos)
-                    which2 = 0 if j2 == k2 else 1
-                    if which2 == 1 and j2 != (k2 - 1) % 3:
-                        raise VerificationError("triangle edges %d and %d do not meet"
-                                                % (j2, k2))
-                    ci2 = cell_index[lat.canon(nx, ny)]
-                    r2[v] = idx(ci2, t2, k2, which2)
-    man = Maniplex(rank=3, adjacency=(Perm(r0), Perm(r1), Perm(r2)))
-    return RootedManiplex(man, base_flag=idx(cell_index[lat.canon(0, 0)], 0, 0, 0))
+# A tile table gives, for each tile type t of a fundamental cell, the
+# offsets of its corners (edge k joins corners k and k+1) and, for each
+# edge, the tile across it as (dx, dy, t', edge k') of the cell at (dx, dy).
+_SQUARES = (
+    (((0, 0), (1, 0), (1, 1), (0, 1)),),
+    (((0, -1, 0, 2), (1, 0, 0, 3), (0, 1, 0, 0), (-1, 0, 0, 1)),),
+)
+# up triangle (t=0) and down triangle (t=1) of a rhombic cell
+_TRIANGLES = (
+    (((0, 0), (1, 0), (0, 1)), ((1, 0), (1, 1), (0, 1))),
+    (((0, -1, 1, 1), (0, 0, 1, 2), (-1, 0, 1, 0)),
+     ((1, 0, 0, 2), (0, 1, 0, 0), (0, 0, 0, 1))),
+)
 
 
 def build_toroidal_map(p: TorusParams) -> RootedManiplex:
-    if p.family == "44":
-        return _build_44(p)
-    rooted = _build_36(p)
-    if p.family == "36":
-        return rooted
-    # {6,3} is the dual of {3,6}: reverse the colour roles
-    man = rooted.maniplex
-    dual = Maniplex(rank=3, adjacency=tuple(reversed(man.adjacency)))
-    return RootedManiplex(dual, base_flag=rooted.base_flag)
+    """Flag graph of the map; flag ((cell*T + t)*K + k)*2 + which is corner
+    k of tile t in the cell, on edge k (which 0) or on edge k-1 (which 1)."""
+    offsets, neighbours = _SQUARES if p.family == "44" else _TRIANGLES
+    T, K = len(offsets), len(offsets[0])
+    # r_2 of each local flag (t*K + k)*2 + which: the neighbouring cell's
+    # step (dx, dy) and the local flag there
+    across = []
+    for t in range(T):
+        for k in range(K):
+            for which in range(2):
+                dx, dy, t2, j2 = neighbours[t][k if which == 0 else (k - 1) % K]
+                k2 = offsets[t2].index((offsets[t][k][0] - dx, offsets[t][k][1] - dy))
+                which2 = 0 if j2 == k2 else 1
+                if which2 == 1 and j2 != (k2 - 1) % K:
+                    raise VerificationError("tile edges %d and %d do not meet" % (j2, k2))
+                across.append((dx, dy, (t2 * K + k2) * 2 + which2))
+    lat = lattice_for(p)
+    cells = lat.cells()
+    cell_index = {c: i for i, c in enumerate(cells)}
+    L = T * K * 2
+    r0, r1, r2 = [], [], []
+    for ci, (x, y) in enumerate(cells):
+        for t in range(T):
+            tile = ci * T + t
+            for k in range(K):
+                # r_0 swaps the two corners of an edge within the tile
+                r0 += [(tile * K + (k + 1) % K) * 2 + 1, (tile * K + (k - 1) % K) * 2]
+                v = (tile * K + k) * 2
+                r1 += [v + 1, v]
+        for dx, dy, f2 in across:
+            r2.append(cell_index[lat.canon(x + dx, y + dy)] * L + f2)
+    adjacency = (Perm(r0), Perm(r1), Perm(r2))
+    if p.family == "63":
+        # {6,3} is the dual of {3,6}: reverse the colour roles
+        adjacency = adjacency[::-1]
+    man = Maniplex(rank=3, adjacency=adjacency)
+    return RootedManiplex(man, base_flag=cell_index[lat.canon(0, 0)] * L)
 
 
 def expected_flag_count(p: TorusParams) -> int:

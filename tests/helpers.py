@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
-from chirex.maniplex import Maniplex, RootedManiplex, forced_map
-from chirex.permcore import Perm
+from chirex.maniplex import Maniplex, RootedManiplex, forced_map, tau
+from chirex.permcore import Perm, orbit_of
 
 
 def brute_force_closure(gens, degree: int, cap: int = 10_000):
@@ -62,6 +62,32 @@ def aut_count_by_scan(M: Maniplex, base: int) -> int:
     rows = [r.images for r in M.adjacency]
     return sum(1 for psi in range(M.num_flags)
                if forced_map(rows, base, psi) is not None)
+
+
+def intersection_property_orbits(sigma, base: int = 0):
+    """Orbit form of the intersection property over all index pairs: the
+    cross-check for ``mix.intersection_property_group``.
+
+    The rotation generators must act freely and transitively; subgroup
+    elements then correspond to the points of the base's orbit, and
+    subgroup intersections to orbit intersections. Returns (True, None)
+    or (False, (I, J)) with the first failing pair.
+    """
+    sigma = tuple(sigma)
+    degree = sigma[0].degree
+    closure = brute_force_closure(sigma, degree, cap=degree)
+    if closure is None or len(closure) != degree or len(orbit_of(base, sigma)) != degree:
+        raise ValueError("rotation group is not free and transitive")
+    n = len(sigma) + 1
+    subsets = [I for size in range(n + 1) for I in combinations(range(n), size)]
+    orbits = {I: frozenset(orbit_of(base, [tau(sigma, i, j) for i, j in combinations(I, 2)]))
+              for I in subsets}
+    for I in subsets:
+        for J in subsets:
+            meet = tuple(sorted(set(I) & set(J)))
+            if orbits[I] & orbits[J] != orbits[meet]:
+                return False, (I, J)
+    return True, None
 
 
 def brute_force_isomorphic(G, H) -> bool:

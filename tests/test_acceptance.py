@@ -123,7 +123,7 @@ def test_criterion_5_regular_quotient_pipeline():
         assert result.report.passed, result.report.failing()
         assert result.report.data["facet_order"] == 80
         assert dict((n, ok) for n, ok, _ in result.report.verdicts)["intersection-property"]
-        assert not is_regular_via_mix(result.paired_gens)
+        assert not is_regular_via_mix(result.group)
         assert result.schlafli[-1] == math.lcm(q, 2 * s)
     elapsed = time.time() - t0
     assert elapsed < 600, "pipeline took %.1fs" % elapsed
@@ -143,7 +143,7 @@ def test_criterion_6_cross_validation():
     corpus = _corpus()
 
     for rooted in corpus:
-        mirror_regular = is_regular_via_mix(rotation_system(rooted))
+        mirror_regular = is_regular_via_mix(rotation_system(rooted).group())
         assert mirror_regular == (classify_symmetry(rooted) is Symmetry.REGULAR)
 
     # flag-level covering agrees with the diamond-order homomorphism test
@@ -153,7 +153,7 @@ def test_criterion_6_cross_validation():
                 continue
             G = rotation_system(M).group()
             H = rotation_system(N).group()
-            hom_exists = diamond(G, H).product.order() == G.order()
+            hom_exists = diamond(G, H).order() == G.order()
             assert (covers(M, N) is not None) == hom_exists, (M, N)
 
     # stabiliser chain vs brute-force closure on every small group

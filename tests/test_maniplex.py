@@ -1,11 +1,9 @@
 import pytest
 
-from chirex.maniplex import (FreenessError, Maniplex, PreconditionError,
-                             RootedManiplex, Symmetry, automorphism_orbit,
-                             classify_symmetry,
+from chirex.maniplex import (Maniplex, PreconditionError, RootedManiplex,
+                             Symmetry, automorphism_orbit, classify_symmetry,
                              covers, dually_bipartite_colouring, facets,
-                             find_rooted_automorphism,
-                             intersection_property_check, is_orientable,
+                             find_rooted_automorphism, is_orientable,
                              rotation_system, schlafli, tau, validate)
 from chirex.permcore import Perm, disjoint_union, left_product, orbit_partition
 from chirex.toroidal import TorusParams, build_toroidal_map
@@ -166,18 +164,6 @@ class TestRotationSystem:
         assert tau(rs.sigma, 2, 0) == tau(rs.sigma, 0, 2).inverse()
         with pytest.raises(IndexError):
             tau(rs.sigma, -2, 1)
-
-    def test_intersection_property_cube(self):
-        ok, witness = intersection_property_check(rotation_system(cube()))
-        assert ok and witness is None
-
-    def test_intersection_property_needs_freeness(self):
-        # squaring the hexagon rotation breaks transitivity on white flags
-        rs = rotation_system(polygon(6))
-        bad = type(rs)(white_flags=rs.white_flags,
-                       sigma=(rs.sigma[0] ** 2,), base=rs.base)
-        with pytest.raises(FreenessError):
-            intersection_property_check(bad)
 
 
 class TestComponents:

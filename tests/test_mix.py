@@ -1,16 +1,19 @@
+from collections import Counter
+
 import pytest
 
+from chirex import permcore
+from chirex.extend_db import extend_dually_bipartite
 from chirex.gpr import VerificationError, cayley_gpr
 from chirex.maniplex import (PreconditionError, Symmetry, classify_symmetry,
                              rotation_system)
 from chirex.mix import (diamond, enantiomorph_generators,
                         intersection_property_group, is_regular_via_mix,
-                        lemma_pre_quotient_check, paired_perm,
-                        regular_quotient_extension)
+                        paired_perm, regular_quotient_extension)
 from chirex.permcore import Perm, PermGroup, left_product
-from chirex.toroidal import TorusParams, build_toroidal_map
+from chirex.toroidal import TorusParams, build_toroidal_map, regular_quotient
 
-from helpers import cube, polygon
+from helpers import cube, intersection_property_orbits, polygon
 
 
 class TestDiamond:
@@ -25,18 +28,19 @@ class TestDiamond:
         c4 = Perm.from_cycles(4, [(0, 1, 2, 3)])
         G = PermGroup(4, [c4])
         H = PermGroup(4, [c4.inverse()])
-        assert diamond(G, H).product.order() == 4
+        assert diamond(G, H).order() == 4
 
     def test_incompatible_pairing_grows(self):
         c3 = Perm.from_cycles(3, [(0, 1, 2)])
         c2 = Perm.from_cycles(2, [(0, 1)])
         # no homomorphism sends an order-3 generator to an order-2 one
-        assert diamond(PermGroup(3, [c3]), PermGroup(2, [c2])).product.order() == 6
+        assert diamond(PermGroup(3, [c3]), PermGroup(2, [c2])).order() == 6
 
     def test_pairing_validation(self):
-        G = PermGroup(3, [Perm.from_cycles(3, [(0, 1)])])
+        # generators pair by position, so the counts must agree
+        t = Perm.from_cycles(3, [(0, 1)])
         with pytest.raises(PreconditionError):
-            diamond(G, G, pairing=[0, 1])
+            diamond(PermGroup(3, [t]), PermGroup(3, [t, t]))
 
 
 class TestEnantiomorph:
@@ -64,31 +68,7 @@ class TestRegularViaMix:
     ])
     def test_toroidal(self, family, b, c, regular):
         rooted = build_toroidal_map(TorusParams(family, b, c))
-        assert is_regular_via_mix(rotation_system(rooted)) is regular
-
-    def test_accepts_raw_generator_list(self):
-        rs = rotation_system(cube())
-        assert is_regular_via_mix(rs.sigma)
-
-
-class TestPreQuotientLemma:
-    def test_identity_mapping(self):
-        rs = rotation_system(build_toroidal_map(TorusParams("44", 2, 0)))
-        assert lemma_pre_quotient_check(rs.sigma, rs.sigma)
-
-    def test_collapsing_facet_subgroup_fails(self):
-        rs = rotation_system(build_toroidal_map(TorusParams("44", 2, 0)))
-        trivial = [Perm.identity(rs.degree) for _ in rs.sigma]
-        assert not lemma_pre_quotient_check(rs.sigma, trivial)
-
-    def test_non_homomorphism_fails(self):
-        c3 = Perm.from_cycles(3, [(0, 1, 2)])
-        c2 = Perm.from_cycles(2, [(0, 1)])
-        assert not lemma_pre_quotient_check([c3, c3], [c2, c2])
-
-    def test_length_mismatch(self):
-        with pytest.raises(PreconditionError):
-            lemma_pre_quotient_check([Perm.identity(2)], [])
+        assert is_regular_via_mix(rotation_system(rooted).group()) is regular
 
 
 class TestIntersectionPropertyGroup:
@@ -115,10 +95,47 @@ class TestIntersectionPropertyGroup:
         assert not ok
         assert witness is not None
 
+    @pytest.mark.parametrize("name", [
+        "cube", "polygon5", "44-2-0", "44-2-1", "44-3-1", "36-1-2", "63-2-0", "cyclic-pair",
+    ])
+    def test_matches_orbit_oracle(self, name):
+        # every input is a polytope's rotation group except the cyclic pair
+        if name == "cube":
+            sigma = rotation_system(cube()).sigma
+        elif name == "polygon5":
+            sigma = rotation_system(polygon(5)).sigma
+        elif name == "cyclic-pair":
+            a = Perm.from_cycles(4, [(0, 1, 2, 3)])
+            sigma = [a, a]
+        else:
+            family, b, c = name.split("-")
+            sigma = rotation_system(build_toroidal_map(TorusParams(family, int(b), int(c)))).sigma
+        verdict = intersection_property_group(sigma)
+        assert verdict == intersection_property_orbits(sigma)
+        assert verdict[0] is (name != "cyclic-pair")
+
 
 class TestRegularQuotientExtension:
+    def test_each_chain_built_once(self, monkeypatch):
+        K = build_toroidal_map(TorusParams("44", 3, 1))
+        P = extend_dually_bipartite(K, 1).graph
+        R = regular_quotient(TorusParams("44", 3, 1)).rooted
+        built = Counter()
+        init = permcore._Chain.__init__
+
+        def counting_init(chain, gens, degree):
+            gens = [tuple(g) for g in gens]
+            if gens:
+                built[degree, tuple(gens)] += 1
+            init(chain, gens, degree)
+
+        monkeypatch.setattr(permcore._Chain, "__init__", counting_init)
+        result = regular_quotient_extension(P, K, R, 2)
+        assert result.report.passed
+        repeated = [count for count in built.values() if count > 1]
+        assert built and repeated == []
+
     def test_rank_mismatch_rejected(self):
-        from chirex.extend_db import extend_dually_bipartite
         K = build_toroidal_map(TorusParams("44", 3, 1))
         P = extend_dually_bipartite(K, 1).graph
         with pytest.raises(PreconditionError):
@@ -126,7 +143,6 @@ class TestRegularQuotientExtension:
                                        build_toroidal_map(TorusParams("44", 2, 0)), 2)
 
     def test_non_regular_quotient_rejected(self):
-        from chirex.extend_db import extend_dually_bipartite
         K = build_toroidal_map(TorusParams("44", 3, 1))
         P = extend_dually_bipartite(K, 1).graph
         chiral_r = build_toroidal_map(TorusParams("44", 2, 1))
@@ -134,7 +150,6 @@ class TestRegularQuotientExtension:
             regular_quotient_extension(P, K, chiral_r, 2)
 
     def test_non_covering_quotient_rejected(self):
-        from chirex.extend_db import extend_dually_bipartite
         K = build_toroidal_map(TorusParams("44", 3, 1))
         P = extend_dually_bipartite(K, 1).graph
         # {4,4}_(2,0) is regular but (3,1) does not cover it

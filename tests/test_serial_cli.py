@@ -189,3 +189,13 @@ class TestCli:
         assert "base_flag" in capsys.readouterr().err
         path.write_text('{"rank":1,"flags":2,"adjacency":[[true,false]],"base_flag":0}')
         assert main(["classify", str(path)]) == 4
+
+    def test_rank_zero_rejected(self, tmp_path, capsys):
+        # a rank-0 file has no adjacency rows to index, so it must fail
+        # the schema check instead of reaching the commands
+        path = tmp_path / "rank0.json"
+        path.write_text('{"rank": 0, "flags": 1, "adjacency": [], "base_flag": 0}')
+        assert main(["classify", str(path)]) == 4
+        assert main(["extend-db", str(path), "--s", "1",
+                     "-o", str(tmp_path / "x.json")]) == 4
+        assert "rank" in capsys.readouterr().err

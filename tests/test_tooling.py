@@ -35,3 +35,33 @@ def test_sympy_is_not_imported_by_the_package():
             found += ["%s:%d" % (path.name, node.lineno)
                       for name in names if name.split(".")[0] == "sympy"]
     assert found == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    imported = {}  # bound name -> line of the import
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return ["%s:%d %s" % (path.name, line, name)
+            for name, line in sorted(imported.items()) if name not in used]
+
+
+def test_no_unused_imports_in_the_package():
+    # no linter is installed, so this stands in for pyflakes' F401; the
+    # package __init__ re-exports by design and is left out
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    assert modules
+    found = []
+    for path in modules:
+        found += _unused_imports(path)
+    assert found == []

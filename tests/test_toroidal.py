@@ -1,8 +1,11 @@
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
 from chirex.maniplex import (Symmetry, classify_symmetry, covers, facets,
                              is_orientable, schlafli, validate)
+from chirex.serial import canonical_dumps, maniplex_to_json
 from chirex.toroidal import (TorusParams, Lattice2D, build_toroidal_map,
                              expected_flag_count, is_chiral_params,
                              lattice_for, regular_quotient)
@@ -75,6 +78,23 @@ class TestBuild:
         a = build_toroidal_map(TorusParams("44", -2, 1))
         b = build_toroidal_map(TorusParams("44", 2, -1))
         assert a.maniplex.num_flags == b.maniplex.num_flags == 40
+
+
+# SHA-256 of the canonical JSON of each map: stored maps, extensions and
+# reports depend on the flag numbering, so every label must stay as recorded
+GOLDEN = {
+    ("44", 3, 1): "e12aaf30fa1b736e725fce6da7fd4d383b885b88c6f3ee92d9e7f014d55b6d94",
+    ("44", 2, 0): "56bdb0cacd2fe361b7af5c856505381d4646057b404bc0c247ecb22ce25b6bc2",
+    ("36", 2, 1): "47ec37ff17053531d8c652ae91f7ebddb770780e481cbc3a06291fbde6747334",
+    ("63", 1, 2): "9f34cfa24e3d4a5e125f53d984d55a8d1c5a8f40767cc529e55f386368441e2e",
+}
+
+
+class TestLabels:
+    @pytest.mark.parametrize("family,b,c", sorted(GOLDEN))
+    def test_flag_numbering_is_unchanged(self, family, b, c):
+        text = canonical_dumps(maniplex_to_json(build_toroidal_map(TorusParams(family, b, c))))
+        assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[family, b, c]
 
 
 class TestRegularQuotient:
