@@ -117,10 +117,10 @@ def _check_preconditions(K: RootedManiplex) -> list[int]:
         raise PreconditionError("input maniplex is not dually bipartite")
     # regular facets: the base facet as a standalone maniplex must be
     # regular (all facets are isomorphic by flag transitivity)
-    facet_flags, facet_of = orbit_partition(man.adjacency[:-1], man.num_flags)
-    blk = facet_flags[facet_of[K.base_flag]]
+    blk = sorted(orbit_of(K.base_flag, man.adjacency[:-1]))
     pos = {f: i for i, f in enumerate(blk)}
-    sub_adj = tuple(Perm(pos[r.images[f]] for f in blk) for r in man.adjacency[:-1])
+    # from lists, for the reason given in PermGroup.__init__
+    sub_adj = tuple([Perm([pos[r.images[f]] for f in blk]) for r in man.adjacency[:-1]])
     sub = Maniplex(man.rank - 1, sub_adj)
     if classify_symmetry(RootedManiplex(sub, pos[K.base_flag])) is not Symmetry.REGULAR:
         raise PreconditionError("facets of the input are not regular")

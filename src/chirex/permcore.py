@@ -96,8 +96,23 @@ class Perm:
                 out.append(tuple(cyc))
         return out
 
+    def cycle_lengths(self) -> set[int]:
+        """The distinct cycle lengths, fixed points counting as length 1."""
+        images = self.images
+        seen = bytearray(len(images))
+        lengths = set()
+        for start in range(len(images)):
+            if not seen[start]:
+                n, x = 0, start
+                while not seen[x]:
+                    seen[x] = 1
+                    x = images[x]
+                    n += 1
+                lengths.add(n)
+        return lengths
+
     def order(self) -> int:
-        return reduce(math.lcm, (len(c) for c in self.cycles()), 1)
+        return math.lcm(*self.cycle_lengths())
 
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.images))
@@ -190,11 +205,16 @@ class _Chain:
     <S_i>, so it joins S_{i+1}..S_j only. A per-level, per-generator cursor
     marks verified rows, so no Schreier generator is sifted twice; they go
     in 2-D batches of at most ``BATCH`` entries, first residue inserted.
+
+    Each S_i lies in the stabiliser G^(i) of base[:i], so at every step the
+    product of the orbit lengths is at most |G|. Construction stops as soon
+    as that product passes ``bound``; the chain is then partial, and its
+    ``order()`` only certifies |G| > bound.
     """
 
     BATCH = 1 << 14
 
-    def __init__(self, gens, degree: int):
+    def __init__(self, gens, degree: int, bound: float = math.inf):
         import numpy as np
         self._np = np
         self.degree = degree
@@ -207,7 +227,7 @@ class _Chain:
             if (h != self.identity).any():
                 self._insert(h, 0, j)
         i = len(self.base) - 1
-        while i >= 0:
+        while i >= 0 and self.order() <= bound:
             i = self._check(i)
 
     def _insert(self, h, lo: int, j: int) -> None:
@@ -306,7 +326,10 @@ class PermGroup:
             if g.degree != degree:
                 raise DegreeMismatch("generator degree %d != group degree %d" % (g.degree, degree))
         if names is None:
-            names = tuple("g%d" % i for i in range(len(self.generators)))
+            # from a list: CPython builds a small tuple from a generator
+            # oversized and shrinks it, and when freed such a tuple grows the
+            # tuple free list (up to 2000 per size) instead of refilling it
+            names = tuple(["g%d" % i for i in range(len(self.generators))])
         else:
             names = tuple(names)
             if len(names) != len(self.generators):
@@ -322,6 +345,15 @@ class PermGroup:
 
     def order(self) -> int:
         return self.chain.order()
+
+    def order_exceeds(self, bound: int) -> bool:
+        """|G| > bound, from a chain that stops once its order passes the
+        bound. That partial chain is never cached; a cached full chain
+        answers directly."""
+        chain = self._chain
+        if chain is None:
+            chain = _Chain([g.images for g in self.generators], self.degree, bound)
+        return chain.order() > bound
 
     def base(self) -> tuple[int, ...]:
         return tuple(self.chain.base)

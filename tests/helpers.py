@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from itertools import combinations, permutations, product
 
+import numpy as np
+
 from chirex.maniplex import Maniplex, RootedManiplex, forced_map, tau
-from chirex.permcore import Perm, orbit_of
+from chirex.permcore import Perm, PermGroup, orbit_of
 
 
 def brute_force_closure(gens, degree: int, cap: int = 10_000):
@@ -26,6 +28,34 @@ def brute_force_closure(gens, degree: int, cap: int = 10_000):
                     nxt.append(q)
         frontier = nxt
     return seen
+
+
+def cyclic_meet_by_loop(s: Perm, H: PermGroup) -> int:
+    """Order of <s> meet H from the least j in 1..q-1 with s^j in H (q/j,
+    or 1 if there is none), by q-1 products and sifts: the cross-check
+    for ``gpr.cyclic_meet_order``. Powers are numpy image arrays, so the
+    loop stays fast enough for q in the tens of thousands."""
+    q = s.order()
+    images = np.array(s.images)
+    power = images
+    for j in range(1, q):
+        if H.chain.contains(power):
+            return q // j
+        power = images[power]
+    return 1
+
+
+def check_order_exceeds(gens, degree: int) -> None:
+    """``PermGroup.order_exceeds`` at |G|-1, |G| and |G|+1 against
+    ``order()``, each on a fresh group that must not keep the chain it
+    built; after ``order()`` the cached full chain answers the same."""
+    order = PermGroup(degree, gens).order()
+    for bound, exceeds in ((order - 1, True), (order, False), (order + 1, False)):
+        G = PermGroup(degree, gens)
+        assert G.order_exceeds(bound) is exceeds, (bound, order)
+        assert G._chain is None
+        G.order()
+        assert G.order_exceeds(bound) is exceeds, (bound, order)
 
 
 def components_union_find(perms, degree: int):

@@ -147,3 +147,12 @@ class TestExtension:
         K = k31()
         result = extend_dually_bipartite(K, 1, seed=123)
         assert result.report.passed
+
+    def test_large_last_entry_verified(self):
+        # q = 576576 = 2^6 3^2 7 11 13: the cyclic meet takes a sift per
+        # prime power, not q - 1 of them
+        K = build_toroidal_map(TorusParams("44", 6, 2))
+        result = extend_dually_bipartite(K, 4, seed=1)
+        assert result.report.passed
+        assert result.last_entry == 576576
+        assert result.last_entry % (2 * result.s) == 0

@@ -1,14 +1,23 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chirex.extend_db import extend_dually_bipartite
 from chirex.gpr import (GprGraph, cayley_gpr, check_tau_relations, components,
-                        gpr_group, rooted_digraph_isomorphic,
+                        cyclic_meet_order, gpr_group, rooted_digraph_isomorphic,
                         verify_extension_criterion)
 from chirex.maniplex import PreconditionError, rotation_system
-from chirex.permcore import Perm, orbit_of
+from chirex.permcore import Perm, PermGroup, disjoint_union, orbit_of
 from chirex.toroidal import TorusParams, build_toroidal_map
 
-from helpers import brute_force_isomorphic, components_union_find, cube
+from helpers import (brute_force_isomorphic, components_union_find, cube,
+                     cyclic_meet_by_loop)
+
+# Step-3 seeds of the benchmark's seeded-extend workload, keyed 44_b_c_sS_qQ
+SEED_POOLS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text())["pools"]
 
 
 def perms(degree):
@@ -158,6 +167,64 @@ class TestExtensionCriterion:
         K, result = self._extension()
         with pytest.raises(PreconditionError):
             verify_extension_criterion(result.graph, polygon(4))
+
+
+def facet_subgroup(G: GprGraph, *extra) -> PermGroup:
+    return PermGroup(G.num_vertices, G.arrows[:-1] + extra)
+
+
+class TestCyclicMeet:
+    @pytest.mark.parametrize("key", sorted(SEED_POOLS))
+    def test_seeded_pools_match_loop(self, key):
+        b, c, s, q = (int(part.lstrip("sq")) for part in key.split("_")[1:])
+        assert q <= 30000 and SEED_POOLS[key]
+        K = build_toroidal_map(TorusParams("44", b, c))
+        for step3 in SEED_POOLS[key]:
+            G = extend_dually_bipartite(K, s, seed=step3).graph
+            sn, H = G.arrow(G.rank), facet_subgroup(G)
+            assert sn.order() == q
+            assert cyclic_meet_order(sn, H) == cyclic_meet_by_loop(sn, H) == 1
+
+    @pytest.mark.parametrize("b,c,s", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (4, 2, 1)])
+    def test_nontrivial_meets_match_loop(self, b, c, s):
+        # H = <facet generators, s_n^k> meets <s_n> in at least <s_n^k>;
+        # a chain for such an H on a seeded extension is far larger
+        G = extend_dually_bipartite(build_toroidal_map(TorusParams("44", b, c)), s).graph
+        sn = G.arrow(G.rank)
+        q = sn.order()
+        meets = []
+        for k in range(1, q + 1):
+            if q % k == 0:
+                H = facet_subgroup(G, sn ** k)
+                m = cyclic_meet_order(sn, H)
+                assert m == cyclic_meet_by_loop(sn, H)
+                assert m % (q // k) == 0
+                meets.append(m)
+        assert meets[0] == q and meets[-1] == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(perms(8), st.lists(perms(8), min_size=0, max_size=2), st.integers(0, 6))
+    def test_random_groups_match_loop(self, s, gens, k):
+        # a power of s among the generators makes the meet nontrivial
+        H = PermGroup(8, gens + [s ** k] * (k > 0))
+        assert cyclic_meet_order(s, H) == cyclic_meet_by_loop(s, H)
+
+    def test_failure_detail_is_least_power(self):
+        # the last arrow is s_2 beside a 3-cycle on three added points: s_2
+        # has order 4, so <s_3> meets the facet subgroup in order 4, first
+        # at s_3^3
+        K = build_toroidal_map(TorusParams("44", 3, 1))
+        G = extend_dually_bipartite(K, 1).graph
+        pad = (0, 1, 2)
+        arrows = tuple(Perm(disjoint_union(a.images, pad)) for a in G.arrows[:-1])
+        last = Perm(disjoint_union(G.arrows[-2].images, (1, 2, 0)))
+        bad = GprGraph(G.rank, arrows + (last,))
+        H = facet_subgroup(bad)
+        assert cyclic_meet_order(last, H) == cyclic_meet_by_loop(last, H) == 4
+        report = verify_extension_criterion(bad, K)
+        detail = dict((name, d) for name, _, d in report.verdicts)["cyclic-meet-trivial"]
+        assert detail == "s_3^3 lies in the facet subgroup"
+        assert "cyclic-meet-trivial" in report.failing()
 
 
 class TestTauRelations:

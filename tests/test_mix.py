@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -13,7 +14,8 @@ from chirex.mix import (diamond, enantiomorph_generators,
 from chirex.permcore import Perm, PermGroup, left_product
 from chirex.toroidal import TorusParams, build_toroidal_map, regular_quotient
 
-from helpers import cube, intersection_property_orbits, polygon
+from helpers import (check_order_exceeds, cube, intersection_property_orbits,
+                     polygon)
 
 
 class TestDiamond:
@@ -68,7 +70,21 @@ class TestRegularViaMix:
     ])
     def test_toroidal(self, family, b, c, regular):
         rooted = build_toroidal_map(TorusParams(family, b, c))
-        assert is_regular_via_mix(rotation_system(rooted).group()) is regular
+        G = rotation_system(rooted).group()
+        assert is_regular_via_mix(G) is regular
+        D = diamond(G, PermGroup(G.degree, enantiomorph_generators(G.generators)))
+        # the verdict of the full diamond order, and order_exceeds around it
+        assert (D.order() == G.order()) is regular
+        check_order_exceeds(D.generators, D.degree)
+
+    def test_criterion_5_mix_against_full_order(self):
+        K = build_toroidal_map(TorusParams("44", 4, 2))
+        P = extend_dually_bipartite(K, 1).graph
+        R = regular_quotient(TorusParams("44", 4, 2)).rooted
+        G = regular_quotient_extension(P, K, R, 2).group
+        D = diamond(G, PermGroup(G.degree, enantiomorph_generators(G.generators)))
+        assert not is_regular_via_mix(G)
+        assert D.order() > G.order()
 
 
 class TestIntersectionPropertyGroup:
@@ -123,11 +139,11 @@ class TestRegularQuotientExtension:
         built = Counter()
         init = permcore._Chain.__init__
 
-        def counting_init(chain, gens, degree):
+        def counting_init(chain, gens, degree, bound=math.inf):
             gens = [tuple(g) for g in gens]
             if gens:
                 built[degree, tuple(gens)] += 1
-            init(chain, gens, degree)
+            init(chain, gens, degree, bound)
 
         monkeypatch.setattr(permcore._Chain, "__init__", counting_init)
         result = regular_quotient_extension(P, K, R, 2)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chirex.permcore import (DegreeMismatch, GroupWord, Perm, PermGroup,
-                             evaluate_word, left_product, orbit_of,
+                             _Chain, evaluate_word, left_product, orbit_of,
                              orbit_partition, word_action)
 
-from helpers import brute_force_closure, components_union_find
+from helpers import (brute_force_closure, check_order_exceeds,
+                     components_union_find)
 
 
 def perms(degree):
@@ -62,6 +63,12 @@ class TestPerm:
     @given(perms(8))
     def test_cycles_round_trip(self, p):
         assert Perm.from_cycles(8, [list(c) for c in p.cycles()]) == p
+
+    @given(perms(9))
+    def test_cycle_lengths_against_cycles(self, p):
+        lengths = {len(c) for c in p.cycles(include_fixed=True)}
+        assert p.cycle_lengths() == lengths
+        assert p.order() == math.lcm(*lengths)
 
     def test_cycles_include_fixed(self):
         p = Perm.from_cycles(4, [(0, 1)])
@@ -167,6 +174,23 @@ class TestPermGroup:
         closure = brute_force_closure(gens, 6)
         G = PermGroup(6, gens)
         assert (probe in G) == (probe in closure)
+
+
+class TestOrderExceeds:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(perms(7), min_size=0, max_size=3))
+    def test_random_groups(self, gens):
+        check_order_exceeds(gens, 7)
+
+    def test_chain_stops_at_the_bound(self):
+        # S_8 from a transposition and an 8-cycle: a chain stopped once its
+        # orbit product passes 100 certifies |G| > 100 with fewer sifts
+        gens = [Perm.from_cycles(8, [(0, 1)]), Perm.from_cycles(8, [tuple(range(8))])]
+        images = [g.images for g in gens]
+        partial, full = _Chain(images, 8, 100), _Chain(images, 8)
+        assert 100 < partial.order() < full.order() == math.factorial(8)
+        assert partial.sifts < full.sifts
+        check_order_exceeds(gens, 8)
 
 
 EXTENSIONS = [(3, 1, 1), (3, 1, 2), (3, 1, 3), (4, 2, 1), (5, 1, 1)]
