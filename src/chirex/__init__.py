@@ -2,8 +2,7 @@
 permutation-group constructions."""
 
 from .permcore import (GroupWord, Perm, PermGroup, disjoint_union,
-                       evaluate_word, left_product, orbit_partition,
-                       word_action)
+                       left_product, orbit_partition)
 from .maniplex import (AutomorphismOrbit, Maniplex, Orientation,
                        PreconditionError, Report, RootedManiplex, RotationSystem,
                        Symmetry, VerificationError, automorphism_orbit,
@@ -11,16 +10,13 @@ from .maniplex import (AutomorphismOrbit, Maniplex, Orientation,
                        dually_bipartite_colouring, facets, find_rooted_automorphism,
                        forced_map, forced_map_between, is_orientable,
                        rotation_system, schlafli, tau, validate)
-from .toroidal import (TorusParams, build_toroidal_map, canonical_params,
-                       expected_flag_count, is_chiral_params, regular_quotient)
+from .toroidal import TorusParams, build_toroidal_map, regular_quotient
 from .gpr import (GprGraph, cayley_gpr, check_tau_relations, components,
                   gpr_group, rooted_digraph_isomorphic,
                   verify_extension_criterion)
 from .extend_db import (DbExtensionResult, Matching, build_matching,
                         extend_dually_bipartite, facet_word, rho_bar)
-from .two_s_m import (TwoSM, build_two_s_m, lift_automorphism,
-                      translation_chi_automorphisms, two_s_m_type,
-                      verify_aut_structure)
+from .two_s_m import TwoSM, build_two_s_m, verify_aut_structure
 from .mix import (diamond, enantiomorph_generators,
                   intersection_property_group, is_regular_via_mix,
                   regular_quotient_extension)

@@ -39,21 +39,10 @@ class GprGraph:
         return self.arrows[k - 1]
 
 
-@dataclass(frozen=True)
-class ComponentIndex:
-    labels: tuple[int, ...]
-    blocks: tuple[tuple[int, ...], ...]  # each sorted; ordered by least vertex
-    block_of: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-
-def components(G: GprGraph, I) -> ComponentIndex:
-    """Connected components under the arrows with labels in I."""
-    labels = tuple(sorted(set(I)))
-    blocks, block_of = orbit_partition([G.arrow(k) for k in labels], G.num_vertices)
-    return ComponentIndex(labels=labels, blocks=tuple(blocks), block_of=tuple(block_of))
+def components(G: GprGraph, I) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Connected components under the arrows with labels in I, as
+    :func:`orbit_partition`'s (blocks, block_of) pair."""
+    return orbit_partition([G.arrow(k) for k in I], G.num_vertices)
 
 
 def cayley_gpr(M: RootedManiplex) -> GprGraph:
@@ -110,19 +99,23 @@ def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> Report:
     1..n defines a chiral (n+1)-polytope with facets isomorphic to K.
     """
     n = G.rank
+    if n < 2:
+        raise PreconditionError("the criterion needs at least two labels, got %d" % n)
     if K.rank != n:
         raise PreconditionError("facet rank %d does not match label count %d" % (K.rank, n))
+    if G.num_vertices == 0:
+        raise PreconditionError("the GPR-graph has no vertices")
     report = Report()
     cay = cayley_gpr(K)
 
     facet_labels = range(1, n)
-    comp = components(G, facet_labels)
+    gblocks, gblock_of = components(G, facet_labels)
     all_iso = all(
         rooted_digraph_isomorphic(_facet_subgraph(G), cay, vertices=blk)
-        for blk in comp.blocks
+        for blk in gblocks
     )
     report.add("facet-components-isomorphic", all_iso,
-               "%d components of size %s" % (len(comp), sorted({len(b) for b in comp.blocks})))
+               "%d components of size %s" % (len(gblocks), sorted({len(b) for b in gblocks})))
 
     involutory = True
     detail = ""
@@ -144,15 +137,13 @@ def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> Report:
 
     cond4 = True
     detail = ""
-    gparts = comp
     for k in range(2, n):
-        dparts = components(G, range(k, n + 1))
-        mparts = components(G, range(k, n))
+        dblocks, dblock_of = components(G, range(k, n + 1))
         found = False
-        for blk in mparts.blocks:
+        for blk in components(G, range(k, n))[0]:
             v = blk[0]
-            gblock = set(gparts.blocks[gparts.block_of[v]])
-            dblock = set(dparts.blocks[dparts.block_of[v]])
+            gblock = set(gblocks[gblock_of[v]])
+            dblock = set(dblocks[dblock_of[v]])
             if set(blk) == gblock & dblock:
                 found = True
                 break

@@ -40,9 +40,6 @@ class Maniplex:
     def num_flags(self) -> int:
         return self.adjacency[0].degree
 
-    def r(self, i: int) -> Perm:
-        return self.adjacency[i]
-
 
 @dataclass(frozen=True)
 class RootedManiplex:

@@ -14,7 +14,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .gpr import GprGraph, cayley_gpr, components, rooted_digraph_isomorphic
+from .gpr import (GprGraph, _facet_subgraph, cayley_gpr, components,
+                  rooted_digraph_isomorphic)
 from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
                        VerificationError, classify_symmetry, covers, facets,
                        rotation_system, tau)
@@ -164,10 +165,9 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
           "the input does not cover the quotient")
 
     cayK = cayley_gpr(K)
-    comps = components(P, range(1, P.rank)).blocks
     check("facets-of-extension", all(
-        rooted_digraph_isomorphic(GprGraph(P.rank - 1, P.arrows[:-1]), cayK, vertices=blk)
-        for blk in comps),
+        rooted_digraph_isomorphic(_facet_subgraph(P), cayK, vertices=blk)
+        for blk in components(P, range(1, P.rank))[0]),
         "a facet component of the extension is not the expected Cayley graph")
     check("extension-chiral-facets", classify_symmetry(K) is Symmetry.CHIRAL,
           "facet polytope is not chiral")

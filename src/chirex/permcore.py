@@ -22,7 +22,12 @@ class DegreeMismatch(ValueError):
 
 
 class Perm:
-    """A permutation of {0, ..., d-1} stored as its image tuple."""
+    """A permutation of {0, ..., d-1} stored as its image tuple.
+
+    ``Perm(images)`` checks that the images form a bijection. Products,
+    inverses, powers and identities are bijections by construction and
+    are built unchecked.
+    """
 
     __slots__ = ("images",)
 
@@ -34,7 +39,7 @@ class Perm:
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
-        return cls(range(degree))
+        return _unchecked(tuple(range(degree)))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles) -> "Perm":
@@ -58,13 +63,13 @@ class Perm:
         if other.degree != self.degree:
             raise DegreeMismatch("cannot compose degree %d with %d" % (self.degree, other.degree))
         oi = other.images
-        return Perm(oi[x] for x in self.images)
+        return _unchecked(tuple([oi[x] for x in self.images]))
 
     def inverse(self) -> "Perm":
         inv = [0] * len(self.images)
         for x, y in enumerate(self.images):
             inv[y] = x
-        return Perm(inv)
+        return _unchecked(tuple(inv))
 
     def __pow__(self, k: int) -> "Perm":
         if k < 0:
@@ -131,6 +136,13 @@ class Perm:
         return "Perm[%d: %s]" % (self.degree, text)
 
 
+def _unchecked(images: tuple) -> Perm:
+    """A Perm over an image tuple that is known to be a bijection."""
+    p = object.__new__(Perm)
+    p.images = images
+    return p
+
+
 def left_product(perms, degree: int | None = None) -> Perm:
     """Product of left-acting maps: left_product([a, b])(x) == a(b(x)).
 
@@ -164,32 +176,8 @@ class GroupWord:
     def inverse(self) -> "GroupWord":
         return GroupWord(tuple((i, -e) for i, e in reversed(self.letters)))
 
-    def reversed(self) -> "GroupWord":
-        """Letters in reverse order, exponents kept."""
-        return GroupWord(tuple(reversed(self.letters)))
-
     def __add__(self, other: "GroupWord") -> "GroupWord":
         return GroupWord(self.letters + other.letters)
-
-
-def evaluate_word(gens, word: GroupWord, degree: int | None = None) -> Perm:
-    """Left-to-right product of the word's letters over the generator list."""
-    if degree is None:
-        if not gens:
-            raise ValueError("degree required when there are no generators")
-        degree = gens[0].degree
-    acc = Perm.identity(degree)
-    for idx, exp in word.letters:
-        if idx >= len(gens):
-            raise IndexError("generator index %d out of range" % idx)
-        p = gens[idx] if exp == 1 else gens[idx].inverse()
-        acc = acc * p
-    return acc
-
-
-def word_action(gens, word: GroupWord, degree: int | None = None) -> Perm:
-    """The word read as a left action (leftmost letter applied last)."""
-    return evaluate_word(gens, word.reversed(), degree)
 
 
 class _Chain:

@@ -1,4 +1,4 @@
-"""JSON round-tripping for maniplexes, groups, GPR-graphs and reports.
+"""JSON round-tripping for maniplexes, GPR-graphs and reports.
 
 Serialization is canonical (sorted keys, fixed separators) so that a
 round trip reproduces files byte for byte. Loaders re-validate what
@@ -12,7 +12,7 @@ from typing import Any
 
 from .gpr import GprGraph
 from .maniplex import Maniplex, RootedManiplex, validate
-from .permcore import Perm, PermGroup
+from .permcore import Perm
 
 
 class SchemaError(ValueError):
@@ -74,9 +74,6 @@ def maniplex_from_json(data: dict) -> RootedManiplex:
             p = Perm(images)
         except ValueError as exc:
             raise SchemaError("adjacency[%d]: %s" % (i, exc)) from exc
-        for x in range(flags):
-            if p.images[p.images[x]] != x or p.images[x] == x:
-                raise SchemaError("adjacency[%d] is not a fixed-point-free involution" % i)
         perms.append(p)
     if not 0 <= base < flags:
         raise SchemaError("base_flag out of range")
@@ -85,30 +82,6 @@ def maniplex_from_json(data: dict) -> RootedManiplex:
     if not report.passed:
         raise SchemaError("maniplex axioms fail on load: %s" % ", ".join(report.failing()))
     return RootedManiplex(man, base)
-
-
-def group_to_json(G: PermGroup) -> dict:
-    return {
-        "degree": G.degree,
-        "generators": [{"name": name, "images": list(g.images)}
-                       for name, g in zip(G.generator_names, G.generators)],
-    }
-
-
-def group_from_json(data: dict) -> PermGroup:
-    degree = _require(data, "degree", int)
-    gens_raw = _require(data, "generators", list)
-    gens, names = [], []
-    for i, entry in enumerate(gens_raw):
-        if not isinstance(entry, dict):
-            raise SchemaError("generators[%d]: expected an object" % i)
-        names.append(_require(entry, "name", str))
-        images = _int_list(entry.get("images"), degree, "generators[%d].images" % i)
-        try:
-            gens.append(Perm(images))
-        except ValueError as exc:
-            raise SchemaError("generators[%d]: %s" % (i, exc)) from exc
-    return PermGroup(degree, gens, names=names)
 
 
 def gpr_to_json(G: GprGraph) -> dict:
@@ -123,6 +96,9 @@ def gpr_from_json(data: dict) -> GprGraph:
     vertices = _require(data, "vertices", int)
     rank = _require(data, "rank", int)
     arrows_raw = _require(data, "arrows", list)
+    if rank < 1 or vertices < 1:
+        raise SchemaError("rank and vertices must be at least 1, got %d and %d"
+                          % (rank, vertices))
     if len(arrows_raw) != rank:
         raise SchemaError("arrows needs %d rows, found %d" % (rank, len(arrows_raw)))
     arrows = []
@@ -163,5 +139,5 @@ def load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError("%s: invalid JSON (%s)" % (path, exc)) from exc

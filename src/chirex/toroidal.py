@@ -144,34 +144,6 @@ def build_toroidal_map(p: TorusParams) -> RootedManiplex:
     return RootedManiplex(man, base_flag=cell_index[lat.canon(0, 0)] * L)
 
 
-def expected_flag_count(p: TorusParams) -> int:
-    if p.family == "44":
-        return 8 * (p.b * p.b + p.c * p.c)
-    return 12 * (p.b * p.b + p.b * p.c + p.c * p.c)
-
-
-def canonical_params(p: TorusParams) -> TorusParams:
-    """Rotate (b, c) by the lattice symmetry into b > 0, c >= 0.
-
-    The quotient lattice is invariant under its point rotation, so this
-    does not change the map; exactly one rotate lies in that sector.
-    """
-    b, c = p.b, p.c
-    for _ in range(6):
-        if b > 0 and c >= 0:
-            return TorusParams(p.family, b, c)
-        if p.family == "44":
-            b, c = -c, b
-        else:
-            b, c = -c, b + c
-    raise AssertionError("rotation orbit missed the canonical sector")
-
-
-def is_chiral_params(p: TorusParams) -> bool:
-    q = canonical_params(p)
-    return q.b * q.c * (q.b - q.c) != 0
-
-
 @dataclass(frozen=True)
 class QuotientResult:
     params: TorusParams

@@ -29,36 +29,6 @@ class TwoSM:
     def rooted(self) -> RootedManiplex:
         return RootedManiplex(self.maniplex, self.base_flag)
 
-    @property
-    def num_u(self) -> int:
-        return self.s ** (self.m - 1)
-
-    # x is stored as the free coordinates x_1..x_{m-1} in mixed radix
-    # base s; x_0 is determined by the zero-sum constraint
-    def flag_id(self, flag: int, u: int, delta: int) -> int:
-        return (flag * self.num_u + u) * 2 + delta
-
-    def decode(self, v: int) -> tuple[int, int, int]:
-        v, delta = divmod(v, 2)
-        flag, u = divmod(v, self.num_u)
-        return flag, u, delta
-
-    def u_vector(self, u: int) -> tuple[int, ...]:
-        coords = []
-        for _ in range(self.m - 1):
-            u, d = divmod(u, self.s)
-            coords.append(d)
-        x0 = (-sum(coords)) % self.s
-        return (x0, *coords)
-
-    def u_index(self, vector) -> int:
-        if sum(vector) % self.s != 0:
-            raise ValueError("coordinate sum must vanish mod s")
-        u = 0
-        for d in reversed(vector[1:]):
-            u = u * self.s + (d % self.s)
-        return u
-
 
 def _facet_labels(M: RootedManiplex) -> tuple[int, tuple[int, ...]]:
     """Facet count and flag -> facet label, base facet relabelled to 0."""
@@ -86,6 +56,8 @@ def build_two_s_m(M: RootedManiplex, s: int) -> TwoSM:
     if not validate(man).passed:
         raise PreconditionError("input maniplex is invalid")
     m, facet_of = _facet_labels(M)
+    # flag (flag of M, x, delta) is (flag * num_u + u) * 2 + delta, where u
+    # holds x_1..x_{m-1} in mixed radix base s (x_0 makes the sum vanish)
     num_u = s ** (m - 1)
     pow_s = [s ** i for i in range(m)]
     N = man.num_flags * num_u * 2
@@ -123,87 +95,6 @@ def build_two_s_m(M: RootedManiplex, s: int) -> TwoSM:
     if not validate(big).passed:
         raise PreconditionError("constructed maniplex failed validation")
     return result
-
-
-def two_s_m_type(M: RootedManiplex, s: int):
-    """Schlafli symbol of 2s^M, computed from the built maniplex.
-
-    Returns (symbol, ridge_ok): when some (n-2)-face of M lies in only
-    one facet the last entry need not be 2s, and ridge_ok is False.
-    """
-    ridge_ok = every_ridge_in_two_facets(M.maniplex)
-    tsm = build_two_s_m(M, s)
-    return schlafli(tsm.rooted), ridge_ok
-
-
-def lift_automorphism(tsm: TwoSM, gamma: Perm) -> Perm:
-    """Lift an automorphism of M to 2s^M:
-    (flag, x, delta) -> (flag gamma, x gamma + delta a_{0 gamma}, delta)."""
-    man = tsm.source.maniplex
-    if gamma.degree != man.num_flags:
-        raise PreconditionError("degree mismatch with the source maniplex")
-    for r in man.adjacency:
-        if gamma * r != r * gamma:
-            raise PreconditionError("not an automorphism of the source maniplex")
-    m, s = tsm.m, tsm.s
-    facet_of = tsm.facet_of_source
-    # facet permutation induced by gamma
-    fperm = [-1] * m
-    for f in range(man.num_flags):
-        j, j2 = facet_of[f], facet_of[gamma.images[f]]
-        if fperm[j] == -1:
-            fperm[j] = j2
-        elif fperm[j] != j2:
-            raise PreconditionError("flag map does not induce a facet permutation")
-    a0g = [0] * m
-    if fperm[0] != 0:
-        a0g[fperm[0]] = 1
-        a0g[0] = -1
-    N = tsm.maniplex.num_flags
-    imgs = [0] * N
-    for v in range(N):
-        flag, u, delta = tsm.decode(v)
-        vec = tsm.u_vector(u)
-        out = [0] * m
-        for j in range(m):
-            out[fperm[j]] = vec[j]
-        if delta:
-            for j in range(m):
-                out[j] = (out[j] + a0g[j]) % s
-        imgs[v] = tsm.flag_id(gamma.images[flag], tsm.u_index(out), delta)
-    lifted = Perm(imgs)
-    for r in tsm.maniplex.adjacency:
-        if lifted * r != r * lifted:
-            raise PreconditionError("lift is not an automorphism")
-    return lifted
-
-
-def translation_chi_automorphisms(tsm: TwoSM) -> list[Perm]:
-    """Generators tau_{a_j} (j = 1..m-1) translating x, plus chi which
-    negates x and flips delta; each verified to be an automorphism."""
-    m, s = tsm.m, tsm.s
-    N = tsm.maniplex.num_flags
-    out = []
-    for j in range(1, m):
-        imgs = [0] * N
-        for v in range(N):
-            flag, u, delta = tsm.decode(v)
-            vec = list(tsm.u_vector(u))
-            vec[j] = (vec[j] + 1) % s
-            vec[0] = (vec[0] - 1) % s
-            imgs[v] = tsm.flag_id(flag, tsm.u_index(vec), delta)
-        out.append(Perm(imgs))
-    imgs = [0] * N
-    for v in range(N):
-        flag, u, delta = tsm.decode(v)
-        vec = [(-x) % s for x in tsm.u_vector(u)]
-        imgs[v] = tsm.flag_id(flag, tsm.u_index(vec), 1 - delta)
-    out.append(Perm(imgs))
-    for g in out:
-        for r in tsm.maniplex.adjacency:
-            if g * r != r * g:
-                raise PreconditionError("claimed symmetry is not an automorphism")
-    return out
 
 
 @dataclass

@@ -6,8 +6,11 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from chirex.maniplex import Maniplex, RootedManiplex, forced_map, tau
-from chirex.permcore import Perm, PermGroup, orbit_of
+from chirex.maniplex import (Maniplex, PreconditionError, RootedManiplex,
+                             forced_map, schlafli, tau)
+from chirex.permcore import GroupWord, Perm, PermGroup, orbit_of
+from chirex.toroidal import TorusParams
+from chirex.two_s_m import TwoSM, build_two_s_m, every_ridge_in_two_facets
 
 
 def brute_force_closure(gens, degree: int, cap: int = 10_000):
@@ -56,6 +59,25 @@ def check_order_exceeds(gens, degree: int) -> None:
         assert G._chain is None
         G.order()
         assert G.order_exceeds(bound) is exceeds, (bound, order)
+
+
+def evaluate_word(gens, word: GroupWord, degree: int | None = None) -> Perm:
+    """Left-to-right product of the word's letters over the generator list."""
+    if degree is None:
+        if not gens:
+            raise ValueError("degree required when there are no generators")
+        degree = gens[0].degree
+    acc = Perm.identity(degree)
+    for idx, exp in word.letters:
+        if idx >= len(gens):
+            raise IndexError("generator index %d out of range" % idx)
+        acc = acc * (gens[idx] if exp == 1 else gens[idx].inverse())
+    return acc
+
+
+def word_action(gens, word: GroupWord, degree: int | None = None) -> Perm:
+    """The word read as a left action (leftmost letter applied last)."""
+    return evaluate_word(gens, GroupWord(word.letters[::-1]), degree)
 
 
 def components_union_find(perms, degree: int):
@@ -129,6 +151,145 @@ def brute_force_isomorphic(G, H) -> bool:
     pairs = [(a.images, b.images) for a, b in zip(G.arrows, H.arrows)]
     return any(all(pi[ga[v]] == ha[pi[v]] for ga, ha in pairs for v in range(V))
                for pi in permutations(range(V)))
+
+
+def expected_flag_count(p: TorusParams) -> int:
+    """Flag count of a toroidal map, in closed form."""
+    if p.family == "44":
+        return 8 * (p.b * p.b + p.c * p.c)
+    return 12 * (p.b * p.b + p.b * p.c + p.c * p.c)
+
+
+def canonical_params(p: TorusParams) -> TorusParams:
+    """Rotate (b, c) by the lattice symmetry into b > 0, c >= 0.
+
+    The quotient lattice is invariant under its point rotation, so this
+    does not change the map; exactly one rotate lies in that sector.
+    """
+    b, c = p.b, p.c
+    for _ in range(6):
+        if b > 0 and c >= 0:
+            return TorusParams(p.family, b, c)
+        if p.family == "44":
+            b, c = -c, b
+        else:
+            b, c = -c, b + c
+    raise AssertionError("rotation orbit missed the canonical sector")
+
+
+def is_chiral_params(p: TorusParams) -> bool:
+    """The closed-form chirality test: b c (b - c) != 0 in canonical form."""
+    q = canonical_params(p)
+    return q.b * q.c * (q.b - q.c) != 0
+
+
+# 2s^M flag coordinates: flag (flag of M, x, delta) is
+# (flag * num_u + u) * 2 + delta, where u holds x_1..x_{m-1} in mixed
+# radix base s and x_0 makes the coordinate sum vanish mod s
+
+def num_u(tsm: TwoSM) -> int:
+    return tsm.s ** (tsm.m - 1)
+
+
+def flag_id(tsm: TwoSM, flag: int, u: int, delta: int) -> int:
+    return (flag * num_u(tsm) + u) * 2 + delta
+
+
+def decode(tsm: TwoSM, v: int) -> tuple[int, int, int]:
+    v, delta = divmod(v, 2)
+    flag, u = divmod(v, num_u(tsm))
+    return flag, u, delta
+
+
+def u_vector(tsm: TwoSM, u: int) -> tuple[int, ...]:
+    coords = []
+    for _ in range(tsm.m - 1):
+        u, d = divmod(u, tsm.s)
+        coords.append(d)
+    return ((-sum(coords)) % tsm.s, *coords)
+
+
+def u_index(tsm: TwoSM, vector) -> int:
+    if sum(vector) % tsm.s != 0:
+        raise ValueError("coordinate sum must vanish mod s")
+    u = 0
+    for d in reversed(vector[1:]):
+        u = u * tsm.s + (d % tsm.s)
+    return u
+
+
+def two_s_m_type(M: RootedManiplex, s: int):
+    """Schlafli symbol of 2s^M, computed from the built maniplex.
+
+    Returns (symbol, ridge_ok): when some (n-2)-face of M lies in only
+    one facet the last entry need not be 2s, and ridge_ok is False.
+    """
+    return schlafli(build_two_s_m(M, s).rooted), every_ridge_in_two_facets(M.maniplex)
+
+
+def _check_automorphism(tsm: TwoSM, g: Perm, message: str) -> None:
+    for r in tsm.maniplex.adjacency:
+        if g * r != r * g:
+            raise PreconditionError(message)
+
+
+def lift_automorphism(tsm: TwoSM, gamma: Perm) -> Perm:
+    """Lift an automorphism of M to 2s^M:
+    (flag, x, delta) -> (flag gamma, x gamma + delta a_{0 gamma}, delta)."""
+    man = tsm.source.maniplex
+    if gamma.degree != man.num_flags:
+        raise PreconditionError("degree mismatch with the source maniplex")
+    for r in man.adjacency:
+        if gamma * r != r * gamma:
+            raise PreconditionError("not an automorphism of the source maniplex")
+    m, s = tsm.m, tsm.s
+    facet_of = tsm.facet_of_source
+    # facet permutation induced by gamma
+    fperm = [-1] * m
+    for f in range(man.num_flags):
+        j, j2 = facet_of[f], facet_of[gamma.images[f]]
+        if fperm[j] == -1:
+            fperm[j] = j2
+        elif fperm[j] != j2:
+            raise PreconditionError("flag map does not induce a facet permutation")
+    a0g = [0] * m
+    if fperm[0] != 0:
+        a0g[fperm[0]] = 1
+        a0g[0] = -1
+    imgs = []
+    for v in range(tsm.maniplex.num_flags):
+        flag, u, delta = decode(tsm, v)
+        vec = u_vector(tsm, u)
+        out = [0] * m
+        for j in range(m):
+            out[fperm[j]] = vec[j]
+        if delta:
+            out = [(x + a) % s for x, a in zip(out, a0g)]
+        imgs.append(flag_id(tsm, gamma.images[flag], u_index(tsm, out), delta))
+    lifted = Perm(imgs)
+    _check_automorphism(tsm, lifted, "lift is not an automorphism")
+    return lifted
+
+
+def translation_chi_automorphisms(tsm: TwoSM) -> list[Perm]:
+    """Generators tau_{a_j} (j = 1..m-1) translating x, plus chi which
+    negates x and flips delta; each verified to be an automorphism."""
+    m, s = tsm.m, tsm.s
+    flags = [decode(tsm, v) for v in range(tsm.maniplex.num_flags)]
+    out = []
+    for j in range(1, m):
+        imgs = []
+        for flag, u, delta in flags:
+            vec = list(u_vector(tsm, u))
+            vec[j] = (vec[j] + 1) % s
+            vec[0] = (vec[0] - 1) % s
+            imgs.append(flag_id(tsm, flag, u_index(tsm, vec), delta))
+        out.append(Perm(imgs))
+    out.append(Perm(flag_id(tsm, flag, u_index(tsm, [(-x) % s for x in u_vector(tsm, u)]),
+                            1 - delta) for flag, u, delta in flags))
+    for g in out:
+        _check_automorphism(tsm, g, "claimed symmetry is not an automorphism")
+    return out
 
 
 def polygon(p: int) -> RootedManiplex:

@@ -18,12 +18,11 @@ from chirex.maniplex import (Symmetry, classify_symmetry, covers,
 from chirex.mix import (diamond, is_regular_via_mix,
                         regular_quotient_extension)
 from chirex.permcore import PermGroup, orbit_of
-from chirex.toroidal import (TorusParams, build_toroidal_map,
-                             expected_flag_count, is_chiral_params,
-                             regular_quotient)
+from chirex.toroidal import TorusParams, build_toroidal_map, regular_quotient
 from chirex.two_s_m import build_two_s_m, verify_aut_structure
 
-from helpers import brute_force_closure, cube, polygon
+from helpers import (brute_force_closure, cube, expected_flag_count,
+                     is_chiral_params, polygon)
 
 SWEEP = [(b, c) for b in range(-4, 5) for c in range(-4, 5) if (b, c) != (0, 0)]
 SYMBOL = {"44": [4, 4], "36": [3, 6], "63": [6, 3]}
@@ -80,10 +79,10 @@ def test_criterion_3_matching_extension(db_extensions):
         assert elapsed < 60, "s=%d took %.1fs" % (s, elapsed)
         assert result.report.passed, result.report.failing()
         G = result.graph
-        comp = components(G, range(1, G.rank))
+        blocks, _ = components(G, range(1, G.rank))
         facet_part = type(G)(G.rank - 1, G.arrows[:-1])
         assert all(rooted_digraph_isomorphic(facet_part, cay, vertices=blk)
-                   for blk in comp.blocks)
+                   for blk in blocks)
         assert result.matching.is_perfect()
         assert (result.t * result.t).is_identity()
         orbit = orbit_of(result.base_vertex, [G.arrow(G.rank)])

@@ -5,10 +5,10 @@ from chirex.extend_db import (build_matching, extend_dually_bipartite,
 from chirex.gpr import VerificationError, gpr_group
 from chirex.maniplex import (PreconditionError, dually_bipartite_colouring,
                              rotation_system)
-from chirex.permcore import GroupWord, evaluate_word, orbit_of, word_action
+from chirex.permcore import GroupWord, orbit_of
 from chirex.toroidal import TorusParams, build_toroidal_map
 
-from helpers import polygon
+from helpers import evaluate_word, polygon, word_action
 
 
 def k31():

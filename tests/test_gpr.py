@@ -44,10 +44,10 @@ class TestGprGraph:
 class TestComponents:
     def test_blocks(self):
         G = GprGraph(2, (Perm.from_cycles(4, [(0, 1)]), Perm.from_cycles(4, [(2, 3)])))
-        comp = components(G, (1,))
-        assert comp.blocks == ((0, 1), (2,), (3,))
-        assert comp.block_of == (0, 0, 1, 2)
-        assert len(components(G, (1, 2))) == 2
+        blocks, block_of = components(G, (1,))
+        assert blocks == [(0, 1), (2,), (3,)]
+        assert block_of == [0, 0, 1, 2]
+        assert len(components(G, (1, 2))[0]) == 2
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(perms(7), min_size=1, max_size=3))
@@ -55,9 +55,8 @@ class TestComponents:
         G = GprGraph(len(arrows), tuple(arrows))
         labels = tuple(range(1, len(arrows) + 1))
         for chosen in (labels, labels[:1]):
-            comp = components(G, chosen)
             blocks, block_of = components_union_find([G.arrow(k) for k in chosen], 7)
-            assert comp.blocks == tuple(blocks) and comp.block_of == tuple(block_of)
+            assert components(G, chosen) == (blocks, block_of)
 
 
 class TestCayley:
@@ -104,7 +103,7 @@ class TestIsomorphism:
         G = cayley_gpr(cube())
         double = GprGraph(G.rank, tuple(
             Perm(list(a.images) + [x + 24 for x in a.images]) for a in G.arrows))
-        blk = components(double, (1, 2)).blocks[0]
+        blk = components(double, (1, 2))[0][0]
         assert rooted_digraph_isomorphic(double, G, vertices=blk)
         with pytest.raises(ValueError):
             rooted_digraph_isomorphic(double, G, vertices=range(5))
@@ -167,6 +166,16 @@ class TestExtensionCriterion:
         K, result = self._extension()
         with pytest.raises(PreconditionError):
             verify_extension_criterion(result.graph, polygon(4))
+
+    def test_degenerate_graphs_rejected(self):
+        from chirex.maniplex import Maniplex, RootedManiplex
+        from helpers import polygon
+        segment = RootedManiplex(Maniplex(1, (Perm([1, 0]),)), 0)
+        with pytest.raises(PreconditionError, match="two labels"):
+            verify_extension_criterion(GprGraph(1, (Perm([0]),)), segment)
+        empty = GprGraph(2, (Perm([]), Perm([])))
+        with pytest.raises(PreconditionError, match="no vertices"):
+            verify_extension_criterion(empty, polygon(4))
 
 
 def facet_subgroup(G: GprGraph, *extra) -> PermGroup:

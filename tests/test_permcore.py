@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chirex.permcore import (DegreeMismatch, GroupWord, Perm, PermGroup,
-                             _Chain, evaluate_word, left_product, orbit_of,
-                             orbit_partition, word_action)
+                             _Chain, left_product, orbit_of, orbit_partition)
 
 from helpers import (brute_force_closure, check_order_exceeds,
-                     components_union_find)
+                     components_union_find, evaluate_word, word_action)
 
 
 def perms(degree):
@@ -36,6 +35,28 @@ class TestPerm:
     def test_not_a_bijection(self):
         with pytest.raises(ValueError):
             Perm([0, 0, 1])
+        with pytest.raises(ValueError):
+            Perm([0, 0])
+
+    @given(st.integers(0, 9).flatmap(lambda d: st.tuples(perms(d), perms(d))),
+           st.integers(-6, 6))
+    def test_unchecked_results_are_bijections(self, pq, k):
+        # products, inverses, powers and identities skip the bijection
+        # check, so compare each with a plain list computation
+        p, q = pq
+        a, b = p.images, q.images
+        d = len(a)
+        inv = [0] * d
+        for x, y in enumerate(a):
+            inv[y] = x
+        power, step = list(range(d)), a if k >= 0 else inv
+        for _ in range(abs(k)):
+            power = [step[x] for x in power]
+        for result, plain in ((p * q, [b[x] for x in a]), (p.inverse(), inv),
+                              (p ** k, power), (Perm.identity(d), list(range(d)))):
+            assert type(result.images) is tuple
+            assert sorted(result.images) == list(range(d))
+            assert list(result.images) == plain
 
     def test_degree_mismatch(self):
         with pytest.raises(DegreeMismatch):

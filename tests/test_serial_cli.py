@@ -5,15 +5,12 @@ import pytest
 from chirex.cli import main
 from chirex.extend_db import extend_dually_bipartite
 from chirex.gpr import cayley_gpr
-from chirex.maniplex import rotation_system
-from chirex.permcore import Perm, PermGroup
 from chirex.serial import (SchemaError, canonical_dumps, gpr_from_json,
-                           gpr_to_json, group_from_json, group_to_json,
-                           load_json, maniplex_from_json, maniplex_to_json,
-                           report_to_json, save_json)
+                           gpr_to_json, load_json, maniplex_from_json,
+                           maniplex_to_json, report_to_json, save_json)
 from chirex.toroidal import TorusParams, build_toroidal_map
 
-from helpers import cube
+from helpers import polygon
 
 
 class TestRoundTrips:
@@ -27,14 +24,6 @@ class TestRoundTrips:
         assert path.read_bytes() == first
         assert loaded.maniplex.adjacency == rooted.maniplex.adjacency
         assert loaded.base_flag == rooted.base_flag
-
-    def test_group(self):
-        rs = rotation_system(cube())
-        G = rs.group()
-        back = group_from_json(group_to_json(G))
-        assert back.degree == G.degree
-        assert back.generators == G.generators
-        assert back.generator_names == G.generator_names
 
     def test_gpr(self):
         G = cayley_gpr(build_toroidal_map(TorusParams("44", 3, 1)))
@@ -85,15 +74,13 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="adjacency\\[0\\]"):
             maniplex_from_json(data)
 
-    def test_group_errors(self):
-        with pytest.raises(SchemaError, match="degree"):
-            group_from_json({"generators": []})
-        with pytest.raises(SchemaError, match="generators\\[0\\]"):
-            group_from_json({"degree": 2, "generators": [{"name": "a", "images": [0]}]})
-
     def test_gpr_errors(self):
         with pytest.raises(SchemaError, match="arrows"):
             gpr_from_json({"vertices": 2, "rank": 2, "arrows": [[0, 1]]})
+        for data in ({"vertices": 1, "rank": 0, "arrows": []},
+                     {"vertices": 0, "rank": 2, "arrows": [[], []]}):
+            with pytest.raises(SchemaError, match="at least 1"):
+                gpr_from_json(data)
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -189,6 +176,28 @@ class TestCli:
         assert "base_flag" in capsys.readouterr().err
         path.write_text('{"rank":1,"flags":2,"adjacency":[[true,false]],"base_flag":0}')
         assert main(["classify", str(path)]) == 4
+
+    def test_deep_nesting_is_a_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["classify", str(path)]) == 4
+        assert "invalid JSON" in capsys.readouterr().err
+
+    def test_verify_gpr_degenerate_graphs(self, tmp_path, capsys):
+        # a 0-vertex graph would pass all four conditions vacuously, and a
+        # rank-1 graph has no facet arrows to read a vertex count from
+        square = tmp_path / "square.json"
+        save_json(str(square), maniplex_to_json(polygon(4)))
+        empty = tmp_path / "empty.json"
+        save_json(str(empty), {"vertices": 0, "rank": 2, "arrows": [[], []]})
+        assert main(["verify-gpr", str(empty), "--facet", str(square)]) == 4
+        segment = tmp_path / "segment.json"
+        save_json(str(segment), {"rank": 1, "flags": 2, "adjacency": [[1, 0]],
+                                 "base_flag": 0})
+        one = tmp_path / "one.json"
+        save_json(str(one), {"vertices": 1, "rank": 1, "arrows": [[0]]})
+        assert main(["verify-gpr", str(one), "--facet", str(segment)]) == 3
+        assert "pass" not in capsys.readouterr().out
 
     def test_rank_zero_rejected(self, tmp_path, capsys):
         # a rank-0 file has no adjacency rows to index, so it must fail

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "chirex"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "chirex"
 
 
 def test_no_assert_statements_in_the_package():
@@ -64,4 +65,47 @@ def test_no_unused_imports_in_the_package():
     found = []
     for path in modules:
         found += _unused_imports(path)
+    assert found == []
+
+
+def _referenced_names(tree: ast.AST, skip=frozenset()) -> set[str]:
+    # names, attributes, imported names and string constants (the
+    # benchmark's tracer names the functions it wraps as strings)
+    out = set()
+    for node in ast.walk(tree):
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_no_test_only_names_in_the_package():
+    # a module-level function or class of the package must be used by the
+    # package itself (outside its own definition and the __init__
+    # re-exports), by scripts/ or by perfbench/; oracles that only tests
+    # call belong in tests/helpers.py
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    outside = set()
+    for folder in ("scripts", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            outside |= _referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            own = set(ast.walk(node))
+            used = set(outside)
+            for other, other_tree in trees.items():
+                used |= _referenced_names(other_tree, own if other == path else frozenset())
+            if node.name not in used:
+                found.append("%s.%s" % (path.stem, node.name))
     assert found == []

@@ -7,8 +7,9 @@ from chirex.maniplex import (Symmetry, classify_symmetry, covers, facets,
                              is_orientable, schlafli, validate)
 from chirex.serial import canonical_dumps, maniplex_to_json
 from chirex.toroidal import (TorusParams, Lattice2D, build_toroidal_map,
-                             expected_flag_count, is_chiral_params,
                              lattice_for, regular_quotient)
+
+from helpers import expected_flag_count, is_chiral_params
 
 SYMBOL = {"44": [4, 4], "36": [3, 6], "63": [6, 3]}
 

@@ -6,10 +6,11 @@ from chirex.maniplex import Maniplex, RootedManiplex
 from chirex.permcore import Perm
 from chirex.toroidal import TorusParams, build_toroidal_map
 from chirex.two_s_m import (build_two_s_m, every_ridge_in_two_facets,
-                            lift_automorphism, translation_chi_automorphisms,
-                            two_s_m_type, verify_aut_structure)
+                            verify_aut_structure)
 
-from helpers import polygon
+from helpers import (decode, flag_id, lift_automorphism, num_u, polygon,
+                     translation_chi_automorphisms, two_s_m_type, u_index,
+                     u_vector)
 
 
 def m20():
@@ -20,19 +21,19 @@ class TestCoordinates:
     def test_round_trips(self):
         tsm = build_two_s_m(polygon(4), 3)
         assert tsm.m == 4
-        for u in range(tsm.num_u):
-            vec = tsm.u_vector(u)
+        for u in range(num_u(tsm)):
+            vec = u_vector(tsm, u)
             assert len(vec) == tsm.m
             assert sum(vec) % tsm.s == 0
-            assert tsm.u_index(vec) == u
+            assert u_index(tsm, vec) == u
         for v in (0, 5, tsm.maniplex.num_flags - 1):
-            flag, u, delta = tsm.decode(v)
-            assert tsm.flag_id(flag, u, delta) == v
+            flag, u, delta = decode(tsm, v)
+            assert flag_id(tsm, flag, u, delta) == v
 
     def test_u_index_rejects_bad_sum(self):
         tsm = build_two_s_m(polygon(4), 3)
         with pytest.raises(ValueError):
-            tsm.u_index((1, 0, 0, 0))
+            u_index(tsm, (1, 0, 0, 0))
 
 
 class TestBuild:
@@ -75,8 +76,8 @@ class TestBuild:
         big = tsm.maniplex
         last = big.adjacency[-1]
         for v in range(0, big.num_flags, 17):
-            flag, u, delta = tsm.decode(v)
-            flag2, u2, delta2 = tsm.decode(last.images[v])
+            flag, u, delta = decode(tsm, v)
+            flag2, u2, delta2 = decode(tsm, last.images[v])
             assert flag2 == flag and delta2 == 1 - delta
 
     def test_s_must_be_at_least_two(self):
