@@ -15,7 +15,7 @@ from .gpr import (GprGraph, cayley_gpr, check_tau_relations, components,
                   gpr_group, rooted_digraph_isomorphic,
                   verify_extension_criterion)
 from .extend_db import (DbExtensionResult, Matching, build_matching,
-                        extend_dually_bipartite, facet_word, rho_bar)
+                        extend_dually_bipartite, rho_bar)
 from .two_s_m import TwoSM, build_two_s_m, verify_aut_structure
 from .mix import (diamond, enantiomorph_generators,
                   intersection_property_group, is_regular_via_mix,

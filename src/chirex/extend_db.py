@@ -9,7 +9,6 @@ construction promises is re-verified on the result.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 
 from .gpr import GprGraph, check_tau_relations, verify_extension_criterion
@@ -44,46 +43,6 @@ class DbExtensionResult:
     base_vertex: int
 
 
-def facet_word(RS: RotationSystem, phi_f: int, phi: int,
-               inverses=None) -> GroupWord:
-    """A word in s_1..s_{n-2} whose left action takes phi_f to phi.
-
-    Letters are 0-based: letter index i stands for s_{i+1}. The word is
-    found by BFS, which is fine because any two words for the same pair
-    evaluate to the same group element (the action is free). A caller
-    that asks for many words passes ``inverses``, the image tuples of
-    s_1^{-1}..s_{n-2}^{-1}, so that they are computed once.
-    """
-    gens = RS.sigma[: RS.rank - 2]
-    if inverses is None:
-        inverses = [g.inverse().images for g in gens]
-    moves = []
-    for i, g in enumerate(gens):
-        moves.append((i, 1, g.images))
-        moves.append((i, -1, inverses[i]))
-    # parent[v] = (previous vertex, letter); prepending a letter applies
-    # the new generator last, i.e. on the left
-    parent: dict[int, tuple[int, tuple[int, int]] | None] = {phi_f: None}
-    queue = deque([phi_f])
-    while queue:
-        v = queue.popleft()
-        if v == phi:
-            break
-        for idx, exp, imgs in moves:
-            u = imgs[v]
-            if u not in parent:
-                parent[u] = (v, (idx, exp))
-                queue.append(u)
-    if phi not in parent:
-        raise PreconditionError("flag %d not in the facet orbit of %d" % (phi, phi_f))
-    letters = []
-    v = phi
-    while parent[v] is not None:
-        v, letter = parent[v]
-        letters.append(letter)
-    return GroupWord(tuple(letters))
-
-
 def rho_bar(w: GroupWord, n: int) -> GroupWord:
     """Image of a word in s_1..s_{n-2} under the involutory facet-group
     automorphism sending s_{n-2} to its inverse and s_{n-3} to
@@ -103,6 +62,16 @@ def rho_bar(w: GroupWord, n: int) -> GroupWord:
         else:
             out.append((idx, exp))
     return GroupWord(tuple(out))
+
+
+def _letter_action(rs: RotationSystem, word: GroupWord) -> list[int]:
+    """The left action of a word in s_1..s_{n-2} on the white flags."""
+    action = list(range(rs.degree))
+    for idx, exp in reversed(word.letters):
+        g = rs.sigma[idx]
+        row = g.images if exp == 1 else g.inverse().images
+        action = [row[x] for x in action]
+    return action
 
 
 def _check_preconditions(K: RootedManiplex) -> list[int]:
@@ -161,14 +130,13 @@ def build_matching(K: RootedManiplex, colouring, s: int,
                 raise VerificationError("matching steps conflict at vertex %d" % a)
             partner[a] = b
 
-    # steps 1 and 2: the orbit of the base flag under s_{n-1}
-    s_last = rs.sigma[n - 2]
-    ord_last = s_last.order()
+    # steps 1 and 2: the orbit of the base flag under s_{n-1}, walked once;
+    # s_{n-1}^j w0 and s_{n-1}^{-j} w0 depend on j mod the cycle's length
+    cycle = orbit_of(w0, [rs.sigma[n - 2]])
     for ell in range(copies):
         sign = 1 if ell % 2 == 0 else -1
-        for j in range(ord_last):
-            a = (s_last ** j).images[w0]
-            b = (s_last ** (-j)).images[w0]
+        for j, a in enumerate(cycle):
+            b = cycle[-j]
             match(vid(a, ell), vid(b, (ell + sign * cbar[a]) % copies))
 
     # orbits E_k of the base flag under <s_k .. s_{n-1}>
@@ -205,24 +173,32 @@ def build_matching(K: RootedManiplex, colouring, s: int,
             if (ell, ci) not in anchor:
                 raise VerificationError("component without a matched anchor")
 
-    # step 4: spread each anchor edge over its component via rho
-    facet_gens = rs.sigma[: n - 2]
-    images = {1: [g.images for g in facet_gens],
-              -1: [g.inverse().images for g in facet_gens]}
+    # step 4: spread each anchor edge over its component via rho. A flag
+    # u = L v reached by the letter L gets the target rho(L) t(v), so one
+    # BFS over (flag, target) pairs per component, with the letters in the
+    # order s_1, s_1^-1, s_2, ..., gives every flag the target of its BFS
+    # tree word; every other edge must agree with it.
+    moves = []
+    for idx, g in enumerate(rs.sigma[: n - 2]):
+        for exp, row in ((1, g.images), (-1, g.inverse().images)):
+            moves.append((row, _letter_action(rs, rho_bar(GroupWord(((idx, exp),)), n))))
     for (ell, ci), av in anchor.items():
         phi_f = av % W
-        pv = partner[av]
-        ell2, psi = divmod(pv, W)
-        for flag in facet_comps[ci]:
-            if flag == phi_f:
-                continue
-            word = facet_word(rs, phi_f, flag, images[-1])
-            bar = rho_bar(word, n)
-            # left action of the word on psi: rightmost letter first
-            target = psi
-            for idx, exp in reversed(bar.letters):
-                target = images[exp][idx][target]
-            match(vid(flag, ell), vid(target, ell2))
+        ell2, psi = divmod(partner[av], W)
+        target = {phi_f: psi}
+        reached = [phi_f]
+        for v in reached:
+            tv = target[v]
+            for row, bar in moves:
+                u, tu = row[v], bar[tv]
+                seen = target.get(u)
+                if seen is None:
+                    target[u] = tu
+                    reached.append(u)
+                elif seen != tu:
+                    raise VerificationError("rho is not consistent on facet component %d" % ci)
+        for u in reached[1:]:
+            match(vid(u, ell), vid(target[u], ell2))
 
     matching = Matching(num_copies=copies, partner=tuple(partner))
     if not matching.is_perfect():

@@ -305,30 +305,44 @@ def automorphism_orbit(M: Maniplex, base: int) -> AutomorphismOrbit:
     return AutomorphismOrbit(orbit=orbit, generators=gens, forced_maps=forced_maps)
 
 
+def _rotations_exist(rows, base: int) -> bool:
+    """True iff, for every i, some automorphism sends the base flag to
+    s_i(base) = r_{i-1} r_i (base): the maniplex is rotary."""
+    return all(forced_map(rows, base, rows[i - 1][rows[i][base]]) is not None
+               for i in range(1, len(rows)))
+
+
 def classify_symmetry(M: RootedManiplex) -> Symmetry:
     man = M.maniplex
     base = M.base_flag
     rows = [r.images for r in man.adjacency]
-    rotations_exist = True
-    for i in range(1, man.rank):
-        target = rows[i - 1][rows[i][base]]  # the flag s_i(base)
-        if forced_map(rows, base, target) is None:
-            rotations_exist = False
-            break
-    reflection = forced_map(rows, base, rows[0][base]) is not None
-    if rotations_exist and reflection:
+    if not _rotations_exist(rows, base):
+        return Symmetry.OTHER
+    if forced_map(rows, base, rows[0][base]) is not None:
         return Symmetry.REGULAR
-    if rotations_exist and not reflection:
-        return Symmetry.CHIRAL
-    return Symmetry.OTHER
+    return Symmetry.CHIRAL
 
 
 def schlafli(M: RootedManiplex) -> list[int]:
-    """Schlafli symbol [p_1..p_{n-1}] with p_i = order of r_{i-1} r_i."""
-    if classify_symmetry(M) is Symmetry.OTHER:
+    """Schlafli symbol [p_1..p_{n-1}] with p_i = order of r_{i-1} r_i.
+
+    p_i is read as the length of the cycle of c = r_{i-1} r_i through the
+    base flag. On a rotary maniplex every cycle of c has that length:
+    automorphisms commute with c and carry the base flag to every flag an
+    even word reaches, and r_i c r_i = c^{-1} covers the other flags.
+    """
+    base = M.base_flag
+    rows = [r.images for r in M.maniplex.adjacency]
+    if not _rotations_exist(rows, base):
         raise PreconditionError("Schlafli symbol undefined: maniplex is not rotary")
-    man = M.maniplex
-    return [(man.adjacency[i] * man.adjacency[i - 1]).order() for i in range(1, man.rank)]
+    symbol = []
+    for i in range(1, len(rows)):
+        a, b = rows[i - 1], rows[i]
+        length, x = 1, a[b[base]]
+        while x != base:
+            length, x = length + 1, a[b[x]]
+        symbol.append(length)
+    return symbol
 
 
 def facets(M: Maniplex) -> list[tuple[int, ...]]:

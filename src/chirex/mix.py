@@ -149,6 +149,8 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     n = K.rank
     if P.rank != n:
         raise PreconditionError("extension graph labels must match the facet rank")
+    if n < 2:
+        raise PreconditionError("the extension needs at least two labels, got %d" % n)
     result = MixExtensionResult(group=None, schlafli=[], q=0, s=s)
 
     def check(name: str, ok: bool, detail: str = "") -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import mmap
-from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 
@@ -363,18 +362,18 @@ class PermGroup:
 
 
 def orbit_of(x: int, perms) -> list[int]:
-    """BFS closure of {x} under the given permutations."""
-    seen = {x}
+    """BFS closure of {x} under the given permutations, in discovery order."""
+    rows = [g.images for g in perms]
     order = [x]
-    queue = deque([x])
-    while queue:
-        p = queue.popleft()
-        for g in perms:
-            q = g.images[p]
-            if q not in seen:
-                seen.add(q)
-                order.append(q)
-                queue.append(q)
+    if rows:
+        seen = bytearray(len(rows[0]))
+        seen[x] = 1
+        for p in order:  # the growing list is the BFS queue
+            for row in rows:
+                q = row[p]
+                if not seen[q]:
+                    seen[q] = 1
+                    order.append(q)
     return order
 
 
@@ -385,14 +384,21 @@ def orbit_partition(perms, degree: int) -> tuple[list[tuple[int, ...]], list[int
     least point, and block_of[x] the index of the block holding x. With
     no permutations every point is its own block.
     """
+    rows = [g.images for g in perms]
     blocks: list[tuple[int, ...]] = []
-    block_of = [-1] * degree
+    block_of = [-1] * degree  # doubles as the visited mark
     for x in range(degree):
         if block_of[x] == -1:
-            orb = sorted(orbit_of(x, perms))
             index = len(blocks)
-            for y in orb:
-                block_of[y] = index
+            block_of[x] = index
+            orb = [x]
+            for p in orb:
+                for row in rows:
+                    q = row[p]
+                    if block_of[q] == -1:
+                        block_of[q] = index
+                        orb.append(q)
+            orb.sort()
             blocks.append(tuple(orb))
     return blocks, block_of
 

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations, product
 
 import numpy as np
 
+from chirex.extend_db import rho_bar
 from chirex.maniplex import (Maniplex, PreconditionError, RootedManiplex,
-                             forced_map, schlafli, tau)
-from chirex.permcore import GroupWord, Perm, PermGroup, orbit_of
+                             RotationSystem, Symmetry, classify_symmetry,
+                             forced_map, rotation_system, schlafli, tau)
+from chirex.permcore import GroupWord, Perm, PermGroup, orbit_of, orbit_partition
 from chirex.toroidal import TorusParams
 from chirex.two_s_m import TwoSM, build_two_s_m, every_ridge_in_two_facets
 
@@ -78,6 +81,107 @@ def evaluate_word(gens, word: GroupWord, degree: int | None = None) -> Perm:
 def word_action(gens, word: GroupWord, degree: int | None = None) -> Perm:
     """The word read as a left action (leftmost letter applied last)."""
     return evaluate_word(gens, GroupWord(word.letters[::-1]), degree)
+
+
+def facet_word(RS: RotationSystem, phi_f: int, phi: int,
+               inverses=None) -> GroupWord:
+    """A word in s_1..s_{n-2} whose left action takes phi_f to phi, by BFS
+    with the letters tried in the order s_1, s_1^-1, s_2, s_2^-1, ...: the
+    cross-check for the joint BFS of ``extend_db.build_matching`` Step 4.
+
+    Letters are 0-based: letter index i stands for s_{i+1}. Any two words
+    for the same pair evaluate to the same group element (the action is
+    free). ``inverses``, the image tuples of s_1^{-1}..s_{n-2}^{-1}, may be
+    passed in so that many words share them.
+    """
+    gens = RS.sigma[: RS.rank - 2]
+    if inverses is None:
+        inverses = [g.inverse().images for g in gens]
+    moves = []
+    for i, g in enumerate(gens):
+        moves.append((i, 1, g.images))
+        moves.append((i, -1, inverses[i]))
+    # parent[v] = (previous vertex, letter); prepending a letter applies
+    # the new generator last, i.e. on the left
+    parent: dict[int, tuple[int, tuple[int, int]] | None] = {phi_f: None}
+    queue = deque([phi_f])
+    while queue:
+        v = queue.popleft()
+        if v == phi:
+            break
+        for idx, exp, imgs in moves:
+            u = imgs[v]
+            if u not in parent:
+                parent[u] = (v, (idx, exp))
+                queue.append(u)
+    if phi not in parent:
+        raise PreconditionError("flag %d not in the facet orbit of %d" % (phi, phi_f))
+    letters = []
+    v = phi
+    while parent[v] is not None:
+        v, letter = parent[v]
+        letters.append(letter)
+    return GroupWord(tuple(letters))
+
+
+def check_spread_by_words(K: RootedManiplex, matching) -> int:
+    """Check every matched white flag against the per-flag path that
+    ``extend_db.build_matching`` Step 4 replaced: a ``facet_word`` from a
+    reference flag of the facet component, its ``rho_bar`` image, and that
+    word's left action on the reference flag's partner. Returns the number
+    of flags checked.
+
+    The reference is the component's least flag, not the Step 1-3 anchor:
+    rho is an automorphism of the facet group, so the spread of any edge of
+    the component gives the same partners as the anchor's spread.
+    """
+    rs = rotation_system(K)
+    n, W = K.rank, rs.degree
+    facet_gens = rs.sigma[: n - 2]
+    images = {1: [g.images for g in facet_gens],
+              -1: [g.inverse().images for g in facet_gens]}
+    comps = orbit_partition(facet_gens, W)[0]
+    partner = matching.partner
+    checked = 0
+    for ell in range(matching.num_copies):
+        for comp in comps:
+            ref = comp[0]
+            ell2, psi = divmod(partner[ell * W + ref], W)
+            for flag in comp:
+                target = psi
+                for idx, exp in reversed(rho_bar(facet_word(rs, ref, flag, images[-1]),
+                                                 n).letters):
+                    target = images[exp][idx][target]
+                assert partner[ell * W + flag] == ell2 * W + target, (ell, flag)
+                checked += 1
+    return checked
+
+
+def orbit_by_deque(x: int, perms) -> list[int]:
+    """BFS closure of {x} with a set and a deque, in discovery order: the
+    cross-check for ``permcore.orbit_of``."""
+    seen = {x}
+    order = [x]
+    queue = deque([x])
+    while queue:
+        p = queue.popleft()
+        for g in perms:
+            q = g.images[p]
+            if q not in seen:
+                seen.add(q)
+                order.append(q)
+                queue.append(q)
+    return order
+
+
+def schlafli_by_orders(M: RootedManiplex) -> list[int]:
+    """[p_1..p_{n-1}] with p_i the order of the product r_{i-1} r_i, on a
+    rotary maniplex: the cross-check for ``maniplex.schlafli``, which reads
+    p_i off the base flag's cycle."""
+    if classify_symmetry(M) is Symmetry.OTHER:
+        raise PreconditionError("Schlafli symbol undefined: maniplex is not rotary")
+    adj = M.maniplex.adjacency
+    return [(adj[i] * adj[i - 1]).order() for i in range(1, M.rank)]
 
 
 def components_union_find(perms, degree: int):

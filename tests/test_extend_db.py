@@ -1,14 +1,31 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
-from chirex.extend_db import (build_matching, extend_dually_bipartite,
-                              facet_word, rho_bar)
+from chirex import extend_db
+from chirex.extend_db import build_matching, extend_dually_bipartite, rho_bar
 from chirex.gpr import VerificationError, gpr_group
 from chirex.maniplex import (PreconditionError, dually_bipartite_colouring,
                              rotation_system)
 from chirex.permcore import GroupWord, orbit_of
 from chirex.toroidal import TorusParams, build_toroidal_map
 
-from helpers import evaluate_word, polygon, word_action
+from helpers import (check_spread_by_words, evaluate_word, facet_word, polygon,
+                     word_action)
+
+# Step-3 seeds of the benchmark's seeded-extend workload, keyed 44_b_c_sS_qQ
+SEED_POOLS = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text())["pools"]
+# the {4,4} maps of the benchmark's construct-verify extensions
+CONSTRUCT_MAPS = [(3, 1), (5, 1), (7, 1), (4, 2), (6, 2), (5, 3), (9, 1)]
+
+
+def matching_for(b: int, c: int, s: int, seed=None):
+    K = build_toroidal_map(TorusParams("44", b, c))
+    colouring = dually_bipartite_colouring(K.maniplex, K.base_flag)
+    return K, build_matching(K, colouring, s, seed)
 
 
 def k31():
@@ -117,6 +134,46 @@ class TestMatching:
         assert a == b
 
 
+class TestStep4Spread:
+    @pytest.mark.parametrize("b,c", CONSTRUCT_MAPS)
+    def test_matches_words_on_every_flag(self, b, c):
+        for s in (1, 2):
+            K, matching = matching_for(b, c, s)
+            assert check_spread_by_words(K, matching) == len(matching.partner)
+
+    @pytest.mark.parametrize("key", sorted(SEED_POOLS))
+    def test_matches_words_on_seeded_pools(self, key):
+        b, c, s, _ = (int(part.lstrip("sq")) for part in key.split("_")[1:])
+        for step3 in SEED_POOLS[key]:
+            K, matching = matching_for(b, c, s, step3)
+            assert check_spread_by_words(K, matching) == len(matching.partner)
+
+    @pytest.mark.parametrize("b,c,s,seed,sha", [
+        (3, 1, 1, None, "2672e06dea1ab762ef5ef0e055294a2370a172d423105e6cb7b9cb78a8f1e306"),
+        (3, 1, 2, None, "1780f40e61ad94f99a8c72052207ae42e26057361a91d5253073aece1bc1512b"),
+        (3, 1, 3, 7, "cfffc9c7089124b4a47ab4b8ca075352522e763b588d0b738f21b8ac2152c348"),
+        (5, 1, 2, 11, "0704eb9bfef1c573072aa134bba2eff07cd7f40f354d142373138973aedd65c3"),
+        (4, 2, 1, None, "74a3a957ccbbc996277700c889397803cc0457b6c020886d80d7eb1b7abcb608"),
+        (6, 2, 4, 1, "6125daa75cb4505b5d5fffd8300cdd5796e1bc5ef512e17c9d4f8629ad1da953"),
+        (9, 1, 2, 5, "8586ff1f8cfc4a56f3f82e57461246706fa741cfde1fc4a86c33ca61d3543821"),
+    ])
+    def test_partners_are_unchanged(self, b, c, s, seed, sha):
+        # SHA-256 of the partner list as JSON, recorded with the per-flag
+        # facet_word path and the s_{n-1}^j powers of Steps 1-2
+        _, matching = matching_for(b, c, s, seed)
+        assert hashlib.sha256(json.dumps(list(matching.partner)).encode()).hexdigest() == sha
+
+    def test_inconsistent_rho_is_rejected(self, monkeypatch):
+        # s_1 and s_1^-1 both sent to s_1 is no map of the facet group: the
+        # edge back along s_1^-1 disagrees with the BFS tree
+        monkeypatch.setattr(extend_db, "rho_bar",
+                            lambda w, n: GroupWord(tuple((i, 1) for i, _ in w.letters)))
+        K = k31()
+        colouring = dually_bipartite_colouring(K.maniplex, K.base_flag)
+        with pytest.raises(VerificationError, match="rho is not consistent"):
+            build_matching(K, colouring, 1)
+
+
 class TestExtension:
     def test_last_entries_and_divisibility(self):
         K = k31()
@@ -156,3 +213,12 @@ class TestExtension:
         assert result.report.passed
         assert result.last_entry == 576576
         assert result.last_entry % (2 * result.s) == 0
+
+    @pytest.mark.parametrize("s,q", [(256, 512), (1024, 2048)])
+    def test_last_entry_at_large_s(self, s, q):
+        # 2s copies of the 40 white flags: 81920 vertices at s = 1024
+        result = extend_dually_bipartite(k31(), s)
+        assert result.report.passed
+        assert result.graph.num_vertices == 2 * s * 40
+        assert result.last_entry == q
+        assert result.last_entry % (2 * s) == 0

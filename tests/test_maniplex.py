@@ -9,7 +9,8 @@ from chirex.permcore import Perm, disjoint_union, left_product, orbit_partition
 from chirex.toroidal import TorusParams, build_toroidal_map
 from chirex.two_s_m import build_two_s_m
 
-from helpers import aut_count_by_scan, cube, hemicube, polygon, triangular_prism
+from helpers import (aut_count_by_scan, cube, hemicube, polygon, schlafli_by_orders,
+                     triangular_prism)
 
 
 class TestValidate:
@@ -74,6 +75,31 @@ class TestSymmetry:
         assert schlafli(cube()) == [4, 3]
         assert schlafli(polygon(7)) == [7]
         assert schlafli(hemicube()) == [4, 3]
+
+    def test_schlafli_matches_orders_on_the_sweep(self):
+        # every toroidal map of the benchmark's sweep: -6 <= b, c <= 6
+        count = 0
+        for family in ("44", "36", "63"):
+            for b in range(-6, 7):
+                for c in range(-6, 7):
+                    if (b, c) != (0, 0):
+                        rooted = build_toroidal_map(TorusParams(family, b, c))
+                        assert schlafli(rooted) == schlafli_by_orders(rooted), (family, b, c)
+                        count += 1
+        assert count == 504
+
+    def test_schlafli_matches_orders_on_two_s_m(self):
+        for source, s in ((build_toroidal_map(TorusParams("44", 2, 0)), 3), (cube(), 2)):
+            rooted = build_two_s_m(source, s).rooted
+            assert schlafli(rooted) == schlafli_by_orders(rooted) == schlafli(source) + [2 * s]
+
+    def test_schlafli_rejects_non_rotary(self):
+        # the prism's faces are triangles and squares: the base flag's
+        # cycles would give a symbol that the other flags contradict
+        prism = triangular_prism()
+        for base in range(prism.maniplex.num_flags):
+            with pytest.raises(PreconditionError, match="not rotary"):
+                schlafli(RootedManiplex(prism.maniplex, base))
 
     def test_rooted_automorphism(self):
         man = cube().maniplex

@@ -8,11 +8,17 @@ from chirex.permcore import (DegreeMismatch, GroupWord, Perm, PermGroup,
                              _Chain, left_product, orbit_of, orbit_partition)
 
 from helpers import (brute_force_closure, check_order_exceeds,
-                     components_union_find, evaluate_word, word_action)
+                     components_union_find, evaluate_word, orbit_by_deque,
+                     word_action)
 
 
 def perms(degree):
     return st.permutations(range(degree)).map(Perm)
+
+
+# (degree, permutation list) with degree 0..8 and 0..4 permutations
+perm_lists = st.integers(0, 8).flatmap(
+    lambda d: st.tuples(st.just(d), st.lists(perms(d), max_size=4)))
 
 
 class TestPerm:
@@ -162,10 +168,29 @@ class TestPermGroup:
         empty = ([(0,), (1,), (2,)], [0, 1, 2])
         assert orbit_partition([], 3) == components_union_find([], 3) == empty
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(perms(7), min_size=0, max_size=3))
-    def test_orbit_partition_against_union_find(self, gens):
-        assert orbit_partition(gens, 7) == components_union_find(gens, 7)
+    @settings(max_examples=100, deadline=None)
+    @given(perm_lists)
+    def test_orbit_partition_against_union_find(self, case):
+        degree, gens = case
+        assert orbit_partition(gens, degree) == components_union_find(gens, degree)
+
+    @settings(max_examples=100, deadline=None)
+    @given(perm_lists, st.data())
+    def test_orbit_of_against_deque_bfs(self, case, data):
+        degree, gens = case
+        if degree:
+            x = data.draw(st.integers(0, degree - 1))
+            # the same points in the same BFS discovery order
+            assert orbit_of(x, gens) == orbit_by_deque(x, gens)
+
+    def test_orbit_helpers_edge_cases(self):
+        assert orbit_partition([], 0) == ([], [])
+        assert orbit_partition([Perm([])], 0) == ([], [])
+        assert orbit_of(0, []) == [0]
+        assert orbit_of(0, [Perm([0])]) == [0]
+        cycle = Perm.from_cycles(5, [(0, 3, 1, 4, 2)])
+        assert orbit_of(0, [cycle]) == [0, 3, 1, 4, 2]
+        assert orbit_of(0, [cycle, cycle.inverse()]) == [0, 3, 2, 1, 4]
 
     def test_generator_degree_check(self):
         with pytest.raises(DegreeMismatch):

@@ -199,6 +199,18 @@ class TestCli:
         assert main(["verify-gpr", str(one), "--facet", str(segment)]) == 3
         assert "pass" not in capsys.readouterr().out
 
+    def test_mix_extend_rank_one_rejected(self, tmp_path, capsys):
+        # a rank-1 extension has a rank-0 facet subgraph, which has no
+        # arrows to read a vertex count from
+        segment = tmp_path / "segment.json"
+        save_json(str(segment), {"rank": 1, "flags": 2, "adjacency": [[1, 0]],
+                                 "base_flag": 0})
+        one = tmp_path / "one.json"
+        save_json(str(one), {"vertices": 1, "rank": 1, "arrows": [[0]]})
+        assert main(["mix-extend", "--extension", str(one), "--facet", str(segment),
+                     "--quotient", str(segment), "--s", "2"]) == 3
+        assert "two labels" in capsys.readouterr().err
+
     def test_rank_zero_rejected(self, tmp_path, capsys):
         # a rank-0 file has no adjacency rows to index, so it must fail
         # the schema check instead of reaching the commands
