@@ -12,8 +12,8 @@ from .maniplex import (AutomorphismOrbit, Maniplex, Orientation,
                        rotation_system, schlafli, tau, validate)
 from .toroidal import TorusParams, build_toroidal_map, regular_quotient
 from .gpr import (GprGraph, cayley_gpr, check_tau_relations, components,
-                  gpr_group, rooted_digraph_isomorphic,
-                  verify_extension_criterion)
+                  facet_components_isomorphic, gpr_group,
+                  rooted_digraph_isomorphic, verify_extension_criterion)
 from .extend_db import (DbExtensionResult, Matching, build_matching,
                         extend_dually_bipartite, rho_bar)
 from .two_s_m import TwoSM, build_two_s_m, verify_aut_structure

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
                        classify_symmetry, forced_map_between, rotation_system)
 from .maniplex import VerificationError  # noqa: F401  (re-exported)
-from .permcore import Perm, PermGroup, left_product, orbit_partition
+from .permcore import DegreeMismatch, Perm, PermGroup, left_product, orbit_partition
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,10 @@ def rooted_digraph_isomorphic(G: GprGraph, H: GprGraph,
 
     G (optionally restricted to the given connected vertex set) is
     compared against H by forced extension from every candidate image
-    of G's least vertex.
+    of G's least vertex. This is the general test, for any H; the
+    extension criterion does not call it, since its target is a Cayley
+    graph and one root image is enough there
+    (:func:`facet_components_isomorphic`).
     """
     if G.rank != H.rank:
         return False
@@ -87,6 +90,96 @@ def rooted_digraph_isomorphic(G: GprGraph, H: GprGraph,
         if mapping is not None and -1 not in mapping and len(set(mapping)) == V:
             return True
     return False
+
+
+def facet_components_isomorphic(G: GprGraph, cay: GprGraph) -> bool:
+    """True iff every component of G under its first cay.rank arrows is
+    a labelled copy of the Cayley GPR-graph cay.
+
+    Each component gets one forced map, from its least vertex to vertex
+    0 of cay, along forward arrows only (the arrows are permutations, so
+    they reach the whole component). One root image is enough: the
+    arrows of cay generate a regular group, and its centraliser in the
+    symmetric group, which is the group of label-preserving
+    automorphisms of cay, is regular too (Dixon and Mortimer,
+    *Permutation Groups*, 1996, 4.2), so an isomorphism can always be
+    moved to send the least vertex to 0. A component is a copy iff its
+    map is consistent on every arrow and a bijection onto cay's W
+    vertices: injective, and defined on exactly W vertices.
+    """
+    W = cay.num_vertices
+    rows = [(a.images, b.images) for a, b in zip(G.arrows, cay.arrows)]
+    image = [-1] * G.num_vertices
+    for root in range(G.num_vertices):
+        if image[root] != -1:
+            continue  # the first vertex not yet mapped is the least of its component
+        image[root] = 0
+        hit = bytearray(W)
+        hit[0] = 1
+        reached = [root]
+        for a in reached:  # the growing list is the BFS queue
+            b = image[a]
+            for ra, rb in rows:
+                a2, b2 = ra[a], rb[b]
+                m = image[a2]
+                if m == -1:
+                    if hit[b2]:
+                        return False
+                    hit[b2] = 1
+                    image[a2] = b2
+                    reached.append(a2)
+                elif m != b2:
+                    return False
+        if len(reached) != W:
+            return False
+    return True
+
+
+class FacetSubgroup:
+    """The group H generated by the given arrows, for arrows under which
+    only the identity of H fixes vertex 0.
+
+    That holds for the facet subgroup of a GPR-graph whose facet
+    components are all labelled copies of one Cayley graph: a word in the
+    arrows is trivial on one copy iff it is trivial on all of them, and H
+    acts regularly on each copy. The element of H sending 0 to v is then
+    unique, and it is the product of the arrows along the BFS-tree path
+    from 0 to v. So H holds g iff g(0) lies in the component of 0 and g
+    equals that path word on every point. A True answer is certified
+    directly, since the path word lies in H; a False one rests on the
+    regularity.
+    """
+
+    def __init__(self, arrows):
+        import numpy as np
+        self._np = np
+        self.degree = arrows[0].degree
+        self._arrays = [np.array(a.images, dtype=np.intp) for a in arrows]
+        rows = [a.images for a in arrows]
+        self._tree = {0: None}  # vertex -> (BFS parent, arrow index)
+        order = [0]
+        for p in order:  # the growing list is the BFS queue
+            for k, row in enumerate(rows):
+                q = row[p]
+                if q not in self._tree:
+                    self._tree[q] = (p, k)
+                    order.append(q)
+
+    def __contains__(self, g: Perm) -> bool:
+        if g.degree != self.degree:
+            raise DegreeMismatch("element degree %d != group degree %d" % (g.degree, self.degree))
+        v = g.images[0]
+        if v not in self._tree:
+            return False
+        letters = []
+        while v != 0:
+            v, k = self._tree[v]
+            letters.append(k)
+        np = self._np
+        word = np.arange(self.degree)
+        for k in reversed(letters):  # from 0 outwards: apply each arrow after the last
+            word = self._arrays[k][word]
+        return np.array_equal(word, g.images)
 
 
 def gpr_group(G: GprGraph) -> PermGroup:
@@ -110,10 +203,7 @@ def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> Report:
 
     facet_labels = range(1, n)
     gblocks, gblock_of = components(G, facet_labels)
-    all_iso = all(
-        rooted_digraph_isomorphic(_facet_subgraph(G), cay, vertices=blk)
-        for blk in gblocks
-    )
+    all_iso = facet_components_isomorphic(G, cay)
     report.add("facet-components-isomorphic", all_iso,
                "%d components of size %s" % (len(gblocks), sorted({len(b) for b in gblocks})))
 
@@ -129,7 +219,11 @@ def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> Report:
 
     sn = G.arrow(n)
     q = sn.order()
-    m = cyclic_meet_order(sn, PermGroup(G.num_vertices, G.arrows[: n - 1]))
+    # condition 1 makes the facet subgroup regular on every facet
+    # component; without it, membership needs a stabiliser chain
+    facet_gens = G.arrows[: n - 1]
+    H = FacetSubgroup(facet_gens) if all_iso else PermGroup(G.num_vertices, facet_gens)
+    m = cyclic_meet_order(sn, H)
     # the least positive j with s_n^j in the facet subgroup is q/m
     report.add("cyclic-meet-trivial", m == 1,
                "" if m == 1 else "s_%d^%d lies in the facet subgroup" % (n, q // m))
@@ -155,8 +249,9 @@ def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> Report:
     return report
 
 
-def cyclic_meet_order(s: Perm, H: PermGroup) -> int:
-    """The order m of <s> meet H, in at most log2 |s| membership tests.
+def cyclic_meet_order(s: Perm, H) -> int:
+    """The order m of <s> meet H, in at most log2 |s| membership tests
+    (H is any group that supports ``in``).
 
     The meet is the subgroup of <s> of order m, for some m dividing
     q = |s|, and s^(q/k) lies in H exactly when k divides m. So m is the
@@ -187,11 +282,6 @@ def _prime_divisors(numbers) -> set[int]:
         if n > 1:
             primes.add(n)
     return primes
-
-
-def _facet_subgraph(G: GprGraph) -> GprGraph:
-    """G with the last arrow dropped (labels 1..n-1)."""
-    return GprGraph(rank=G.rank - 1, arrows=G.arrows[:-1])
 
 
 def check_tau_relations(G: GprGraph, t: Perm) -> bool:

@@ -14,8 +14,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .gpr import (GprGraph, _facet_subgraph, cayley_gpr, components,
-                  rooted_digraph_isomorphic)
+from .gpr import GprGraph, cayley_gpr, facet_components_isomorphic
 from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
                        VerificationError, classify_symmetry, covers, facets,
                        rotation_system, tau)
@@ -166,10 +165,7 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     check("covers-quotient", covers(K, R) is not None,
           "the input does not cover the quotient")
 
-    cayK = cayley_gpr(K)
-    check("facets-of-extension", all(
-        rooted_digraph_isomorphic(_facet_subgraph(P), cayK, vertices=blk)
-        for blk in components(P, range(1, P.rank))[0]),
+    check("facets-of-extension", facet_components_isomorphic(P, cayley_gpr(K)),
         "a facet component of the extension is not the expected Cayley graph")
     check("extension-chiral-facets", classify_symmetry(K) is Symmetry.CHIRAL,
           "facet polytope is not chiral")

@@ -15,6 +15,11 @@ from .maniplex import (Maniplex, PreconditionError, RootedManiplex, Symmetry,
                        automorphism_orbit, classify_symmetry, schlafli, validate)
 from .permcore import Perm, orbit_partition
 
+# The most flags build_two_s_m builds: 64 times the largest 2s^M of the
+# tests and the benchmark (16384 flags), and small enough that the
+# adjacency tuples fit in a few hundred MB.
+MAX_FLAGS = 1 << 20
+
 
 @dataclass(frozen=True)
 class TwoSM:
@@ -59,8 +64,11 @@ def build_two_s_m(M: RootedManiplex, s: int) -> TwoSM:
     # flag (flag of M, x, delta) is (flag * num_u + u) * 2 + delta, where u
     # holds x_1..x_{m-1} in mixed radix base s (x_0 makes the sum vanish)
     num_u = s ** (m - 1)
-    pow_s = [s ** i for i in range(m)]
     N = man.num_flags * num_u * 2
+    if N > MAX_FLAGS:
+        raise PreconditionError("2s^M would have %d flags, more than the %d allowed"
+                                % (N, MAX_FLAGS))
+    pow_s = [s ** i for i in range(m)]
 
     adjacency = []
     for i in range(man.rank):

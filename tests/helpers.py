@@ -8,6 +8,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from chirex.extend_db import rho_bar
+from chirex.gpr import GprGraph, components, rooted_digraph_isomorphic
 from chirex.maniplex import (Maniplex, PreconditionError, RootedManiplex,
                              RotationSystem, Symmetry, classify_symmetry,
                              forced_map, rotation_system, schlafli, tau)
@@ -49,6 +50,16 @@ def cyclic_meet_by_loop(s: Perm, H: PermGroup) -> int:
             return q // j
         power = images[power]
     return 1
+
+
+def facet_components_by_every_root(G, cay) -> bool:
+    """Condition 1 of the extension criterion as the parent code decided
+    it: every component of G under its first cay.rank arrows passes
+    ``gpr.rooted_digraph_isomorphic``, which tries every root image; the
+    cross-check for ``gpr.facet_components_isomorphic``."""
+    facet_part = GprGraph(cay.rank, G.arrows[:cay.rank])
+    return all(rooted_digraph_isomorphic(facet_part, cay, vertices=blk)
+               for blk in components(facet_part, range(1, cay.rank + 1))[0])
 
 
 def check_order_exceeds(gens, degree: int) -> None:

@@ -1,27 +1,84 @@
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chirex import permcore
 from chirex.extend_db import extend_dually_bipartite
-from chirex.gpr import (GprGraph, cayley_gpr, check_tau_relations, components,
-                        cyclic_meet_order, gpr_group, rooted_digraph_isomorphic,
-                        verify_extension_criterion)
+from chirex.gpr import (FacetSubgroup, GprGraph, cayley_gpr, check_tau_relations,
+                        components, cyclic_meet_order, facet_components_isomorphic,
+                        gpr_group, rooted_digraph_isomorphic, verify_extension_criterion)
 from chirex.maniplex import PreconditionError, rotation_system
-from chirex.permcore import Perm, PermGroup, disjoint_union, orbit_of
+from chirex.permcore import DegreeMismatch, Perm, PermGroup, disjoint_union, orbit_of
 from chirex.toroidal import TorusParams, build_toroidal_map
 
-from helpers import (brute_force_isomorphic, components_union_find, cube,
-                     cyclic_meet_by_loop)
+from helpers import (brute_force_closure, brute_force_isomorphic, components_union_find,
+                     cube, cyclic_meet_by_loop, facet_components_by_every_root)
 
 # Step-3 seeds of the benchmark's seeded-extend workload, keyed 44_b_c_sS_qQ
 SEED_POOLS = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text())["pools"]
 
 
+# the maps of the benchmark's construct-verify workload, {4,4}_(b,c)
+CONSTRUCT_MAPS = [(3, 1), (5, 1), (7, 1), (4, 2), (6, 2), (5, 3), (9, 1)]
+
+
 def perms(degree):
     return st.permutations(range(degree)).map(Perm)
+
+
+@lru_cache(maxsize=None)
+def torus(b, c):
+    return build_toroidal_map(TorusParams("44", b, c))
+
+
+@lru_cache(maxsize=None)
+def extension(b, c, s):
+    return extend_dually_bipartite(torus(b, c), s).graph
+
+
+def conjugate(G: GprGraph, shuffle: Perm) -> GprGraph:
+    """G with its vertices relabelled by shuffle."""
+    return GprGraph(G.rank, tuple(shuffle.inverse() * a * shuffle for a in G.arrows))
+
+
+def swap_heads(G: GprGraph, k: int, u: int, v: int) -> GprGraph:
+    """G with its label-k arrows out of u and out of v exchanged."""
+    images = list(G.arrow(k).images)
+    images[u], images[v] = images[v], images[u]
+    return GprGraph(G.rank, G.arrows[:k - 1] + (Perm(images),) + G.arrows[k:])
+
+
+def merged_copies(b, c, s) -> GprGraph:
+    """An extension with one label-1 arrow out of vertex 0 exchanged with
+    the one out of the least vertex of the second facet component."""
+    G = extension(b, c, s)
+    blocks, _ = components(G, range(1, G.rank))
+    return swap_heads(G, 1, 0, blocks[1][0])
+
+
+def meet_detail(G: GprGraph) -> str:
+    """The criterion's cyclic-meet detail from the loop oracle."""
+    n, sn = G.rank, G.arrow(G.rank)
+    m = cyclic_meet_by_loop(sn, facet_subgroup(G))
+    return "" if m == 1 else "s_%d^%d lies in the facet subgroup" % (n, sn.order() // m)
+
+
+def cover_graph() -> GprGraph:
+    """Facet arrows: the Cayley graph of {4,4}_(3,1) on vertices 0..39
+    beside that of its 4-fold cover {4,4}_(6,2) on 40..199. The forced map
+    from the cover's least vertex is consistent but not injective, and the
+    facet subgroup (that of the cover) holds elements trivial on 0..39.
+    The last arrow is the least such element, of order 2, so <s_3> lies in
+    the facet subgroup although s_3 fixes vertex 0."""
+    small, big = cayley_gpr(torus(3, 1)), cayley_gpr(torus(6, 2))
+    facet = [Perm(disjoint_union(a.images, b.images)) for a, b in zip(small.arrows, big.arrows)]
+    kernel = [g for g in brute_force_closure(facet, 200)
+              if g(0) == 0 and not g.is_identity()]
+    return GprGraph(3, tuple(facet) + (min(kernel, key=lambda g: g.images),))
 
 
 class TestGprGraph:
@@ -182,6 +239,85 @@ def facet_subgroup(G: GprGraph, *extra) -> PermGroup:
     return PermGroup(G.num_vertices, G.arrows[:-1] + extra)
 
 
+class TestFacetComponents:
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("b,c", CONSTRUCT_MAPS)
+    def test_matches_every_root(self, b, c, s):
+        cay = cayley_gpr(torus(b, c))
+        G = extension(b, c, s)
+        assert facet_components_isomorphic(G, cay) is True
+        assert facet_components_by_every_root(G, cay)
+        merged = merged_copies(b, c, s)
+        assert facet_components_isomorphic(merged, cay) is False
+        assert not facet_components_by_every_root(merged, cay)
+
+    def test_consistent_cover_is_not_a_copy(self):
+        # the forced map from the cover's least vertex respects every arrow
+        # but sends four vertices to each vertex of the Cayley graph
+        cay = cayley_gpr(torus(3, 1))
+        G = cover_graph()
+        assert facet_components_isomorphic(G, cay) is False
+        assert not facet_components_by_every_root(G, cay)
+        cover_only = GprGraph(3, tuple(Perm([x - 40 for x in a.images[40:]]) for a in G.arrows))
+        assert facet_components_isomorphic(cover_only, cay) is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_unions_match_every_root(self, data):
+        # unions of relabelled Cayley graphs of the cube and the chiral
+        # {4,4}_(2,1), some with two arrow heads exchanged
+        K = data.draw(st.sampled_from([cube(), torus(2, 1)]))
+        cay = cayley_gpr(K)
+        W = cay.num_vertices
+        rows = [[] for _ in range(cay.rank + 1)]
+        for part in range(data.draw(st.integers(1, 3))):
+            shuffle = Perm(data.draw(st.permutations(range(W))))
+            copy = conjugate(GprGraph(cay.rank, cay.arrows), shuffle)
+            if data.draw(st.booleans()):
+                k = data.draw(st.integers(1, cay.rank))
+                u, v = data.draw(st.lists(st.integers(0, W - 1), min_size=2, max_size=2,
+                                          unique=True))
+                copy = swap_heads(copy, k, u, v)
+            for k, a in enumerate(copy.arrows):
+                rows[k] += [x + part * W for x in a.images]
+            rows[-1] += [x + part * W for x in range(W)]  # the last label plays no part
+        G = GprGraph(cay.rank + 1, tuple(Perm(r) for r in rows))
+        assert facet_components_isomorphic(G, cay) == facet_components_by_every_root(G, cay)
+
+
+class TestFacetSubgroup:
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("b,c", CONSTRUCT_MAPS)
+    def test_meet_and_membership_match_chain(self, b, c, s):
+        G = extension(b, c, s)
+        sn, H, F = G.arrow(G.rank), facet_subgroup(G), FacetSubgroup(G.arrows[:-1])
+        assert cyclic_meet_order(sn, F) == cyclic_meet_order(sn, H) == cyclic_meet_by_loop(sn, H)
+        power = Perm.identity(G.num_vertices)
+        for j in range(sn.order()):
+            assert (power in F) == (power in H) == (j == 0)
+            power = power * sn
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(3, 1, 1), (4, 2, 2), (5, 3, 1)]),
+           st.lists(st.integers(0, 1), max_size=16), st.integers(0, 3))
+    def test_words_match_chain(self, case, letters, j):
+        # every word in the facet arrows lies in the facet subgroup; times a
+        # power of s_n it does exactly when the chain says so
+        G = extension(*case)
+        F, H = FacetSubgroup(G.arrows[:-1]), facet_subgroup(G)
+        word = Perm.identity(G.num_vertices)
+        for k in letters:
+            word = word * G.arrows[k]
+        assert word in F
+        moved = word * G.arrow(G.rank) ** j
+        assert (moved in F) == (moved in H)
+
+    def test_degree_mismatch(self):
+        F = FacetSubgroup(extension(3, 1, 1).arrows[:-1])
+        with pytest.raises(DegreeMismatch):
+            Perm.identity(3) in F
+
+
 class TestCyclicMeet:
     @pytest.mark.parametrize("key", sorted(SEED_POOLS))
     def test_seeded_pools_match_loop(self, key):
@@ -190,9 +326,10 @@ class TestCyclicMeet:
         K = build_toroidal_map(TorusParams("44", b, c))
         for step3 in SEED_POOLS[key]:
             G = extend_dually_bipartite(K, s, seed=step3).graph
-            sn, H = G.arrow(G.rank), facet_subgroup(G)
+            sn, H, F = G.arrow(G.rank), facet_subgroup(G), FacetSubgroup(G.arrows[:-1])
             assert sn.order() == q
-            assert cyclic_meet_order(sn, H) == cyclic_meet_by_loop(sn, H) == 1
+            assert cyclic_meet_order(sn, F) == cyclic_meet_order(sn, H) == 1
+            assert cyclic_meet_by_loop(sn, H) == 1
 
     @pytest.mark.parametrize("b,c,s", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (4, 2, 1)])
     def test_nontrivial_meets_match_loop(self, b, c, s):
@@ -234,6 +371,56 @@ class TestCyclicMeet:
         detail = dict((name, d) for name, _, d in report.verdicts)["cyclic-meet-trivial"]
         assert detail == "s_3^3 lies in the facet subgroup"
         assert "cyclic-meet-trivial" in report.failing()
+
+
+class TestCriterionFacetSubgroup:
+    """Condition 1 selects the facet subgroup's membership test: the path
+    word when every facet component is a copy of the Cayley graph, the
+    stabiliser chain otherwise."""
+
+    @pytest.mark.parametrize("b,c,s", [(3, 1, 1), (3, 1, 2), (4, 2, 1)])
+    def test_merged_copies_report_exact_meet(self, b, c, s):
+        G = merged_copies(b, c, s)
+        report = verify_extension_criterion(G, torus(b, c))
+        verdicts = {name: (ok, detail) for name, ok, detail in report.verdicts}
+        assert verdicts["facet-components-isomorphic"][0] is False
+        assert verdicts["cyclic-meet-trivial"][1] == meet_detail(G)
+
+    def test_cover_reports_exact_meet(self):
+        # a path word would read s_3 as the identity, since s_3 fixes 0
+        G = cover_graph()
+        report = verify_extension_criterion(G, torus(3, 1))
+        assert report.verdicts[0] == ("facet-components-isomorphic", False,
+                                      "2 components of size [40, 160]")
+        assert report.verdicts[2] == ("cyclic-meet-trivial", False,
+                                      "s_3^1 lies in the facet subgroup")
+        assert meet_detail(G) == "s_3^1 lies in the facet subgroup"
+
+    def test_only_the_fallback_builds_a_chain(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("stabiliser chain built")
+
+        report = verify_extension_criterion(extension(9, 1, 2), torus(9, 1))
+        failing = merged_copies(3, 1, 1)
+        monkeypatch.setattr(permcore._Chain, "__init__", refuse)
+        assert verify_extension_criterion(extension(9, 1, 2), torus(9, 1)).verdicts \
+            == report.verdicts
+        assert report.passed
+        with pytest.raises(RuntimeError, match="chain built"):
+            verify_extension_criterion(failing, torus(3, 1))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["extension", "merged", "cover"]), st.randoms(use_true_random=False))
+    def test_relabelling_keeps_every_verdict(self, which, rnd):
+        K = torus(3, 1)
+        G = {"extension": lambda: extension(3, 1, 2), "merged": lambda: merged_copies(3, 1, 1),
+             "cover": cover_graph}[which]()
+        images = list(range(G.num_vertices))
+        rnd.shuffle(images)
+        before = verify_extension_criterion(G, K)
+        after = verify_extension_criterion(conjugate(G, Perm(images)), K)
+        assert after.verdicts == before.verdicts
+        assert after.data == before.data
 
 
 class TestTauRelations:

@@ -143,6 +143,15 @@ class TestCli:
         assert main(["classify", str(out)]) == 0
         assert "Regular" in capsys.readouterr().out
 
+    def test_two_sm_too_many_flags(self, tmp_path, capsys):
+        # 2s^M over {4,4}_(9,1), with 82 facets, would have 656 * 2 * 2^81
+        # flags; the size is refused before any list is allocated
+        path = self._build(tmp_path, b=9, c=1)
+        out = tmp_path / "tsm.json"
+        assert main(["two-sm", str(path), "--s", "2", "-o", str(out)]) == 3
+        assert "precondition failure: 2s^M would have" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_precondition_exit_code(self, tmp_path):
         path = self._build(tmp_path, b=2, c=0)  # regular, not chiral
         assert main(["extend-db", str(path), "--s", "1",

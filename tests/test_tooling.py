@@ -1,6 +1,9 @@
 """Checks on the source tree itself rather than on its behaviour."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -109,3 +112,35 @@ def test_no_test_only_names_in_the_package():
             if node.name not in used:
                 found.append("%s.%s" % (path.stem, node.name))
     assert found == []
+
+
+def _run_script(*argv) -> list[str]:
+    # each script as a user runs it: a fresh interpreter, chirex from src/
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_torus_sweep_script_runs():
+    lines = _run_script("torus_sweep.py")
+    assert lines[0].split() == ["map", "flags", "type", "symmetry", "db", "quotient"]
+    assert len(lines) == 1 + 3 * 24  # three families, 0 <= b, c <= 4, (b, c) != (0, 0)
+
+
+def test_db_extension_sweep_script_runs():
+    lines = _run_script("db_extension_sweep.py", "--smax", "1")
+    assert lines[0] == "base map {4,4}_(3,1) with 80 flags"
+    assert lines[1].split() == ["s", "vertices", "last", "entry", "group", "order", "time"]
+    assert lines[2].split()[:4] == ["1", "80", "8", "414720000"]
+
+
+def test_mix_pipeline_demo_script_runs():
+    # the demo's facets-of-extension check goes through
+    # gpr.facet_components_isomorphic
+    lines = _run_script("mix_pipeline_demo.py")
+    assert lines[0] == "base map {4,4}_(4,2), 160 flags"
+    verdicts = [line.split() for line in lines if line.startswith("  ")]
+    assert ["facets-of-extension", "pass"] in verdicts
+    assert all(v[1] == "pass" for v in verdicts)

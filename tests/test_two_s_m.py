@@ -3,6 +3,7 @@ import pytest
 from chirex.maniplex import (PreconditionError, Symmetry, classify_symmetry,
                              covers, facets, schlafli, validate)
 from chirex.maniplex import Maniplex, RootedManiplex
+from chirex import two_s_m
 from chirex.permcore import Perm
 from chirex.toroidal import TorusParams, build_toroidal_map
 from chirex.two_s_m import (build_two_s_m, every_ridge_in_two_facets,
@@ -83,6 +84,14 @@ class TestBuild:
     def test_s_must_be_at_least_two(self):
         with pytest.raises(PreconditionError):
             build_two_s_m(m20(), 1)
+
+    def test_flag_limit(self, monkeypatch):
+        # m20 at s = 2 has 512 flags: allowed at the limit, refused above it
+        monkeypatch.setattr(two_s_m, "MAX_FLAGS", 512)
+        assert build_two_s_m(m20(), 2).maniplex.num_flags == 512
+        monkeypatch.setattr(two_s_m, "MAX_FLAGS", 511)
+        with pytest.raises(PreconditionError, match="512 flags"):
+            build_two_s_m(m20(), 2)
 
 
 class TestRidges:
