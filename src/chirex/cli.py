@@ -60,7 +60,7 @@ def _cmd_extend_db(args) -> int:
         timing=time.time() - t0,
     )
     report["last_entry"] = result.last_entry
-    report["edge_count"] = len(result.matching.edges)
+    report["edge_count"] = len(result.matching.partner) // 2
     report["copies"] = 2 * args.s
     if args.report:
         save_json(args.report, report)

@@ -11,22 +11,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .gpr import GprGraph, check_tau_relations, verify_extension_criterion
+from .gpr import GprGraph, check_tau_relations, rho_bar, verify_extension_criterion
 from .maniplex import (Maniplex, PreconditionError, Report, RootedManiplex,
-                       RotationSystem, Symmetry, VerificationError,
-                       classify_symmetry, dually_bipartite_colouring,
-                       rotation_system)
-from .permcore import GroupWord, Perm, orbit_of, orbit_partition
+                       Symmetry, VerificationError, classify_symmetry,
+                       dually_bipartite_colouring, forced_map, rotation_system)
+from .permcore import Perm, orbit_of, orbit_partition
 
 
 @dataclass(frozen=True)
 class Matching:
     num_copies: int
     partner: tuple[int, ...]  # vertex -> matched vertex
-
-    @property
-    def edges(self) -> frozenset[frozenset[int]]:
-        return frozenset(frozenset((v, p)) for v, p in enumerate(self.partner))
 
     def is_perfect(self) -> bool:
         return all(p != v and self.partner[p] == v for v, p in enumerate(self.partner))
@@ -43,37 +38,6 @@ class DbExtensionResult:
     base_vertex: int
 
 
-def rho_bar(w: GroupWord, n: int) -> GroupWord:
-    """Image of a word in s_1..s_{n-2} under the involutory facet-group
-    automorphism sending s_{n-2} to its inverse and s_{n-3} to
-    s_{n-3} s_{n-2}^2, fixing earlier generators."""
-    top = n - 3  # 0-based index of s_{n-2}
-    out: list[tuple[int, int]] = []
-    for idx, exp in w.letters:
-        if idx > top:
-            raise PreconditionError("word uses generators outside the facet group")
-        if idx == top and top >= 0:
-            out.append((idx, -exp))
-        elif idx == top - 1 and idx >= 0:
-            if exp == 1:
-                out.extend([(idx, 1), (top, 1), (top, 1)])
-            else:
-                out.extend([(top, -1), (top, -1), (idx, -1)])
-        else:
-            out.append((idx, exp))
-    return GroupWord(tuple(out))
-
-
-def _letter_action(rs: RotationSystem, word: GroupWord) -> list[int]:
-    """The left action of a word in s_1..s_{n-2} on the white flags."""
-    action = list(range(rs.degree))
-    for idx, exp in reversed(word.letters):
-        g = rs.sigma[idx]
-        row = g.images if exp == 1 else g.inverse().images
-        action = [row[x] for x in action]
-    return action
-
-
 def _check_preconditions(K: RootedManiplex) -> list[int]:
     """The facet 2-colouring of K, after checking every input condition."""
     man = K.maniplex
@@ -88,7 +52,8 @@ def _check_preconditions(K: RootedManiplex) -> list[int]:
     # regular (all facets are isomorphic by flag transitivity)
     blk = sorted(orbit_of(K.base_flag, man.adjacency[:-1]))
     pos = {f: i for i, f in enumerate(blk)}
-    # from lists, for the reason given in PermGroup.__init__
+    # from a list: a small tuple built from a generator is allocated
+    # oversized and shrunk, and freeing it grows the tuple free list
     sub_adj = tuple([Perm([pos[r.images[f]] for f in blk]) for r in man.adjacency[:-1]])
     sub = Maniplex(man.rank - 1, sub_adj)
     if classify_symmetry(RootedManiplex(sub, pos[K.base_flag])) is not Symmetry.REGULAR:
@@ -174,29 +139,21 @@ def build_matching(K: RootedManiplex, colouring, s: int,
                 raise VerificationError("component without a matched anchor")
 
     # step 4: spread each anchor edge over its component via rho. A flag
-    # u = L v reached by the letter L gets the target rho(L) t(v), so one
-    # BFS over (flag, target) pairs per component, with the letters in the
-    # order s_1, s_1^-1, s_2, ..., gives every flag the target of its BFS
-    # tree word; every other edge must agree with it.
-    moves = []
-    for idx, g in enumerate(rs.sigma[: n - 2]):
-        for exp, row in ((1, g.images), (-1, g.inverse().images)):
-            moves.append((row, _letter_action(rs, rho_bar(GroupWord(((idx, exp),)), n))))
+    # u = L v reached by the letter L gets the target rho(L) t(v): the
+    # forced map from the letters to their rho images, with the letters in
+    # the order s_1, s_1^-1, s_2, ..., gives every flag the target of its
+    # BFS tree word, and every other edge must agree with it.
+    facet = rs.sigma[: n - 2]
+    letters, images = [], []
+    for g, r in zip(facet, rho_bar(facet)):
+        letters += [g.images, g.inverse().images]
+        images += [r.images, r.inverse().images]
     for (ell, ci), av in anchor.items():
-        phi_f = av % W
+        target = [-1] * W
         ell2, psi = divmod(partner[av], W)
-        target = {phi_f: psi}
-        reached = [phi_f]
-        for v in reached:
-            tv = target[v]
-            for row, bar in moves:
-                u, tu = row[v], bar[tv]
-                seen = target.get(u)
-                if seen is None:
-                    target[u] = tu
-                    reached.append(u)
-                elif seen != tu:
-                    raise VerificationError("rho is not consistent on facet component %d" % ci)
+        reached = forced_map(letters, images, av % W, psi, target)
+        if reached is None:
+            raise VerificationError("rho is not consistent on facet component %d" % ci)
         for u in reached[1:]:
             match(vid(u, ell), vid(target[u], ell2))
 
@@ -245,10 +202,9 @@ def extend_dually_bipartite(K: RootedManiplex, s: int,
     if len(orb) != copies:
         raise VerificationError("base orbit under the new generator has length %d, wanted %d"
                                 % (len(orb), copies))
-    last_entry = sn.order()
+    last_entry = report.data["last_entry"]
     if last_entry % copies != 0:
         raise VerificationError("2s does not divide the last Schlafli entry")
-    report.data["last_entry"] = last_entry
     report.data["copies"] = copies
     return DbExtensionResult(graph=G, t=t, matching=matching, report=report,
                              last_entry=last_entry, s=s, base_vertex=base_vertex)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
-                       classify_symmetry, forced_map_between, rotation_system)
+                       classify_symmetry, forced_map, rotation_system)
 from .maniplex import VerificationError  # noqa: F401  (re-exported)
 from .permcore import DegreeMismatch, Perm, PermGroup, left_product, orbit_partition
 
@@ -53,41 +53,32 @@ def cayley_gpr(M: RootedManiplex) -> GprGraph:
     return GprGraph(rank=M.rank - 1, arrows=rs.sigma)
 
 
-def _restrict(G: GprGraph, verts) -> GprGraph:
-    verts = sorted(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    arrows = []
-    for a in G.arrows:
-        try:
-            arrows.append(Perm(pos[a.images[v]] for v in verts))
-        except KeyError:
-            raise ValueError("vertex set is not closed under the arrows")
-    return GprGraph(rank=G.rank, arrows=tuple(arrows))
-
-
 def rooted_digraph_isomorphic(G: GprGraph, H: GprGraph,
                               vertices=None) -> bool:
     """Label- and direction-preserving isomorphism test.
 
-    G (optionally restricted to the given connected vertex set) is
-    compared against H by forced extension from every candidate image
-    of G's least vertex. This is the general test, for any H; the
-    extension criterion does not call it, since its target is a Cayley
-    graph and one root image is enough there
-    (:func:`facet_components_isomorphic`).
+    G (optionally restricted to the given connected vertex set, which
+    must be closed under the arrows) is compared against H by forced
+    extension from every candidate image of its least vertex. This is
+    the general test, for any H; the extension criterion does not call
+    it, since its target is a Cayley graph and one root image is enough
+    there (:func:`facet_components_isomorphic`).
     """
     if G.rank != H.rank:
         return False
-    if vertices is not None:
-        G = _restrict(G, vertices)
-    V = G.num_vertices
+    rows_g = [a.images for a in G.arrows]
+    verts = range(G.num_vertices) if vertices is None else sorted(vertices)
+    inside = set(verts)
+    if any(row[v] not in inside for row in rows_g for v in verts):
+        raise ValueError("vertex set is not closed under the arrows")
+    V = len(verts)
     if V != H.num_vertices:
         return False
-    rows_g = [a.images for a in G.arrows] + [a.inverse().images for a in G.arrows]
-    rows_h = [a.images for a in H.arrows] + [a.inverse().images for a in H.arrows]
+    rows_h = [a.images for a in H.arrows]
     for root_img in range(V):
-        mapping = forced_map_between(rows_g, rows_h, 0, root_img)
-        if mapping is not None and -1 not in mapping and len(set(mapping)) == V:
+        image = [-1] * G.num_vertices
+        reached = forced_map(rows_g, rows_h, verts[0], root_img, image)
+        if reached is not None and len(reached) == V and len({image[v] for v in reached}) == V:
             return True
     return False
 
@@ -97,40 +88,24 @@ def facet_components_isomorphic(G: GprGraph, cay: GprGraph) -> bool:
     a labelled copy of the Cayley GPR-graph cay.
 
     Each component gets one forced map, from its least vertex to vertex
-    0 of cay, along forward arrows only (the arrows are permutations, so
-    they reach the whole component). One root image is enough: the
-    arrows of cay generate a regular group, and its centraliser in the
-    symmetric group, which is the group of label-preserving
-    automorphisms of cay, is regular too (Dixon and Mortimer,
-    *Permutation Groups*, 1996, 4.2), so an isomorphism can always be
-    moved to send the least vertex to 0. A component is a copy iff its
-    map is consistent on every arrow and a bijection onto cay's W
-    vertices: injective, and defined on exactly W vertices.
+    0 of cay. One root image is enough: the arrows of cay generate a
+    regular group, and its centraliser in the symmetric group, which is
+    the group of label-preserving automorphisms of cay, is regular too
+    (Dixon and Mortimer, *Permutation Groups*, 1996, 4.2), so an
+    isomorphism can always be moved to send the least vertex to 0. A
+    component is a copy iff its map is consistent on every arrow and a
+    bijection onto cay's W vertices: defined on exactly W vertices, with
+    W distinct images.
     """
     W = cay.num_vertices
-    rows = [(a.images, b.images) for a, b in zip(G.arrows, cay.arrows)]
+    rows_g = [a.images for a in G.arrows[:cay.rank]]
+    rows_c = [a.images for a in cay.arrows]
     image = [-1] * G.num_vertices
     for root in range(G.num_vertices):
         if image[root] != -1:
             continue  # the first vertex not yet mapped is the least of its component
-        image[root] = 0
-        hit = bytearray(W)
-        hit[0] = 1
-        reached = [root]
-        for a in reached:  # the growing list is the BFS queue
-            b = image[a]
-            for ra, rb in rows:
-                a2, b2 = ra[a], rb[b]
-                m = image[a2]
-                if m == -1:
-                    if hit[b2]:
-                        return False
-                    hit[b2] = 1
-                    image[a2] = b2
-                    reached.append(a2)
-                elif m != b2:
-                    return False
-        if len(reached) != W:
+        reached = forced_map(rows_g, rows_c, root, 0, image)
+        if reached is None or len(reached) != W or len({image[a] for a in reached}) != W:
             return False
     return True
 
@@ -183,8 +158,7 @@ class FacetSubgroup:
 
 
 def gpr_group(G: GprGraph) -> PermGroup:
-    return PermGroup(G.num_vertices, G.arrows,
-                     names=tuple("s%d" % k for k in range(1, G.rank + 1)))
+    return PermGroup(G.num_vertices, G.arrows)
 
 
 def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> Report:
@@ -218,12 +192,11 @@ def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> Report:
     report.add("suffix-products-involutory", involutory, detail)
 
     sn = G.arrow(n)
-    q = sn.order()
     # condition 1 makes the facet subgroup regular on every facet
     # component; without it, membership needs a stabiliser chain
     facet_gens = G.arrows[: n - 1]
     H = FacetSubgroup(facet_gens) if all_iso else PermGroup(G.num_vertices, facet_gens)
-    m = cyclic_meet_order(sn, H)
+    q, m = cyclic_meet_order(sn, H)
     # the least positive j with s_n^j in the facet subgroup is q/m
     report.add("cyclic-meet-trivial", m == 1,
                "" if m == 1 else "s_%d^%d lies in the facet subgroup" % (n, q // m))
@@ -249,9 +222,9 @@ def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> Report:
     return report
 
 
-def cyclic_meet_order(s: Perm, H) -> int:
-    """The order m of <s> meet H, in at most log2 |s| membership tests
-    (H is any group that supports ``in``).
+def cyclic_meet_order(s: Perm, H) -> tuple[int, int]:
+    """(q, m): the order q of s and the order m of <s> meet H, in at most
+    log2 q membership tests (H is any group that supports ``in``).
 
     The meet is the subgroup of <s> of order m, for some m dividing
     q = |s|, and s^(q/k) lies in H exactly when k divides m. So m is the
@@ -265,7 +238,7 @@ def cyclic_meet_order(s: Perm, H) -> int:
         k = p
         while q % k == 0 and s ** (q // k) in H:
             m, k = m * p, k * p
-    return m
+    return q, m
 
 
 def _prime_divisors(numbers) -> set[int]:
@@ -284,31 +257,27 @@ def _prime_divisors(numbers) -> set[int]:
     return primes
 
 
+def rho_bar(facet_gens) -> list[Perm]:
+    """Images of the facet generators s_1..s_m under the involutory
+    automorphism of the facet group that sends s_m to its inverse and
+    s_{m-1} to s_{m-1} s_m^2 and fixes the others; it exists because the
+    facets are regular."""
+    out = list(facet_gens)
+    if out:
+        out[-1] = facet_gens[-1].inverse()
+    if len(out) >= 2:
+        out[-2] = left_product([facet_gens[-2], facet_gens[-1], facet_gens[-1]])
+    return out
+
+
 def check_tau_relations(G: GprGraph, t: Perm) -> bool:
-    """Relations forced on the matching involution t by the rotation
-    group of the extended maniplex; relations whose generator index
-    would be nonpositive are skipped."""
-    n = G.rank
+    """The relations forced on the matching involution t by the rotation
+    group of the extended maniplex: t^2 = 1, and t g t = rho_bar(g) for
+    the generators g = s_1..s_{n-2}."""
     if t.degree != G.num_vertices:
         raise PreconditionError("degree mismatch")
     if not (t * t).is_identity():
         return False
-
-    def conj(p: Perm) -> Perm:
-        # t p t as a left-action product (palindromic, so the reading
-        # order does not matter)
-        return left_product([t, p, t])
-
-    if n - 2 >= 1:
-        s = G.arrow(n - 2)
-        if conj(s) != s.inverse():
-            return False
-    if n - 3 >= 1:
-        s3, s2 = G.arrow(n - 3), G.arrow(n - 2)
-        if conj(s3) != left_product([s3, s2, s2]):
-            return False
-    for i in range(1, n - 3):
-        s = G.arrow(i)
-        if conj(s) != s:
-            return False
-    return True
+    facet = G.arrows[: G.rank - 2]
+    # t g t is palindromic, so the reading order does not matter
+    return all(left_product([t, g, t]) == r for g, r in zip(facet, rho_bar(facet)))

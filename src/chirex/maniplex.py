@@ -12,8 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .permcore import (Perm, PermGroup, disjoint_union, left_product, orbit_of,
-                       orbit_partition)
+from .permcore import Perm, PermGroup, left_product, orbit_of, orbit_partition
 
 
 class PreconditionError(ValueError):
@@ -171,8 +170,7 @@ class RotationSystem:
         return len(self.white_flags)
 
     def group(self) -> PermGroup:
-        return PermGroup(self.degree, self.sigma,
-                         names=tuple("s%d" % (i + 1) for i in range(len(self.sigma))))
+        return PermGroup(self.degree, self.sigma)
 
 
 def rotation_system(M: RootedManiplex) -> RotationSystem:
@@ -208,40 +206,41 @@ def tau(sigma, i: int, j: int) -> Perm:
     return left_product(sigma[i:j], degree=degree)
 
 
-def forced_map(adjacency, src: int, dst: int):
-    """The unique colour-preserving map extending src -> dst, or None.
+def forced_map(rows_a, rows_b, src: int, dst: int, image: list[int]) -> list[int] | None:
+    """Extend the label-preserving map src -> dst from graph a to graph b.
 
-    adjacency is a list of image tuples. Every edge incident to a
-    visited flag is checked, so a returned map is consistent on all
-    edges; on a connected graph it is onto, hence a bijection when the
-    two graphs coincide. A map between two graphs is a forced map on
-    their disjoint union (see :func:`forced_map_between`).
+    rows_a and rows_b are matching lists of image tuples. The map is
+    written into ``image`` (one entry per point of a, -1 for unset)
+    along forward arrows, breadth first; the points reached, src first,
+    are returned, or None once an arrow disagrees with the map. The
+    arrows are permutations, so the reached points are src's whole
+    component, and a map consistent on an arrow is consistent on its
+    inverse.
     """
-    N = len(adjacency[0])
-    mapping = [-1] * N
-    mapping[src] = dst
-    stack = [src]
-    while stack:
-        a = stack.pop()
-        b = mapping[a]
-        for r in adjacency:
-            a2, b2 = r[a], r[b]
-            m = mapping[a2]
+    pairs = list(zip(rows_a, rows_b))
+    image[src] = dst
+    reached = [src]
+    for a in reached:  # the growing list is the BFS queue
+        b = image[a]
+        for ra, rb in pairs:
+            a2, b2 = ra[a], rb[b]
+            m = image[a2]
             if m == -1:
-                mapping[a2] = b2
-                stack.append(a2)
+                image[a2] = b2
+                reached.append(a2)
             elif m != b2:
                 return None
-    return mapping
+    return reached
 
 
 def find_rooted_automorphism(M: Maniplex, phi: int, psi: int) -> Perm | None:
     """Colour-preserving flag-graph automorphism sending phi to psi."""
     rows = [r.images for r in M.adjacency]
-    mapping = forced_map(rows, phi, psi)
-    if mapping is None or -1 in mapping:
+    image = [-1] * M.num_flags
+    reached = forced_map(rows, rows, phi, psi, image)
+    if reached is None or len(reached) != M.num_flags:
         return None
-    return Perm(mapping)
+    return Perm(image)
 
 
 @dataclass(frozen=True)
@@ -308,7 +307,8 @@ def automorphism_orbit(M: Maniplex, base: int) -> AutomorphismOrbit:
 def _rotations_exist(rows, base: int) -> bool:
     """True iff, for every i, some automorphism sends the base flag to
     s_i(base) = r_{i-1} r_i (base): the maniplex is rotary."""
-    return all(forced_map(rows, base, rows[i - 1][rows[i][base]]) is not None
+    N = len(rows[0])
+    return all(forced_map(rows, rows, base, rows[i - 1][rows[i][base]], [-1] * N) is not None
                for i in range(1, len(rows)))
 
 
@@ -318,7 +318,7 @@ def classify_symmetry(M: RootedManiplex) -> Symmetry:
     rows = [r.images for r in man.adjacency]
     if not _rotations_exist(rows, base):
         return Symmetry.OTHER
-    if forced_map(rows, base, rows[0][base]) is not None:
+    if forced_map(rows, rows, base, rows[0][base], [-1] * man.num_flags) is not None:
         return Symmetry.REGULAR
     return Symmetry.CHIRAL
 
@@ -350,27 +350,17 @@ def facets(M: Maniplex) -> list[tuple[int, ...]]:
     return orbit_partition(M.adjacency[:-1], M.num_flags)[0]
 
 
-def forced_map_between(rows_a, rows_b, src: int, dst: int) -> list[int] | None:
-    """Forced map from graph a to graph b sending src to dst, run on the
-    disjoint union of the two graphs; entry -1 marks an unreached point."""
-    offset = len(rows_a[0])
-    union = [disjoint_union(ra, rb) for ra, rb in zip(rows_a, rows_b)]
-    mapping = forced_map(union, src, dst + offset)
-    if mapping is None:
-        return None
-    return [-1 if b == -1 else b - offset for b in mapping[:offset]]
-
-
 def covers(M: RootedManiplex, N: RootedManiplex) -> list[int] | None:
     """Rooted colour-preserving covering M -> N as a flag surjection."""
     if M.rank != N.rank:
         raise PreconditionError("rank mismatch %d vs %d" % (M.rank, N.rank))
-    mapping = forced_map_between([r.images for r in M.maniplex.adjacency],
-                                 [r.images for r in N.maniplex.adjacency],
-                                 M.base_flag, N.base_flag)
-    if mapping is None or -1 in mapping or len(set(mapping)) != N.maniplex.num_flags:
+    image = [-1] * M.maniplex.num_flags
+    reached = forced_map([r.images for r in M.maniplex.adjacency],
+                         [r.images for r in N.maniplex.adjacency],
+                         M.base_flag, N.base_flag, image)
+    if reached is None or len(reached) != len(image) or len(set(image)) != N.maniplex.num_flags:
         return None
-    return mapping
+    return image
 
 
 def dually_bipartite_colouring(M: Maniplex, base_flag: int = 0) -> list[int] | None:

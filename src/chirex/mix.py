@@ -32,7 +32,7 @@ def diamond(G: PermGroup, H: PermGroup) -> PermGroup:
     if len(G.generators) != len(H.generators):
         raise PreconditionError("diamond needs equal generator counts")
     gens = [paired_perm(g, h) for g, h in zip(G.generators, H.generators)]
-    return PermGroup(G.degree + H.degree, gens, names=G.generator_names)
+    return PermGroup(G.degree + H.degree, gens)
 
 
 def enantiomorph_generators(sigma) -> list[Perm]:
@@ -178,8 +178,7 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     q = P.arrow(n).order()
     result.q = q
     paired = tuple(paired_perm(P.arrow(k), rs2.sigma[k - 1]) for k in range(1, n + 1))
-    result.group = PermGroup(paired[0].degree, paired,
-                             names=tuple("s%d" % k for k in range(1, n + 1)))
+    result.group = PermGroup(paired[0].degree, paired)
 
     # the mix projects onto <P.arrows> by construction, so the projection
     # is an isomorphism on the facet subgroup iff the two orders agree

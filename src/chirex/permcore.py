@@ -1,4 +1,4 @@
-"""Permutations, generator words, and finite permutation groups.
+"""Permutations and finite permutation groups.
 
 Conventions used everywhere in this package:
 
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass
 from functools import reduce
 
 
@@ -119,7 +118,7 @@ class Perm:
         return math.lcm(*self.cycle_lengths())
 
     def is_identity(self) -> bool:
-        return all(y == x for x, y in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Perm) and self.images == other.images
@@ -154,29 +153,6 @@ def left_product(perms, degree: int | None = None) -> Perm:
             raise ValueError("degree required for an empty product")
         return Perm.identity(degree)
     return reduce(lambda acc, p: p * acc, perms[1:], perms[0])
-
-
-@dataclass(frozen=True)
-class GroupWord:
-    """A word in abstract generators: letters are (index, exponent) pairs."""
-
-    letters: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        for idx, exp in self.letters:
-            if exp not in (1, -1):
-                raise ValueError("word exponents must be +1 or -1")
-            if idx < 0:
-                raise ValueError("negative generator index")
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def inverse(self) -> "GroupWord":
-        return GroupWord(tuple((i, -e) for i, e in reversed(self.letters)))
-
-    def __add__(self, other: "GroupWord") -> "GroupWord":
-        return GroupWord(self.letters + other.letters)
 
 
 class _Chain:
@@ -306,22 +282,12 @@ class PermGroup:
     the base is chosen deterministically (ascending moved points).
     """
 
-    def __init__(self, degree: int, generators, names=None):
+    def __init__(self, degree: int, generators):
         self.degree = degree
         self.generators: tuple[Perm, ...] = tuple(generators)
         for g in self.generators:
             if g.degree != degree:
                 raise DegreeMismatch("generator degree %d != group degree %d" % (g.degree, degree))
-        if names is None:
-            # from a list: CPython builds a small tuple from a generator
-            # oversized and shrinks it, and when freed such a tuple grows the
-            # tuple free list (up to 2000 per size) instead of refilling it
-            names = tuple(["g%d" % i for i in range(len(self.generators))])
-        else:
-            names = tuple(names)
-            if len(names) != len(self.generators):
-                raise ValueError("one name per generator required")
-        self.generator_names = names
         self._chain: _Chain | None = None
 
     @property

@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 import numpy as np
 
-from chirex.extend_db import rho_bar
 from chirex.gpr import GprGraph, components, rooted_digraph_isomorphic
 from chirex.maniplex import (Maniplex, PreconditionError, RootedManiplex,
                              RotationSystem, Symmetry, classify_symmetry,
                              forced_map, rotation_system, schlafli, tau)
-from chirex.permcore import GroupWord, Perm, PermGroup, orbit_of, orbit_partition
+from chirex.permcore import Perm, PermGroup, orbit_of, orbit_partition
 from chirex.toroidal import TorusParams
 from chirex.two_s_m import TwoSM, build_two_s_m, every_ridge_in_two_facets
 
@@ -73,6 +73,51 @@ def check_order_exceeds(gens, degree: int) -> None:
         assert G._chain is None
         G.order()
         assert G.order_exceeds(bound) is exceeds, (bound, order)
+
+
+@dataclass(frozen=True)
+class GroupWord:
+    """A word in abstract generators: letters are (index, exponent) pairs."""
+
+    letters: tuple[tuple[int, int], ...] = ()
+
+    def __post_init__(self):
+        for idx, exp in self.letters:
+            if exp not in (1, -1):
+                raise ValueError("word exponents must be +1 or -1")
+            if idx < 0:
+                raise ValueError("negative generator index")
+
+    def __len__(self) -> int:
+        return len(self.letters)
+
+    def inverse(self) -> "GroupWord":
+        return GroupWord(tuple((i, -e) for i, e in reversed(self.letters)))
+
+    def __add__(self, other: "GroupWord") -> "GroupWord":
+        return GroupWord(self.letters + other.letters)
+
+
+def rho_bar(w: GroupWord, n: int) -> GroupWord:
+    """Image of a word in s_1..s_{n-2} under the involutory facet-group
+    automorphism sending s_{n-2} to its inverse and s_{n-3} to
+    s_{n-3} s_{n-2}^2, fixing earlier generators: the word form of
+    ``gpr.rho_bar``, letter by letter."""
+    top = n - 3  # 0-based index of s_{n-2}
+    out: list[tuple[int, int]] = []
+    for idx, exp in w.letters:
+        if idx > top:
+            raise PreconditionError("word uses generators outside the facet group")
+        if idx == top and top >= 0:
+            out.append((idx, -exp))
+        elif idx == top - 1 and idx >= 0:
+            if exp == 1:
+                out.extend([(idx, 1), (top, 1), (top, 1)])
+            else:
+                out.extend([(top, -1), (top, -1), (idx, -1)])
+        else:
+            out.append((idx, exp))
+    return GroupWord(tuple(out))
 
 
 def evaluate_word(gens, word: GroupWord, degree: int | None = None) -> Perm:
@@ -228,7 +273,7 @@ def aut_count_by_scan(M: Maniplex, base: int) -> int:
     ``maniplex.automorphism_orbit``."""
     rows = [r.images for r in M.adjacency]
     return sum(1 for psi in range(M.num_flags)
-               if forced_map(rows, base, psi) is not None)
+               if forced_map(rows, rows, base, psi, [-1] * M.num_flags) is not None)
 
 
 def intersection_property_orbits(sigma, base: int = 0):

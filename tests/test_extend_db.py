@@ -3,17 +3,18 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chirex import extend_db
-from chirex.extend_db import build_matching, extend_dually_bipartite, rho_bar
+from chirex import extend_db, gpr
+from chirex.extend_db import build_matching, extend_dually_bipartite
 from chirex.gpr import VerificationError, gpr_group
 from chirex.maniplex import (PreconditionError, dually_bipartite_colouring,
                              rotation_system)
-from chirex.permcore import GroupWord, orbit_of
+from chirex.permcore import Perm, left_product, orbit_of
 from chirex.toroidal import TorusParams, build_toroidal_map
 
-from helpers import (check_spread_by_words, evaluate_word, facet_word, polygon,
-                     word_action)
+from helpers import (GroupWord, check_spread_by_words, evaluate_word, facet_word,
+                     polygon, rho_bar, word_action)
 
 # Step-3 seeds of the benchmark's seeded-extend workload, keyed 44_b_c_sS_qQ
 SEED_POOLS = json.loads(
@@ -92,6 +93,21 @@ class TestRhoBar:
         with pytest.raises(PreconditionError):
             rho_bar(GroupWord(((5, 1),)), 3)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4).flatmap(
+        lambda m: st.lists(st.permutations(range(6)).map(Perm), min_size=m, max_size=m)))
+    def test_permutation_form_matches_words(self, gens):
+        # gpr.rho_bar of s_1..s_m equals the word form, letter by letter, read
+        # as a left action as Step 4 applies it, for the rank n = m + 2 whose
+        # facet group these generate: lengths 3 and 4 reach the generators
+        # that rho fixes
+        n = len(gens) + 2
+        images = gpr.rho_bar(gens)
+        assert len(images) == len(gens)
+        for idx, image in enumerate(images):
+            assert image == word_action(gens, rho_bar(GroupWord(((idx, 1),)), n))
+            assert image.inverse() == word_action(gens, rho_bar(GroupWord(((idx, -1),)), n))
+
 
 class TestPreconditions:
     def test_regular_input_rejected(self):
@@ -122,7 +138,7 @@ class TestMatching:
             matching = build_matching(K, colouring, s)
             assert matching.is_perfect()
             assert matching.num_copies == 2 * s
-            assert len(matching.edges) == W * s
+            assert len(matching.partner) // 2 == W * s  # the report's edge_count
             for v, p in enumerate(matching.partner):
                 assert (v // W) % 2 != (p // W) % 2
 
@@ -164,11 +180,13 @@ class TestStep4Spread:
         assert hashlib.sha256(json.dumps(list(matching.partner)).encode()).hexdigest() == sha
 
     def test_inconsistent_rho_is_rejected(self, monkeypatch):
-        # s_1 and s_1^-1 both sent to s_1 is no map of the facet group: the
-        # edge back along s_1^-1 disagrees with the BFS tree
-        monkeypatch.setattr(extend_db, "rho_bar",
-                            lambda w, n: GroupWord(tuple((i, 1) for i, _ in w.letters)))
+        # s_1 (order 4) sent to s_1 s_2^-1 (order 10) is no homomorphism of
+        # the facet group: the two BFS paths to s_1^2 v disagree
         K = k31()
+        s1, s2 = rotation_system(K).sigma
+        bad = left_product([s1, s2.inverse()])
+        assert s1.order() == 4 and bad.order() == 10
+        monkeypatch.setattr(extend_db, "rho_bar", lambda facet_gens: [bad])
         colouring = dually_bipartite_colouring(K.maniplex, K.base_flag)
         with pytest.raises(VerificationError, match="rho is not consistent"):
             build_matching(K, colouring, 1)

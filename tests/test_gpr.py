@@ -261,6 +261,13 @@ class TestFacetComponents:
         cover_only = GprGraph(3, tuple(Perm([x - 40 for x in a.images[40:]]) for a in G.arrows))
         assert facet_components_isomorphic(cover_only, cay) is False
 
+    def test_consistent_fold_of_the_right_size_is_not_a_copy(self):
+        # a 4-cycle folds onto two 2-cycles consistently, with as many
+        # vertices as the target but two of them on each image
+        cycle = GprGraph(2, (Perm.from_cycles(4, [(0, 1, 2, 3)]), Perm.identity(4)))
+        two_cycles = GprGraph(1, (Perm.from_cycles(4, [(0, 1), (2, 3)]),))
+        assert facet_components_isomorphic(cycle, two_cycles) is False
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_random_unions_match_every_root(self, data):
@@ -291,7 +298,8 @@ class TestFacetSubgroup:
     def test_meet_and_membership_match_chain(self, b, c, s):
         G = extension(b, c, s)
         sn, H, F = G.arrow(G.rank), facet_subgroup(G), FacetSubgroup(G.arrows[:-1])
-        assert cyclic_meet_order(sn, F) == cyclic_meet_order(sn, H) == cyclic_meet_by_loop(sn, H)
+        assert cyclic_meet_order(sn, F) == cyclic_meet_order(sn, H) \
+            == (sn.order(), cyclic_meet_by_loop(sn, H))
         power = Perm.identity(G.num_vertices)
         for j in range(sn.order()):
             assert (power in F) == (power in H) == (j == 0)
@@ -328,7 +336,7 @@ class TestCyclicMeet:
             G = extend_dually_bipartite(K, s, seed=step3).graph
             sn, H, F = G.arrow(G.rank), facet_subgroup(G), FacetSubgroup(G.arrows[:-1])
             assert sn.order() == q
-            assert cyclic_meet_order(sn, F) == cyclic_meet_order(sn, H) == 1
+            assert cyclic_meet_order(sn, F) == cyclic_meet_order(sn, H) == (q, 1)
             assert cyclic_meet_by_loop(sn, H) == 1
 
     @pytest.mark.parametrize("b,c,s", [(3, 1, 1), (3, 1, 2), (3, 1, 3), (4, 2, 1)])
@@ -342,7 +350,8 @@ class TestCyclicMeet:
         for k in range(1, q + 1):
             if q % k == 0:
                 H = facet_subgroup(G, sn ** k)
-                m = cyclic_meet_order(sn, H)
+                assert cyclic_meet_order(sn, H)[0] == q
+                m = cyclic_meet_order(sn, H)[1]
                 assert m == cyclic_meet_by_loop(sn, H)
                 assert m % (q // k) == 0
                 meets.append(m)
@@ -353,7 +362,7 @@ class TestCyclicMeet:
     def test_random_groups_match_loop(self, s, gens, k):
         # a power of s among the generators makes the meet nontrivial
         H = PermGroup(8, gens + [s ** k] * (k > 0))
-        assert cyclic_meet_order(s, H) == cyclic_meet_by_loop(s, H)
+        assert cyclic_meet_order(s, H) == (s.order(), cyclic_meet_by_loop(s, H))
 
     def test_failure_detail_is_least_power(self):
         # the last arrow is s_2 beside a 3-cycle on three added points: s_2
@@ -366,7 +375,8 @@ class TestCyclicMeet:
         last = Perm(disjoint_union(G.arrows[-2].images, (1, 2, 0)))
         bad = GprGraph(G.rank, arrows + (last,))
         H = facet_subgroup(bad)
-        assert cyclic_meet_order(last, H) == cyclic_meet_by_loop(last, H) == 4
+        assert cyclic_meet_order(last, H) == (12, 4)
+        assert cyclic_meet_by_loop(last, H) == 4
         report = verify_extension_criterion(bad, K)
         detail = dict((name, d) for name, _, d in report.verdicts)["cyclic-meet-trivial"]
         assert detail == "s_3^3 lies in the facet subgroup"

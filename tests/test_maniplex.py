@@ -221,6 +221,17 @@ class TestCovers:
         with pytest.raises(PreconditionError):
             covers(cube(), polygon(4))
 
+    def test_map_must_reach_every_flag(self):
+        # from the base flag the forced map reaches one of two triangles;
+        # the target's extra fixed flag makes its flag count equal the
+        # number of distinct entries, unset ones included
+        tri = polygon(3).maniplex
+        twice = Maniplex(2, tuple(Perm(disjoint_union(r.images, r.images))
+                                  for r in tri.adjacency))
+        padded = Maniplex(2, tuple(Perm(r.images + (6,)) for r in tri.adjacency))
+        assert covers(RootedManiplex(twice, 0), RootedManiplex(padded, 0)) is None
+        assert covers(RootedManiplex(tri, 0), RootedManiplex(tri, 0)) == list(range(6))
+
 
 class TestDuallyBipartite:
     def test_even_polygon(self):

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chirex.permcore import (DegreeMismatch, GroupWord, Perm, PermGroup,
-                             _Chain, left_product, orbit_of, orbit_partition)
+from chirex.permcore import (DegreeMismatch, Perm, PermGroup, _Chain, left_product,
+                             orbit_of, orbit_partition)
 
-from helpers import (brute_force_closure, check_order_exceeds,
+from helpers import (GroupWord, brute_force_closure, check_order_exceeds,
                      components_union_find, evaluate_word, orbit_by_deque,
                      word_action)
 
@@ -197,12 +197,6 @@ class TestPermGroup:
             PermGroup(4, [Perm.identity(3)])
         with pytest.raises(DegreeMismatch):
             Perm.identity(3) in PermGroup(4, [Perm.identity(4)])
-
-    def test_names(self):
-        G = PermGroup(3, [Perm.from_cycles(3, [(0, 1)])], names=("a",))
-        assert G.generator_names == ("a",)
-        with pytest.raises(ValueError):
-            PermGroup(3, [Perm.identity(3)], names=("a", "b"))
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(perms(6), min_size=1, max_size=3))

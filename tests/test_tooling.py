@@ -1,6 +1,8 @@
 """Checks on the source tree itself rather than on its behaviour."""
 
 import ast
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -112,6 +114,20 @@ def test_no_test_only_names_in_the_package():
             if node.name not in used:
                 found.append("%s.%s" % (path.stem, node.name))
     assert found == []
+
+
+def test_traced_names_exist_in_the_package():
+    # the benchmark's tracer wraps chirex functions and methods by name; a
+    # rename must fail here, not only in the benchmark's own tests
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    permcore = importlib.import_module("chirex.permcore")
+    missing = ["%s.%s" % (mod, func) for mod, func, _, _ in tracing.FUNCTIONS
+               if not callable(getattr(importlib.import_module("chirex." + mod), func, None))]
+    missing += ["%s.%s" % (cls, meth) for cls, meth, *_ in tracing.METHODS + tracing.AGGREGATED
+                if meth not in vars(getattr(permcore, cls))]  # rebound on the class itself
+    assert tracing.FUNCTIONS and missing == []
 
 
 def _run_script(*argv) -> list[str]:
