@@ -37,7 +37,7 @@ def main() -> None:
     t0 = time.time()
     result = regular_quotient_extension(seed.graph, K, quo.rooted, args.s)
     print("mixed extension: type %s, group order %d (%.1fs)" % (
-        result.schlafli, result.report.data["group_order"], time.time() - t0))
+        result.schlafli, result.group.order(), time.time() - t0))
     for name, ok, detail in result.report.verdicts:
         print("  %-32s %s %s" % (name, "pass" if ok else "FAIL", detail))
 

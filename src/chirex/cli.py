@@ -103,15 +103,15 @@ def _cmd_mix_extend(args) -> int:
     quotient = maniplex_from_json(load_json(args.quotient))
     t0 = time.time()
     result = regular_quotient_extension(ext, facet, quotient, args.s)
+    order = result.group.order()
     out = report_to_json(
         "mix-extend", {"s": args.s, "q": result.q},
         result.report.verdicts,
-        orders={"group": result.report.data["group_order"],
-                "facet_subgroup": result.report.data["facet_order"]},
+        orders={"group": order, "facet_subgroup": result.report.data["facet_order"]},
         schlafli=result.schlafli, timing=time.time() - t0)
     if args.report:
         save_json(args.report, out)
-    print("type %s, group order %s" % (result.schlafli, result.report.data["group_order"]))
+    print("type %s, group order %s" % (result.schlafli, order))
     return EXIT_OK
 
 
@@ -148,7 +148,7 @@ def _cmd_pipeline(args) -> int:
         if args.out_prefix:
             save_json(args.out_prefix + ".mix.report.json", report_to_json(
                 "mix-extend", {"s": args.mix_s, "q": q}, mix_result.report.verdicts,
-                orders={"group": mix_result.report.data["group_order"]},
+                orders={"group": mix_result.group.order()},
                 schlafli=mix_result.schlafli))
     return EXIT_OK
 

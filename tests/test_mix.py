@@ -1,13 +1,15 @@
+import functools
 import math
+import time
 from collections import Counter
 
 import pytest
 
-from chirex import permcore
+from chirex import mix, permcore
 from chirex.extend_db import extend_dually_bipartite
 from chirex.gpr import VerificationError, cayley_gpr
-from chirex.maniplex import (PreconditionError, Symmetry, classify_symmetry,
-                             rotation_system)
+from chirex.maniplex import (PreconditionError, Report, Symmetry,
+                             classify_symmetry, rotation_system)
 from chirex.mix import (diamond, enantiomorph_generators,
                         intersection_property_group, is_regular_via_mix,
                         paired_perm, regular_quotient_extension)
@@ -173,3 +175,78 @@ class TestRegularQuotientExtension:
         with pytest.raises(VerificationError) as err:
             regular_quotient_extension(P, K, R, 2)
         assert "covers-quotient" in str(err.value)
+
+
+@functools.cache
+def _seed(b: int, c: int, db_s: int):
+    """{4,4}_(b,c), its dually-bipartite extension at db_s and its regular quotient."""
+    K = build_toroidal_map(TorusParams("44", b, c))
+    R = regular_quotient(TorusParams("44", b, c)).rooted
+    return K, extend_dually_bipartite(K, db_s).graph, R
+
+
+class TestCertifiedVerdicts:
+    """``intersection-property`` and ``result-chiral`` come from
+    certificates; the direct checks on the whole mix are the oracle."""
+
+    CASES = ([(3, 1, db_s, s) for db_s in (1, 2) for s in range(2, 9)]
+             + [(b, c, 1, s) for b, c in ((4, 2), (5, 1)) for s in (2, 3)])
+
+    @pytest.mark.parametrize("b,c,db_s,s", CASES)
+    def test_against_direct_checks(self, b, c, db_s, s):
+        K, P, R = _seed(b, c, db_s)
+        result = regular_quotient_extension(P, K, R, s)
+        verdict = dict((name, ok) for name, ok, _ in result.report.verdicts)
+        assert result.report.passed
+        assert verdict["intersection-property"] is intersection_property_group(
+            result.group.generators)[0]
+        assert verdict["result-chiral"] is not is_regular_via_mix(result.group)
+
+    def test_rank_4_skips_the_whole_mix(self, monkeypatch):
+        def no_enumeration(sigma, cap=None):
+            raise AssertionError("the rank-4 path enumerated subgroups")
+
+        widths = []
+        real_diamond = mix.diamond
+
+        def counting_diamond(G, H):
+            widths.append(len(G.generators))
+            return real_diamond(G, H)
+
+        monkeypatch.setattr(mix, "intersection_property_group", no_enumeration)
+        monkeypatch.setattr(mix, "diamond", counting_diamond)
+        K, P, R = _seed(3, 1, 1)
+        result = regular_quotient_extension(P, K, R, 4)
+        assert result.report.passed
+        assert widths == [2]  # one diamond, of the facet subgroup only
+        assert result.group._chain is None  # nor the mix's order
+
+    def test_failing_criterion_fails_the_intersection_property(self, monkeypatch):
+        def failing_criterion(G, K):
+            real = real_criterion(G, K)
+            return Report([(name, ok and name != "cyclic-meet-trivial", detail)
+                           for name, ok, detail in real.verdicts], real.data)
+
+        real_criterion = mix.verify_extension_criterion
+        monkeypatch.setattr(mix, "verify_extension_criterion", failing_criterion)
+        K, P, R = _seed(3, 1, 1)
+        with pytest.raises(VerificationError, match="intersection-property.*cyclic-meet-trivial"):
+            regular_quotient_extension(P, K, R, 2)
+
+
+class TestLargeS:
+    """The lcm law at the paper's scale, on the {4,4}_(4,2) extension
+    at db-s 1 (q = 18), without the mix's group order."""
+
+    @pytest.mark.parametrize("b,c,s,last", [(1, 1, 1024, 18432), (2, 0, 8, 144)])
+    def test_last_entry(self, b, c, s, last):
+        K, P, _ = _seed(4, 2, 1)
+        R = build_toroidal_map(TorusParams("44", b, c))
+        t0 = time.perf_counter()
+        result = regular_quotient_extension(P, K, R, s)
+        elapsed = time.perf_counter() - t0
+        assert result.report.passed, result.report.failing()
+        assert result.q == 18
+        assert result.schlafli == [4, 4, last] and last == math.lcm(18, 2 * s)
+        assert result.group._chain is None
+        assert elapsed < 5, "mix at s = %d took %.1fs" % (s, elapsed)

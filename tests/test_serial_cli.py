@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -229,3 +230,72 @@ class TestCli:
         assert main(["extend-db", str(path), "--s", "1",
                      "-o", str(tmp_path / "x.json")]) == 4
         assert "rank" in capsys.readouterr().err
+
+    def test_mix_extend_bad_input_exit_codes(self, tmp_path, capsys):
+        ext, facet, quotient = _mix_inputs(tmp_path)
+        args = ["--quotient", str(quotient), "--s", "2"]
+        # an identity last arrow keeps every facet component a Cayley
+        # graph but fails the criterion, so the rank-4 certificate fails
+        data = json.loads(ext.read_text())
+        data["arrows"][-1] = list(range(data["vertices"]))
+        tampered = tmp_path / "tampered.json"
+        save_json(str(tampered), data)
+        capsys.readouterr()
+        assert main(["mix-extend", "--extension", str(tampered), "--facet", str(facet)] + args) == 2
+        assert "intersection-property" in capsys.readouterr().err
+        # the facets of a (3,1) extension are not copies of {4,4}_(4,2)
+        other = tmp_path / "other.json"
+        assert main(["extend-db", str(self._build(tmp_path)), "--s", "1", "-o", str(other)]) == 0
+        capsys.readouterr()
+        assert main(["mix-extend", "--extension", str(other), "--facet", str(facet)] + args) == 2
+        assert "facets-of-extension" in capsys.readouterr().err
+        square = tmp_path / "square.json"
+        save_json(str(square), maniplex_to_json(polygon(4)))
+        assert main(["mix-extend", "--extension", str(ext), "--facet", str(square)] + args) == 3
+        missing = tmp_path / "missing.json"
+        assert main(["mix-extend", "--extension", str(missing), "--facet", str(facet)] + args) == 4
+
+
+def _mix_inputs(tmp_path):
+    """The criterion-5 input: {4,4}_(4,2), its extension at s = 1 and its
+    regular quotient {4,4}_(2,0)."""
+    facet, quotient, ext = (tmp_path / name for name in ("k42.json", "r20.json", "ext.json"))
+    for path, b, c in ((facet, 4, 2), (quotient, 2, 0)):
+        assert main(["build-map", "--family", "44", "--b", str(b), "--c", str(c),
+                     "-o", str(path)]) == 0
+    assert main(["extend-db", str(facet), "--s", "1", "-o", str(ext)]) == 0
+    return ext, facet, quotient
+
+
+def _digest(path) -> str:
+    """SHA-256 of a canonical JSON report without its timing."""
+    data = json.loads(path.read_text())
+    data.pop("timing_seconds", None)
+    return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+class TestGoldenReports:
+    """Digests of CLI reports recorded when the mix pipeline still ran the
+    direct checks on the whole mix (subgroup enumeration, the full mirror
+    diamond, the group order in the library); the files must stay
+    byte-identical apart from the timing."""
+
+    def test_mix_extend_criterion_5(self, tmp_path, capsys):
+        ext, facet, quotient = _mix_inputs(tmp_path)
+        report = tmp_path / "mix.json"
+        assert main(["mix-extend", "--extension", str(ext), "--facet", str(facet),
+                     "--quotient", str(quotient), "--s", "2", "--report", str(report)]) == 0
+        assert _digest(report) == "147e7e6d475fa275793ab8cfd233ee8faabae72869ea62c2943062d032054e12"
+        assert "group order 2774419410043640217600000000" in capsys.readouterr().out
+
+    def test_pipeline_mix_s_12(self, tmp_path):
+        prefix = str(tmp_path / "pl")
+        assert main(["pipeline", "--family", "44", "--b", "3", "--c", "1", "--db-s", "1",
+                     "--mix-s", "12", "--out-prefix", prefix]) == 0
+        digests = {ext: _digest(tmp_path / ("pl" + ext)) for ext in
+                   (".extension.json", ".extend-db.report.json", ".mix.report.json")}
+        assert digests == {
+            ".extension.json": "552565cacd0f53b25ff5e369e1f1db094f91b8460cd52f1010e6d7a5a728d558",
+            ".extend-db.report.json": "23f92b033f35831457d7c8aa15ad7170b7d61d4b97da975bc226420578ad0f72",
+            ".mix.report.json": "cca5ba5bc9964358165174b5aeb40a9128604085e039ee90a19c3025c30d1320",
+        }
