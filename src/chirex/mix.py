@@ -175,9 +175,8 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
       the subgroups (:func:`intersection_property_group`).
     - ``result-chiral``. A mirror automorphism of the mix sends s1 to
       s1^-1 and s2 to s1^2 s2, inside the facet subgroup, so it restricts
-      to a mirror automorphism of that subgroup. The facet subgroup's
-      diamond decides first; the whole mix's diamond runs only when the
-      facet subgroup alone would allow a mirror.
+      to a mirror automorphism of that subgroup. So the diamond of the
+      facet subgroup alone decides; the whole mix's diamond is never built.
 
     The group order of the mix is left to callers that report it
     (``result.group.order()``).
@@ -231,8 +230,10 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     result.report.data["facet_order"] = facet_order
 
     if n == 3:
+        # a failing criterion leaves the property unproved, not disproved
         check("intersection-property", criterion.passed,
-              "the extension criterion fails (%s)" % ", ".join(criterion.failing()))
+              "not certified: the extension criterion fails (%s), so P is not "
+              "shown to be a chiral polytope" % ", ".join(criterion.failing()))
     else:
         ok, witness = intersection_property_group(paired)
         check("intersection-property", ok, "failing pair %s" % (witness,))
@@ -244,10 +245,8 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     check("lcm-is-lcm-of-orders", last == math.lcm(q, rs2.sigma[n - 1].order()),
           "disjoint-support order law violated")
 
-    chiral_via_mix = (not is_regular_via_mix(facet_group)
-                      or not is_regular_via_mix(result.group))
-    check("result-chiral", chiral_via_mix,
-          "mirror map extends to an automorphism; result would be regular")
+    check("result-chiral", not is_regular_via_mix(facet_group),
+          "mirror map extends to an automorphism of the facet subgroup")
 
     result.schlafli = [p.order() for p in paired]
     return result

@@ -230,7 +230,7 @@ class TestCertifiedVerdicts:
         real_criterion = mix.verify_extension_criterion
         monkeypatch.setattr(mix, "verify_extension_criterion", failing_criterion)
         K, P, R = _seed(3, 1, 1)
-        with pytest.raises(VerificationError, match="intersection-property.*cyclic-meet-trivial"):
+        with pytest.raises(VerificationError, match="intersection-property: not certified.*cyclic-meet-trivial"):
             regular_quotient_extension(P, K, R, 2)
 
 
