@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 from .permcore import Perm, PermGroup, left_product, orbit_of, orbit_partition
@@ -52,6 +53,25 @@ class RootedManiplex:
     @property
     def rank(self) -> int:
         return self.maniplex.rank
+
+    # Computed once per object: classify_symmetry and schlafli read these,
+    # so a map checked by both runs each forced map once.
+    @cached_property
+    def rotary(self) -> bool:
+        """True iff, for every i, some automorphism sends the base flag to
+        s_i(base) = r_{i-1} r_i (base)."""
+        rows, base = [r.images for r in self.maniplex.adjacency], self.base_flag
+        return all(forced_map(rows, rows, base, rows[i - 1][rows[i][base]], [-1] * len(rows[0]))
+                   is not None for i in range(1, len(rows)))
+
+    @cached_property
+    def symmetry(self) -> Symmetry:
+        if not self.rotary:
+            return Symmetry.OTHER
+        rows, base = [r.images for r in self.maniplex.adjacency], self.base_flag
+        if forced_map(rows, rows, base, rows[0][base], [-1] * len(rows[0])) is not None:
+            return Symmetry.REGULAR
+        return Symmetry.CHIRAL
 
 
 @dataclass(frozen=True)
@@ -304,23 +324,9 @@ def automorphism_orbit(M: Maniplex, base: int) -> AutomorphismOrbit:
     return AutomorphismOrbit(orbit=orbit, generators=gens, forced_maps=forced_maps)
 
 
-def _rotations_exist(rows, base: int) -> bool:
-    """True iff, for every i, some automorphism sends the base flag to
-    s_i(base) = r_{i-1} r_i (base): the maniplex is rotary."""
-    N = len(rows[0])
-    return all(forced_map(rows, rows, base, rows[i - 1][rows[i][base]], [-1] * N) is not None
-               for i in range(1, len(rows)))
-
-
 def classify_symmetry(M: RootedManiplex) -> Symmetry:
-    man = M.maniplex
-    base = M.base_flag
-    rows = [r.images for r in man.adjacency]
-    if not _rotations_exist(rows, base):
-        return Symmetry.OTHER
-    if forced_map(rows, rows, base, rows[0][base], [-1] * man.num_flags) is not None:
-        return Symmetry.REGULAR
-    return Symmetry.CHIRAL
+    """Regular, chiral or neither; cached on M (``M.symmetry``)."""
+    return M.symmetry
 
 
 def schlafli(M: RootedManiplex) -> list[int]:
@@ -331,10 +337,10 @@ def schlafli(M: RootedManiplex) -> list[int]:
     automorphisms commute with c and carry the base flag to every flag an
     even word reaches, and r_i c r_i = c^{-1} covers the other flags.
     """
+    if not M.rotary:
+        raise PreconditionError("Schlafli symbol undefined: maniplex is not rotary")
     base = M.base_flag
     rows = [r.images for r in M.maniplex.adjacency]
-    if not _rotations_exist(rows, base):
-        raise PreconditionError("Schlafli symbol undefined: maniplex is not rotary")
     symbol = []
     for i in range(1, len(rows)):
         a, b = rows[i - 1], rows[i]

@@ -167,7 +167,9 @@ class _Chain:
     Input generators join S_0..S_j; a residue found at level i lies in
     <S_i>, so it joins S_{i+1}..S_j only. A per-level, per-generator cursor
     marks verified rows, so no Schreier generator is sifted twice; they go
-    in 2-D batches of at most ``BATCH`` entries, first residue inserted.
+    in batches of at most ``BATCH`` entries, first residue inserted. Every
+    product of a batch, and every sift step, is one ``take`` on (or one
+    assignment to) the flat view of a level's rows, at np.intp row offsets.
 
     Each S_i lies in the stabiliser G^(i) of base[:i], so at every step the
     product of the orbit lengths is at most |G|. Construction stops as soon
@@ -190,7 +192,7 @@ class _Chain:
             if (h != self.identity).any():
                 self._insert(h, 0, j)
         i = len(self.base) - 1
-        while i >= 0 and self.order() <= bound:
+        while i >= 0 and (bound == math.inf or self.order() <= bound):
             i = self._check(i)
 
     def _insert(self, h, lo: int, j: int) -> None:
@@ -240,19 +242,22 @@ class _Chain:
             while self.cursor[i][k] < len(pts):
                 a = self.cursor[i][k]
                 b = min(len(pts), a + max(1, self.BATCH // self.degree))
-                w = inv[row_of[s[pts[a:b]]][:, None], s]  # s * u_q^{-1}
+                w = self._gather(inv, row_of[s[pts[a:b]]], s)  # s * u_q^{-1}
                 rows = a + np.flatnonzero((w != inv[a:b]).any(axis=1))
                 g = np.empty((len(rows), self.degree), dtype=np.int32)
-                np.put_along_axis(g, inv[rows], w[rows - a], axis=1)  # u_p * s * u_q^{-1}
+                to = self._offsets(np.arange(len(rows)))[:, None] + inv[rows]
+                g.reshape(-1)[to] = w[rows - a]  # u_p * s * u_q^{-1}
                 self.sifts += len(rows)
                 bad = len(rows)  # sift g in place, up to the first row leaving an orbit
-                for lev in range(i + 1, len(self.base)):
+                for lev in range(i + 1, len(self.base) if bad else 0):
                     at = self.row_of[lev][g[:bad, self.base[lev]]]
                     mv = at.nonzero()[0]  # a row fixing the base point stays as it is
+                    if not len(mv):
+                        continue
                     out = (at[mv] < 0).nonzero()[0]
                     if len(out):
                         bad, mv = int(mv[out[0]]), mv[:out[0]]
-                    g[mv] = self.uinv[lev][at[mv][:, None], g[mv]]
+                    g[mv] = self._gather(self.uinv[lev], at[mv], g[mv])
                 moved = (g[:bad] != self.identity).any(axis=1).nonzero()[0]
                 bad = int(moved[0]) if len(moved) else bad
                 self.cursor[i][k] = b if bad == len(rows) else int(rows[bad]) + 1
@@ -261,6 +266,14 @@ class _Chain:
                     self._insert(h, i + 1, j)
                     return j
         return i - 1
+
+    def _offsets(self, rows):
+        # in int32, rows * degree would wrap once a row passes 2**31 // degree
+        return rows.astype(self._np.intp) * self.degree
+
+    def _gather(self, table, rows, cols):
+        """table[rows[k], cols[k, x]], one take on the flat view of table."""
+        return table.reshape(-1).take(self._offsets(rows)[:, None] + cols)
 
     def order(self) -> int:
         return math.prod(len(p) for p in self.pts)

@@ -101,6 +101,26 @@ class TestSymmetry:
             with pytest.raises(PreconditionError, match="not rotary"):
                 schlafli(RootedManiplex(prism.maniplex, base))
 
+    def test_one_classification_per_rooted_maniplex(self, monkeypatch):
+        # schlafli reuses the rotations classify_symmetry found: two
+        # rotations and one reflection, not the rotations a second time
+        from chirex import maniplex
+        calls = []
+        real = maniplex.forced_map
+        monkeypatch.setattr(maniplex, "forced_map", lambda *a: calls.append(a) or real(*a))
+        chiral = torus("44", 3, 1)
+        assert classify_symmetry(chiral) is Symmetry.CHIRAL
+        assert schlafli(chiral) == [4, 4]
+        assert classify_symmetry(chiral) is Symmetry.CHIRAL
+        assert len(calls) == 3
+        # the cache belongs to the object: a new root classifies afresh
+        assert classify_symmetry(RootedManiplex(chiral.maniplex, 1)) is Symmetry.CHIRAL
+        assert len(calls) == 6
+        prism = triangular_prism()
+        assert classify_symmetry(prism) is Symmetry.OTHER
+        with pytest.raises(PreconditionError, match="not rotary"):
+            schlafli(prism)
+
     def test_rooted_automorphism(self):
         man = cube().maniplex
         g = find_rooted_automorphism(man, 0, man.adjacency[0].images[0])

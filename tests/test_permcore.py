@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -295,6 +296,104 @@ class TestChainInvariants:
         # levels 0..j instead of i+1..j take the sifts from about 3.6k to 26k
         assert stats["strong_generators"] < 500
         assert 0 < stats["schreier_sifts"] < 10_000
+
+
+class TestFlatGathers:
+    def test_gather_matches_2d_indexing(self):
+        rng = np.random.default_rng(3)
+        chain = _Chain([], 13)
+        table = rng.integers(0, 13, size=(7, 13), dtype=np.int32)
+        rows = rng.integers(0, 7, size=5, dtype=np.int32)
+        cols = rng.integers(0, 13, size=(5, 13), dtype=np.int32)
+        assert (chain._gather(table, rows, cols) == table[rows[:, None], cols]).all()
+
+    def test_row_offsets_do_not_wrap(self):
+        # at 20480 points (s = 256) a row index past 2**31 // degree has a
+        # flat offset past 2**31, which int32 arithmetic would wrap
+        degree = 20480
+        rows = np.array([0, 2**31 // degree + 1, 2**31 - 1], dtype=np.int32)
+        offsets = _Chain([], degree)._offsets(rows)
+        assert offsets.dtype == np.intp
+        assert offsets.tolist() == [r * degree for r in rows.tolist()]
+        assert offsets[1] > 2**31 and (rows * np.int32(degree))[1] != offsets[1]
+
+
+def random_groups():
+    """Generator lists on 20..40 points: random pairs, which mostly give
+    S_d or A_d, and maps permuting blocks of 4 or 5 points, whose groups
+    are imprimitive and have deeper chains."""
+    rng = random.Random(12)
+    groups = []
+    for degree in (20, 26):
+        pair = []
+        for _ in range(2):
+            images = list(range(degree))
+            rng.shuffle(images)
+            pair.append(Perm(images))
+        groups.append(pair)
+    for degree, size in ((20, 4), (30, 5), (40, 4)):
+        gens = []
+        for _ in range(3):
+            blocks = list(range(degree // size))
+            rng.shuffle(blocks)
+            images = []
+            for b in blocks:
+                inside = list(range(size))
+                if rng.random() < 0.5:
+                    rng.shuffle(inside)
+                images += [b * size + x for x in inside]
+            gens.append(Perm(images))
+        groups.append(gens)
+    return groups
+
+
+class TestSmallBatches:
+    """Batches split mid-orbit, so residues land mid-batch and cursors
+    resume inside an orbit: the chain still matches sympy."""
+
+    @staticmethod
+    def check_against_sympy(gens, degree, rng):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        G = PermGroup(degree, gens)
+        H = combinatorics.PermutationGroup(
+            [combinatorics.Permutation(list(g.images)) for g in gens])
+        check_bsgs(G)
+        assert G.order() == H.order()
+        for _ in range(6):
+            word = Perm.identity(degree)
+            for _ in range(rng.randrange(1, 30)):
+                word = word * rng.choice(gens)
+            assert word in G
+            images = list(range(degree))
+            rng.shuffle(images)
+            probe = Perm(images)
+            assert (probe in G) == H.contains(combinatorics.Permutation(images))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("case", EXTENSIONS)
+    def test_extensions(self, extension_groups, case, rows, monkeypatch):
+        G = extension_groups[case]
+        monkeypatch.setattr(_Chain, "BATCH", rows * G.degree)
+        self.check_against_sympy(G.generators, G.degree, random.Random(sum(case)))
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_random_groups(self, rows, monkeypatch):
+        rng = random.Random(rows)
+        for gens in random_groups():
+            monkeypatch.setattr(_Chain, "BATCH", rows * gens[0].degree)
+            self.check_against_sympy(gens, gens[0].degree, rng)
+
+
+@pytest.mark.parametrize("s", [8, 16, 32])
+def test_order_at_large_s(s):
+    # the {4,4}_(3,1) extension: 80s vertices, vertex stabiliser of order
+    # 2592000 at every s
+    from chirex.extend_db import extend_dually_bipartite
+    from chirex.gpr import gpr_group
+    from chirex.toroidal import TorusParams, build_toroidal_map
+
+    K = build_toroidal_map(TorusParams("44", 3, 1))
+    assert gpr_group(extend_dually_bipartite(K, s).graph).order() == 80 * s * 2592000
 
 
 class TestSympyOracle:

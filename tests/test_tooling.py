@@ -146,8 +146,12 @@ def test_torus_sweep_script_runs():
 
 
 def test_db_extension_sweep_script_runs():
+    # the verified q by default; the group order only with --order
     lines = _run_script("db_extension_sweep.py", "--smax", "1")
     assert lines[0] == "base map {4,4}_(3,1) with 80 flags"
+    assert lines[1].split() == ["s", "vertices", "last", "entry", "time"]
+    assert lines[2].split()[:3] == ["1", "80", "8"] and len(lines[2].split()) == 4
+    lines = _run_script("db_extension_sweep.py", "--smax", "1", "--order")
     assert lines[1].split() == ["s", "vertices", "last", "entry", "group", "order", "time"]
     assert lines[2].split()[:4] == ["1", "80", "8", "414720000"]
 
