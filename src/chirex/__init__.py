@@ -2,7 +2,7 @@
 permutation-group constructions."""
 
 from .permcore import Perm, PermGroup, disjoint_union, left_product, orbit_partition
-from .maniplex import (AutomorphismOrbit, Maniplex, Orientation,
+from .maniplex import (AutomorphismOrbit, Maniplex,
                        PreconditionError, Report, RootedManiplex, RotationSystem,
                        Symmetry, VerificationError, automorphism_orbit,
                        classify_symmetry, covers,

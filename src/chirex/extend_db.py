@@ -50,7 +50,8 @@ def _check_preconditions(K: RootedManiplex) -> list[int]:
         raise PreconditionError("input maniplex is not dually bipartite")
     # regular facets: the base facet as a standalone maniplex must be
     # regular (all facets are isomorphic by flag transitivity)
-    blk = sorted(orbit_of(K.base_flag, man.adjacency[:-1]))
+    blocks, block_of = man.facet_partition
+    blk = blocks[block_of[K.base_flag]]
     pos = {f: i for i, f in enumerate(blk)}
     # from a list: a small tuple built from a generator is allocated
     # oversized and shrunk, and freeing it grows the tuple free list
@@ -77,8 +78,7 @@ def build_matching(K: RootedManiplex, colouring, s: int,
     copies = 2 * s
     rng = random.Random(seed) if seed is not None else None
 
-    man = K.maniplex
-    _, facet_of_flag = orbit_partition(man.adjacency[:-1], man.num_flags)
+    _, facet_of_flag = K.maniplex.facet_partition
     cbar = [colouring[facet_of_flag[f]] for f in rs.white_flags]
     w0 = rs.base
     if cbar[w0] != 1:

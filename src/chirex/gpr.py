@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
                        classify_symmetry, forced_map, rotation_system)
 from .maniplex import VerificationError  # noqa: F401  (re-exported)
-from .permcore import DegreeMismatch, Perm, PermGroup, left_product, orbit_partition
+from .permcore import DegreeMismatch, Perm, PermGroup, left_product, orbit_of, orbit_partition
 
 
 @dataclass(frozen=True)
@@ -202,24 +202,38 @@ def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> Report:
                "" if m == 1 else "s_%d^%d lies in the facet subgroup" % (n, q // m))
     report.data["last_entry"] = q
 
-    cond4 = True
-    detail = ""
-    for k in range(2, n):
-        dblocks, dblock_of = components(G, range(k, n + 1))
-        found = False
-        for blk in components(G, range(k, n))[0]:
-            v = blk[0]
-            gblock = set(gblocks[gblock_of[v]])
-            dblock = set(dblocks[dblock_of[v]])
-            if set(blk) == gblock & dblock:
-                found = True
-                break
-        if not found:
-            cond4 = False
-            detail = "no suitable {%d..%d}-component" % (k, n - 1)
-            break
-    report.add("component-intersection", cond4, detail)
+    k = unmatched_component_level(G, gblocks, gblock_of)
+    report.add("component-intersection", k is None,
+               "" if k is None else "no suitable {%d..%d}-component" % (k, n - 1))
     return report
+
+
+def unmatched_component_level(G: GprGraph, gblocks, gblock_of) -> int | None:
+    """Condition 4: the least k in 2..n-1 at which no {k..n-1}-component
+    is the meet of its facet component (in ``gblocks``) and its
+    {k..n}-component, or None. Components are visited by least vertex up
+    to the first match, and each {k..n}-orbit is labelled once."""
+    n, V = G.rank, G.num_vertices
+    for k in range(2, n):
+        inner = [G.arrow(i) for i in range(k, n)]
+        outer = inner + [G.arrow(n)]
+        seen = bytearray(V)
+        outer_of = [-1] * V  # the least vertex of the labelled {k..n}-orbit
+        for v in range(V):
+            if seen[v]:
+                continue  # the first unseen vertex is the least of its component
+            blk = orbit_of(v, inner)
+            for x in blk:
+                seen[x] = 1
+            if outer_of[v] < 0:
+                for x in orbit_of(v, outer):
+                    outer_of[x] = v
+            # blk lies in both blocks, so it is their meet iff the sizes agree
+            if len(blk) == sum(1 for x in gblocks[gblock_of[v]] if outer_of[x] == outer_of[v]):
+                break
+        else:
+            return k
+    return None
 
 
 def cyclic_meet_order(s: Perm, H) -> tuple[int, int]:

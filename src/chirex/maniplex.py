@@ -40,6 +40,12 @@ class Maniplex:
     def num_flags(self) -> int:
         return self.adjacency[0].degree
 
+    @cached_property
+    def facet_partition(self) -> tuple[list[tuple[int, ...]], list[int]]:
+        """Facet flag-orbits (all colours but the last) as orbit_partition's
+        (blocks, block_of) pair; computed once per object, read-only."""
+        return orbit_partition(self.adjacency[:-1], self.num_flags)
+
 
 @dataclass(frozen=True)
 class RootedManiplex:
@@ -54,8 +60,8 @@ class RootedManiplex:
     def rank(self) -> int:
         return self.maniplex.rank
 
-    # Computed once per object: classify_symmetry and schlafli read these,
-    # so a map checked by both runs each forced map once.
+    # Computed once per object: classify_symmetry, schlafli and
+    # rotation_system read these, so each pass over the flags runs once.
     @cached_property
     def rotary(self) -> bool:
         """True iff, for every i, some automorphism sends the base flag to
@@ -73,11 +79,21 @@ class RootedManiplex:
             return Symmetry.REGULAR
         return Symmetry.CHIRAL
 
-
-@dataclass(frozen=True)
-class Orientation:
-    white: frozenset[int]
-    black: frozenset[int]
+    @cached_property
+    def rotation(self) -> RotationSystem:
+        """The rotation system on the white flags, the base flag's colour class."""
+        man = self.maniplex
+        white = is_orientable(man, self.base_flag)
+        if white is None:
+            raise PreconditionError("maniplex is not orientable")
+        white = tuple(sorted(white))
+        windex = {f: i for i, f in enumerate(white)}
+        sigma = []
+        for i in range(1, man.rank):
+            ra, rb = man.adjacency[i - 1].images, man.adjacency[i].images
+            # s_i = r_{i-1} r_i as a left action: apply r_i first
+            sigma.append(Perm(windex[ra[rb[f]]] for f in white))
+        return RotationSystem(white_flags=white, sigma=tuple(sigma), base=windex[self.base_flag])
 
 
 @dataclass
@@ -153,8 +169,9 @@ def validate(M: Maniplex) -> Report:
     return report
 
 
-def is_orientable(M: Maniplex, base_flag: int = 0) -> Orientation | None:
-    """2-colour the flag graph with the base flag white, if bipartite."""
+def is_orientable(M: Maniplex, base_flag: int = 0) -> frozenset[int] | None:
+    """The white flags of a 2-colouring of the flag graph with the base
+    flag white, or None if the graph is not bipartite."""
     N = M.num_flags
     colour = [-1] * N
     colour[base_flag] = 0
@@ -168,8 +185,7 @@ def is_orientable(M: Maniplex, base_flag: int = 0) -> Orientation | None:
                 queue.append(y)
             elif colour[y] == colour[x]:
                 return None
-    white = frozenset(x for x in range(N) if colour[x] == 0)
-    return Orientation(white=white, black=frozenset(range(N)) - white)
+    return frozenset(x for x in range(N) if colour[x] == 0)
 
 
 @dataclass(frozen=True)
@@ -194,18 +210,8 @@ class RotationSystem:
 
 
 def rotation_system(M: RootedManiplex) -> RotationSystem:
-    man = M.maniplex
-    orientation = is_orientable(man, M.base_flag)
-    if orientation is None:
-        raise PreconditionError("maniplex is not orientable")
-    white = tuple(sorted(orientation.white))
-    windex = {f: i for i, f in enumerate(white)}
-    sigma = []
-    for i in range(1, man.rank):
-        ra, rb = man.adjacency[i - 1].images, man.adjacency[i].images
-        # s_i = r_{i-1} r_i as a left action: apply r_i first
-        sigma.append(Perm(windex[ra[rb[f]]] for f in white))
-    return RotationSystem(white_flags=white, sigma=tuple(sigma), base=windex[M.base_flag])
+    """The rotation system of M; cached on M (``M.rotation``)."""
+    return M.rotation
 
 
 def tau(sigma, i: int, j: int) -> Perm:
@@ -353,7 +359,7 @@ def schlafli(M: RootedManiplex) -> list[int]:
 
 def facets(M: Maniplex) -> list[tuple[int, ...]]:
     """Facet flag-orbits: drop the last colour, order by least flag."""
-    return orbit_partition(M.adjacency[:-1], M.num_flags)[0]
+    return M.facet_partition[0]
 
 
 def covers(M: RootedManiplex, N: RootedManiplex) -> list[int] | None:
@@ -372,7 +378,7 @@ def covers(M: RootedManiplex, N: RootedManiplex) -> list[int] | None:
 def dually_bipartite_colouring(M: Maniplex, base_flag: int = 0) -> list[int] | None:
     """2-colouring of facets so that facets sharing an (n-2)-face get
     opposite colours; the base facet gets colour 1. None if impossible."""
-    facet_list, facet_of = orbit_partition(M.adjacency[:-1], M.num_flags)
+    facet_list, facet_of = M.facet_partition
     last = M.adjacency[-1].images
     colour = [0] * len(facet_list)
     start = facet_of[base_flag]

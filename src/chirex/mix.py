@@ -65,11 +65,10 @@ def enantiomorph_generators(sigma) -> list[Perm]:
 def is_regular_via_mix(G: PermGroup) -> bool:
     """True iff mapping each rotation generator of G to its mirror extends
     to a group automorphism, tested by the order of the diamond of the
-    group with its mirrored self. The diamond projects onto G, so its
-    order is at least |G|, and equality is decided as soon as a partial
-    chain of the diamond passes |G|."""
+    group with its mirrored self: the diamond projects onto G, and the
+    map extends iff the projection is injective."""
     H = PermGroup(G.degree, enantiomorph_generators(G.generators))
-    return not diamond(G, H).order_exceeds(G.order())
+    return diamond(G, H).order() == G.order()
 
 
 def _enumerate_elements(gens, degree: int, cap: int):
@@ -217,14 +216,15 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     paired = tuple(paired_perm(P.arrow(k), rs2.sigma[k - 1]) for k in range(1, n + 1))
     result.group = PermGroup(paired[0].degree, paired)
 
-    # the mix projects onto <P.arrows> by construction, so the projection
-    # is an isomorphism on the facet subgroup iff the two orders agree
+    # the mix projects onto <P.arrows>, so the projection is an isomorphism
+    # on the facet subgroup iff the orders agree; by facets-of-extension P's
+    # facet subgroup acts regularly on each copy of Cay(K) (gpr.FacetSubgroup)
+    # and has order W, the white-flag count
     facet_group = PermGroup(paired[0].degree, paired[:-1])
     facet_order = facet_group.order()
-    check("facet-projection-collapses",
-          facet_order == PermGroup(P.num_vertices, P.arrows[:-1]).order(),
-          "facet subgroup of the mix does not project isomorphically")
     white_count = rotation_system(K).degree
+    check("facet-projection-collapses", facet_order == white_count,
+          "facet subgroup of the mix does not project isomorphically")
     check("facet-subgroup-order", facet_order == white_count,
           "facet subgroup order %d != white flag count %d" % (facet_order, white_count))
     result.report.data["facet_order"] = facet_order

@@ -170,16 +170,11 @@ class _Chain:
     in batches of at most ``BATCH`` entries, first residue inserted. Every
     product of a batch, and every sift step, is one ``take`` on (or one
     assignment to) the flat view of a level's rows, at np.intp row offsets.
-
-    Each S_i lies in the stabiliser G^(i) of base[:i], so at every step the
-    product of the orbit lengths is at most |G|. Construction stops as soon
-    as that product passes ``bound``; the chain is then partial, and its
-    ``order()`` only certifies |G| > bound.
     """
 
     BATCH = 1 << 14
 
-    def __init__(self, gens, degree: int, bound: float = math.inf):
+    def __init__(self, gens, degree: int):
         import numpy as np
         self._np = np
         self.degree = degree
@@ -192,7 +187,7 @@ class _Chain:
             if (h != self.identity).any():
                 self._insert(h, 0, j)
         i = len(self.base) - 1
-        while i >= 0 and (bound == math.inf or self.order() <= bound):
+        while i >= 0:
             i = self._check(i)
 
     def _insert(self, h, lo: int, j: int) -> None:
@@ -312,15 +307,6 @@ class PermGroup:
     def order(self) -> int:
         return self.chain.order()
 
-    def order_exceeds(self, bound: int) -> bool:
-        """|G| > bound, from a chain that stops once its order passes the
-        bound. That partial chain is never cached; a cached full chain
-        answers directly."""
-        chain = self._chain
-        if chain is None:
-            chain = _Chain([g.images for g in self.generators], self.degree, bound)
-        return chain.order() > bound
-
     def base(self) -> tuple[int, ...]:
         return tuple(self.chain.base)
 
@@ -328,16 +314,6 @@ class PermGroup:
         if p.degree != self.degree:
             raise DegreeMismatch("element degree %d != group degree %d" % (p.degree, self.degree))
         return self.chain.contains(p.images)
-
-    def orbit(self, x: int) -> list[int]:
-        """Orbit of x under the generators, in BFS discovery order."""
-        if not 0 <= x < self.degree:
-            raise IndexError("point %d out of range" % x)
-        return orbit_of(x, self.generators)
-
-    def orbits(self) -> list[list[int]]:
-        """All orbits, each sorted, ordered by least point."""
-        return [list(b) for b in orbit_partition(self.generators, self.degree)[0]]
 
 
 def orbit_of(x: int, perms) -> list[int]:

@@ -10,10 +10,11 @@ delta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .maniplex import (Maniplex, PreconditionError, RootedManiplex, Symmetry,
                        automorphism_orbit, classify_symmetry, schlafli, validate)
-from .permcore import Perm, orbit_partition
+from .permcore import Perm
 
 # The most flags build_two_s_m builds: 64 times the largest 2s^M of the
 # tests and the benchmark (16384 flags), and small enough that the
@@ -30,15 +31,14 @@ class TwoSM:
     source: RootedManiplex
     facet_of_source: tuple[int, ...]  # flag of M -> facet label j (base facet = 0)
 
-    @property
+    @cached_property
     def rooted(self) -> RootedManiplex:
         return RootedManiplex(self.maniplex, self.base_flag)
 
 
 def _facet_labels(M: RootedManiplex) -> tuple[int, tuple[int, ...]]:
     """Facet count and flag -> facet label, base facet relabelled to 0."""
-    man = M.maniplex
-    blocks, block_of = orbit_partition(man.adjacency[:-1], man.num_flags)
+    blocks, block_of = M.maniplex.facet_partition
     base_idx = block_of[M.base_flag]
     # the base facet becomes 0 and the facets before it move up by one
     relabel = [j + 1 if j < base_idx else j for j in range(len(blocks))]
@@ -49,7 +49,7 @@ def _facet_labels(M: RootedManiplex) -> tuple[int, tuple[int, ...]]:
 def every_ridge_in_two_facets(M: Maniplex) -> bool:
     """True iff no (n-2)-face lies in a single facet, i.e. the last
     colour always changes the facet."""
-    _, facet_of = orbit_partition(M.adjacency[:-1], M.num_flags)
+    _, facet_of = M.facet_partition
     last = M.adjacency[-1].images
     return all(facet_of[f] != facet_of[last[f]] for f in range(M.num_flags))
 

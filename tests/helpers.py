@@ -62,17 +62,23 @@ def facet_components_by_every_root(G, cay) -> bool:
                for blk in components(facet_part, range(1, cay.rank + 1))[0])
 
 
-def check_order_exceeds(gens, degree: int) -> None:
-    """``PermGroup.order_exceeds`` at |G|-1, |G| and |G|+1 against
-    ``order()``, each on a fresh group that must not keep the chain it
-    built; after ``order()`` the cached full chain answers the same."""
-    order = PermGroup(degree, gens).order()
-    for bound, exceeds in ((order - 1, True), (order, False), (order + 1, False)):
-        G = PermGroup(degree, gens)
-        assert G.order_exceeds(bound) is exceeds, (bound, order)
-        assert G._chain is None
-        G.order()
-        assert G.order_exceeds(bound) is exceeds, (bound, order)
+def unmatched_level_by_partitions(G) -> int | None:
+    """Condition 4 of the extension criterion as the parent code decided
+    it, from three whole-graph partitions per k: the facet components,
+    the {k..n}-components and the {k..n-1}-components, each block
+    compared as a set with the meet of its two blocks. The cross-check
+    for ``gpr.unmatched_component_level``."""
+    n = G.rank
+    gblocks, gblock_of = components(G, range(1, n))
+    for k in range(2, n):
+        dblocks, dblock_of = components(G, range(k, n + 1))
+        for blk in components(G, range(k, n))[0]:
+            v = blk[0]
+            if set(blk) == set(gblocks[gblock_of[v]]) & set(dblocks[dblock_of[v]]):
+                break
+        else:
+            return k
+    return None
 
 
 @dataclass(frozen=True)

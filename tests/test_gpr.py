@@ -1,4 +1,5 @@
 import json
+import random
 from functools import lru_cache
 from pathlib import Path
 
@@ -9,13 +10,15 @@ from chirex import permcore
 from chirex.extend_db import extend_dually_bipartite
 from chirex.gpr import (FacetSubgroup, GprGraph, cayley_gpr, check_tau_relations,
                         components, cyclic_meet_order, facet_components_isomorphic,
-                        gpr_group, rooted_digraph_isomorphic, verify_extension_criterion)
+                        gpr_group, rooted_digraph_isomorphic, unmatched_component_level,
+                        verify_extension_criterion)
 from chirex.maniplex import PreconditionError, rotation_system
 from chirex.permcore import DegreeMismatch, Perm, PermGroup, disjoint_union, orbit_of
 from chirex.toroidal import TorusParams, build_toroidal_map
 
 from helpers import (brute_force_closure, brute_force_isomorphic, components_union_find,
-                     cube, cyclic_meet_by_loop, facet_components_by_every_root)
+                     cube, cyclic_meet_by_loop, facet_components_by_every_root,
+                     unmatched_level_by_partitions)
 
 # Step-3 seeds of the benchmark's seeded-extend workload, keyed 44_b_c_sS_qQ
 SEED_POOLS = json.loads(
@@ -233,6 +236,52 @@ class TestExtensionCriterion:
         empty = GprGraph(2, (Perm([]), Perm([])))
         with pytest.raises(PreconditionError, match="no vertices"):
             verify_extension_criterion(empty, polygon(4))
+
+
+def unmatched_level(G: GprGraph) -> int | None:
+    return unmatched_component_level(G, *components(G, range(1, G.rank)))
+
+
+def random_gpr(rnd: random.Random, rank: int, degree: int) -> GprGraph:
+    arrows = []
+    for _ in range(rank):
+        images = list(range(degree))
+        rnd.shuffle(images)
+        arrows.append(Perm(images))
+    return GprGraph(rank, tuple(arrows))
+
+
+class TestComponentIntersection:
+    """Condition 4 against the three-partition oracle in helpers."""
+
+    @pytest.mark.parametrize("s", [1, 2])
+    @pytest.mark.parametrize("b,c", CONSTRUCT_MAPS)
+    def test_real_extensions(self, b, c, s):
+        G = extension(b, c, s)
+        shuffled = conjugate(G, Perm(random.Random(b * 100 + c * 10 + s).sample(
+            range(G.num_vertices), G.num_vertices)))
+        assert unmatched_level(G) is unmatched_level(shuffled) is None
+        assert unmatched_level_by_partitions(shuffled) is None
+        merged = merged_copies(b, c, s)
+        assert unmatched_level(merged) == unmatched_level_by_partitions(merged)
+
+    def test_random_graphs_that_fail(self):
+        # random arrows on few vertices fail at some k far more often than
+        # not; both outcomes occur, at every k of rank 4
+        levels = []
+        rnd = random.Random(13)
+        for _ in range(400):
+            G = random_gpr(rnd, rnd.choice([3, 4]), rnd.randint(1, 12))
+            level = unmatched_level(G)
+            assert level == unmatched_level_by_partitions(G)
+            levels.append((G.rank, level))
+        assert {(3, None), (3, 2), (4, None), (4, 2), (4, 3)} <= set(levels)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 10), st.randoms(use_true_random=False))
+    def test_random_graphs(self, rank, degree, rnd):
+        G = random_gpr(rnd, rank, degree)
+        assert unmatched_level(G) == unmatched_level_by_partitions(G)
 
 
 def facet_subgroup(G: GprGraph, *extra) -> PermGroup:

@@ -56,10 +56,13 @@ class TestValidate:
 
 class TestOrientation:
     def test_cube_is_orientable(self):
-        orient = is_orientable(cube().maniplex)
-        assert orient is not None
-        assert len(orient.white) == len(orient.black) == 24
-        assert 0 in orient.white
+        man = cube().maniplex
+        white = is_orientable(man)
+        assert white is not None
+        assert len(white) == 24  # half of the 48 flags
+        assert 0 in white
+        # rooted at a neighbour of flag 0, the other class is white
+        assert is_orientable(man, man.adjacency[0](0)) == frozenset(range(48)) - white
 
     def test_hemicube_is_not(self):
         assert is_orientable(hemicube().maniplex) is None

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from chirex import mix, permcore
+from chirex import maniplex, mix, permcore
 from chirex.extend_db import extend_dually_bipartite
 from chirex.gpr import VerificationError, cayley_gpr
 from chirex.maniplex import (PreconditionError, Report, Symmetry,
@@ -16,8 +16,7 @@ from chirex.mix import (diamond, enantiomorph_generators,
 from chirex.permcore import Perm, PermGroup, left_product
 from chirex.toroidal import TorusParams, build_toroidal_map, regular_quotient
 
-from helpers import (check_order_exceeds, cube, intersection_property_orbits,
-                     polygon)
+from helpers import cube, intersection_property_orbits, polygon
 
 
 class TestDiamond:
@@ -75,9 +74,8 @@ class TestRegularViaMix:
         G = rotation_system(rooted).group()
         assert is_regular_via_mix(G) is regular
         D = diamond(G, PermGroup(G.degree, enantiomorph_generators(G.generators)))
-        # the verdict of the full diamond order, and order_exceeds around it
-        assert (D.order() == G.order()) is regular
-        check_order_exceeds(D.generators, D.degree)
+        # the diamond's order grows past |G| iff the mirror map does not extend
+        assert (D.order() > G.order()) is not regular
 
     def test_criterion_5_mix_against_full_order(self):
         K = build_toroidal_map(TorusParams("44", 4, 2))
@@ -141,17 +139,42 @@ class TestRegularQuotientExtension:
         built = Counter()
         init = permcore._Chain.__init__
 
-        def counting_init(chain, gens, degree, bound=math.inf):
+        def counting_init(chain, gens, degree):
             gens = [tuple(g) for g in gens]
             if gens:
                 built[degree, tuple(gens)] += 1
-            init(chain, gens, degree, bound)
+            init(chain, gens, degree)
 
         monkeypatch.setattr(permcore._Chain, "__init__", counting_init)
         result = regular_quotient_extension(P, K, R, 2)
         assert result.report.passed
         repeated = [count for count in built.values() if count > 1]
         assert built and repeated == []
+
+    def test_each_fact_computed_once(self, monkeypatch):
+        # K's rotation system serves the matching, the extension and the
+        # criterion of both runs, and 2s^R's serves twosm-regular and the mix
+        rotations, partitions = Counter(), Counter()
+        real_orientable, real_partition = maniplex.is_orientable, maniplex.orbit_partition
+
+        def counting_orientable(M, base_flag=0):
+            rotations[M, base_flag] += 1
+            return real_orientable(M, base_flag)
+
+        def counting_partition(perms, degree):
+            partitions[tuple(p.images for p in perms)] += 1
+            return real_partition(perms, degree)
+
+        monkeypatch.setattr(maniplex, "is_orientable", counting_orientable)
+        monkeypatch.setattr(maniplex, "orbit_partition", counting_partition)
+        K = build_toroidal_map(TorusParams("44", 3, 1))
+        R = regular_quotient(TorusParams("44", 3, 1)).rooted
+        P = extend_dually_bipartite(K, 2).graph
+        assert regular_quotient_extension(P, K, R, 2).report.passed
+        assert len(rotations) == 2 and (K.maniplex, K.base_flag) in rotations
+        assert set(rotations.values()) == {1}
+        facets_of = {tuple(r.images for r in M.maniplex.adjacency[:-1]) for M in (K, R)}
+        assert set(partitions) == facets_of and set(partitions.values()) == {1}
 
     def test_rank_mismatch_rejected(self):
         K = build_toroidal_map(TorusParams("44", 3, 1))
@@ -232,6 +255,16 @@ class TestCertifiedVerdicts:
         K, P, R = _seed(3, 1, 1)
         with pytest.raises(VerificationError, match="intersection-property: not certified.*cyclic-meet-trivial"):
             regular_quotient_extension(P, K, R, 2)
+
+
+@pytest.mark.parametrize("b,c,db_s", [(3, 1, 1), (3, 1, 2), (4, 2, 1), (5, 1, 1)])
+def test_facet_subgroup_order_is_the_white_flag_count(b, c, db_s):
+    # facet-projection-collapses compares the mix's facet order with W,
+    # the order the extension's facet subgroup has by condition 1; the
+    # chain order on every extension the mix tests use
+    K, P, _ = _seed(b, c, db_s)
+    W = rotation_system(K).degree
+    assert PermGroup(P.num_vertices, P.arrows[:-1]).order() == W
 
 
 class TestLargeS:
