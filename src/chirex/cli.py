@@ -1,7 +1,7 @@
 """Command-line entry points.
 
 Exit codes: 0 success, 2 verification failure, 3 precondition failure,
-4 I/O or schema error.
+4 I/O, schema or usage error (a bad or missing argument).
 """
 
 from __future__ import annotations
@@ -215,7 +215,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = make_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_IO
     try:
         return args.func(args)
     except VerificationError as exc:

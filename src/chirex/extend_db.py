@@ -12,9 +12,9 @@ import random
 from dataclasses import dataclass
 
 from .gpr import GprGraph, check_tau_relations, rho_bar, verify_extension_criterion
-from .maniplex import (Maniplex, PreconditionError, Report, RootedManiplex,
-                       Symmetry, VerificationError, classify_symmetry,
-                       dually_bipartite_colouring, forced_map, rotation_system)
+from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
+                       VerificationError, classify_symmetry, dually_bipartite_colouring,
+                       forced_map, rotation_system)
 from .permcore import Perm, orbit_of, orbit_partition
 
 
@@ -48,16 +48,12 @@ def _check_preconditions(K: RootedManiplex) -> list[int]:
     colouring = dually_bipartite_colouring(man, K.base_flag)
     if colouring is None:
         raise PreconditionError("input maniplex is not dually bipartite")
-    # regular facets: the base facet as a standalone maniplex must be
-    # regular (all facets are isomorphic by flag transitivity)
-    blocks, block_of = man.facet_partition
-    blk = blocks[block_of[K.base_flag]]
-    pos = {f: i for i, f in enumerate(blk)}
-    # from a list: a small tuple built from a generator is allocated
-    # oversized and shrunk, and freeing it grows the tuple free list
-    sub_adj = tuple([Perm([pos[r.images[f]] for f in blk]) for r in man.adjacency[:-1]])
-    sub = Maniplex(man.rank - 1, sub_adj)
-    if classify_symmetry(RootedManiplex(sub, pos[K.base_flag])) is not Symmetry.REGULAR:
+    # K is chiral, so its facets are rotary, and they are regular iff the
+    # base facet has an automorphism sending the base flag to its
+    # 0-neighbour (all facets are isomorphic by flag transitivity)
+    rows = [r.images for r in man.adjacency[:-1]]
+    base = K.base_flag
+    if forced_map(rows, rows, base, rows[0][base], [-1] * man.num_flags) is None:
         raise PreconditionError("facets of the input are not regular")
     return colouring
 

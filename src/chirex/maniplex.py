@@ -8,7 +8,6 @@ moves a flag by applying r_j first.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -171,21 +170,14 @@ def validate(M: Maniplex) -> Report:
 
 def is_orientable(M: Maniplex, base_flag: int = 0) -> frozenset[int] | None:
     """The white flags of a 2-colouring of the flag graph with the base
-    flag white, or None if the graph is not bipartite."""
-    N = M.num_flags
-    colour = [-1] * N
-    colour[base_flag] = 0
-    queue = deque([base_flag])
-    while queue:
-        x = queue.popleft()
-        for r in M.adjacency:
-            y = r.images[x]
-            if colour[y] == -1:
-                colour[y] = 1 - colour[x]
-                queue.append(y)
-            elif colour[y] == colour[x]:
-                return None
-    return frozenset(x for x in range(N) if colour[x] == 0)
+    flag white, or None if the graph is not bipartite: one forced map onto
+    the two-point graph in which every colour swaps the points, the white
+    flags being those sent to 0."""
+    image = [-1] * M.num_flags
+    if forced_map([r.images for r in M.adjacency], [(1, 0)] * M.rank,
+                  base_flag, 0, image) is None:
+        return None
+    return frozenset(x for x, c in enumerate(image) if c == 0)
 
 
 @dataclass(frozen=True)
@@ -377,31 +369,18 @@ def covers(M: RootedManiplex, N: RootedManiplex) -> list[int] | None:
 
 def dually_bipartite_colouring(M: Maniplex, base_flag: int = 0) -> list[int] | None:
     """2-colouring of facets so that facets sharing an (n-2)-face get
-    opposite colours; the base facet gets colour 1. None if impossible."""
-    facet_list, facet_of = M.facet_partition
-    last = M.adjacency[-1].images
-    colour = [0] * len(facet_list)
-    start = facet_of[base_flag]
-    colour[start] = 1
-    queue = deque([start])
-    # facet adjacency: f and facet(r_{n-1} flag) share an (n-2)-face
-    neighbours: list[set[int]] = [set() for _ in facet_list]
-    for f in range(M.num_flags):
-        neighbours[facet_of[f]].add(facet_of[last[f]])
-    while queue:
-        a = queue.popleft()
-        for b in neighbours[a]:
-            if colour[b] == 0:
-                colour[b] = -colour[a]
-                queue.append(b)
-            elif colour[b] == colour[a]:
-                return None
-    if 0 in colour:
-        # facet graph disconnected would contradict flag transitivity
+    opposite colours; the base facet gets colour 1. None if impossible.
+
+    One forced map onto the two-point graph in which r_0..r_{n-2} fix both
+    points and r_{n-1} swaps them: it is constant on each facet, sends the
+    base facet to 0 and must reach every flag."""
+    image = [-1] * M.num_flags
+    reached = forced_map([r.images for r in M.adjacency],
+                         [(0, 1)] * (M.rank - 1) + [(1, 0)], base_flag, 0, image)
+    if reached is None or len(reached) != M.num_flags:
         return None
     if M.rank >= 2:
         p_last = (M.adjacency[-1] * M.adjacency[-2]).order()
         if p_last % 2 != 0:
             raise VerificationError("dually bipartite forces an even last entry")
-    return colour
-
+    return [1 - 2 * image[blk[0]] for blk in M.facet_partition[0]]

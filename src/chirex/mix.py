@@ -25,7 +25,6 @@ that reports it asks the result's group for it.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -75,16 +74,15 @@ def _enumerate_elements(gens, degree: int, cap: int):
     """All elements of the generated group, or None once past the cap."""
     ident = Perm.identity(degree)
     seen = {ident}
-    queue = deque([ident])
-    while queue:
-        p = queue.popleft()
+    reached = [ident]
+    for p in reached:  # the growing list is the BFS queue
         for g in gens:
             q = p * g
             if q not in seen:
                 if len(seen) >= cap:
                     return None
                 seen.add(q)
-                queue.append(q)
+                reached.append(q)
     return seen
 
 
@@ -185,6 +183,8 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
         raise PreconditionError("extension graph labels must match the facet rank")
     if n < 2:
         raise PreconditionError("the extension needs at least two labels, got %d" % n)
+    if R.rank != n:
+        raise PreconditionError("quotient rank %d differs from the facet rank %d" % (R.rank, n))
     result = MixExtensionResult(group=None, schlafli=[], q=0, s=s)
 
     def check(name: str, ok: bool, detail: str = "") -> None:
@@ -192,7 +192,7 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
         if not ok:
             raise VerificationError("%s: %s" % (name, detail or "failed"))
 
-    check("facet-rank", K.rank == R.rank, "quotient rank differs")
+    result.report.add("facet-rank", True)  # a mismatch raised above
     check("quotient-regular", classify_symmetry(R) is Symmetry.REGULAR,
           "quotient is not regular")
     check("quotient-facets", len(facets(R.maniplex)) >= 2,

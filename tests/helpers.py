@@ -13,7 +13,7 @@ from chirex.maniplex import (Maniplex, PreconditionError, RootedManiplex,
                              RotationSystem, Symmetry, classify_symmetry,
                              forced_map, rotation_system, schlafli, tau)
 from chirex.permcore import Perm, PermGroup, orbit_of, orbit_partition
-from chirex.toroidal import TorusParams
+from chirex.toroidal import TorusParams, build_toroidal_map
 from chirex.two_s_m import TwoSM, build_two_s_m, every_ridge_in_two_facets
 
 
@@ -234,6 +234,62 @@ def orbit_by_deque(x: int, perms) -> list[int]:
                 order.append(q)
                 queue.append(q)
     return order
+
+
+def orientable_by_deque(M: Maniplex, base_flag: int = 0) -> frozenset[int] | None:
+    """White flags of the flag graph's 2-colouring by a deque BFS, None if
+    it is not bipartite: the cross-check for ``maniplex.is_orientable``."""
+    colour = [-1] * M.num_flags
+    colour[base_flag] = 0
+    queue = deque([base_flag])
+    while queue:
+        x = queue.popleft()
+        for r in M.adjacency:
+            y = r.images[x]
+            if colour[y] == -1:
+                colour[y] = 1 - colour[x]
+                queue.append(y)
+            elif colour[y] == colour[x]:
+                return None
+    return frozenset(x for x in range(M.num_flags) if colour[x] == 0)
+
+
+def colouring_by_facet_bfs(M: Maniplex, base_flag: int = 0) -> list[int] | None:
+    """The facet 2-colouring by a deque BFS over the facet adjacency sets,
+    base facet 1, None if there is none: the cross-check for
+    ``maniplex.dually_bipartite_colouring`` (without its last-entry check)."""
+    facet_list, facet_of = M.facet_partition
+    last = M.adjacency[-1].images
+    # f and the facet of r_{n-1}(flag) share an (n-2)-face
+    neighbours: list[set[int]] = [set() for _ in facet_list]
+    for f in range(M.num_flags):
+        neighbours[facet_of[f]].add(facet_of[last[f]])
+    colour = [0] * len(facet_list)
+    start = facet_of[base_flag]
+    colour[start] = 1
+    queue = deque([start])
+    while queue:
+        a = queue.popleft()
+        for b in neighbours[a]:
+            if colour[b] == 0:
+                colour[b] = -colour[a]
+                queue.append(b)
+            elif colour[b] == colour[a]:
+                return None
+    return None if 0 in colour else colour
+
+
+def facets_regular_by_submaniplex(K: RootedManiplex) -> bool:
+    """True iff the base facet, copied out as a maniplex of its own, is
+    regular: the cross-check for the regular-facet precondition of
+    ``extend_db.extend_dually_bipartite``."""
+    man = K.maniplex
+    blocks, block_of = man.facet_partition
+    blk = blocks[block_of[K.base_flag]]
+    pos = {f: i for i, f in enumerate(blk)}
+    sub = Maniplex(man.rank - 1, tuple(Perm([pos[r.images[f]] for f in blk])
+                                       for r in man.adjacency[:-1]))
+    return classify_symmetry(RootedManiplex(sub, pos[K.base_flag])) is Symmetry.REGULAR
 
 
 def schlafli_by_orders(M: RootedManiplex) -> list[int]:
@@ -586,3 +642,17 @@ def hemicube() -> RootedManiplex:
     adj = tuple(Perm([project(r.images[index[fl]]) for fl in reps])
                 for r in big.adjacency)
     return RootedManiplex(Maniplex(3, adj), 0)
+
+
+def cross_check_maps():
+    """The 504 maps of the benchmark's sweep (-6 <= b, c <= 6, three
+    families), the small polytopes and 2s^R for R = {4,4}_(2,0), s = 2, 3."""
+    for family in ("44", "36", "63"):
+        for b in range(-6, 7):
+            for c in range(-6, 7):
+                if (b, c) != (0, 0):
+                    yield build_toroidal_map(TorusParams(family, b, c))
+    yield from (cube(), hemicube(), triangular_prism())
+    yield from (polygon(p) for p in range(3, 9))
+    R = build_toroidal_map(TorusParams("44", 2, 0))
+    yield from (build_two_s_m(R, s).rooted for s in (2, 3))

@@ -8,13 +8,15 @@ from hypothesis import given, settings, strategies as st
 from chirex import extend_db, gpr
 from chirex.extend_db import build_matching, extend_dually_bipartite
 from chirex.gpr import VerificationError, gpr_group
-from chirex.maniplex import (PreconditionError, dually_bipartite_colouring,
-                             rotation_system)
+from chirex.maniplex import (PreconditionError, Symmetry, classify_symmetry,
+                             dually_bipartite_colouring, rotation_system)
 from chirex.permcore import Perm, left_product, orbit_of
 from chirex.toroidal import TorusParams, build_toroidal_map
+from chirex.two_s_m import build_two_s_m
 
-from helpers import (GroupWord, check_spread_by_words, evaluate_word, facet_word,
-                     polygon, rho_bar, word_action)
+from helpers import (GroupWord, check_spread_by_words, cross_check_maps, evaluate_word,
+                     facet_word, facets_regular_by_submaniplex, polygon, rho_bar,
+                     word_action)
 
 # Step-3 seeds of the benchmark's seeded-extend workload, keyed 44_b_c_sS_qQ
 SEED_POOLS = json.loads(
@@ -127,6 +129,39 @@ class TestPreconditions:
         colouring = dually_bipartite_colouring(K.maniplex, K.base_flag)
         with pytest.raises(PreconditionError):
             build_matching(K, colouring, 0)
+
+    def test_regular_facets_against_the_sub_maniplex(self, monkeypatch):
+        # the regular-facet check alone, past stubbed chiral and colouring
+        # checks, on inputs whose facets are rotary: one forced map on K's
+        # own rows against the base facet copied out and classified. 2s^K
+        # for the chiral K = {4,4}_(2,1) has chiral facets.
+        monkeypatch.setattr(extend_db, "classify_symmetry", lambda K: Symmetry.CHIRAL)
+        monkeypatch.setattr(extend_db, "dually_bipartite_colouring", lambda M, base: [1])
+
+        def passes(K) -> bool:
+            try:
+                extend_db._check_preconditions(K)
+            except PreconditionError as exc:
+                assert "facets of the input are not regular" in str(exc)
+                return False
+            return True
+
+        chiral = build_two_s_m(build_toroidal_map(TorusParams("44", 2, 1)), 2).rooted
+        inputs = [K for K in cross_check_maps() if K.rank >= 3] + [chiral]
+        found = [passes(K) for K in inputs]
+        assert found == [facets_regular_by_submaniplex(K) for K in inputs]
+        assert found == [True] * (504 + 3 + 2) + [False]
+
+    def test_chiral_facets_rejected(self, monkeypatch):
+        # 2s^K for the chiral K = {4,4}_(3,1) at s = 2 (81920 flags) is
+        # dually bipartite and its facets are copies of K; it classifies
+        # as Other, so only a stubbed classification reaches the facets
+        tsm = build_two_s_m(k31(), 2).rooted
+        assert classify_symmetry(tsm) is Symmetry.OTHER
+        assert not facets_regular_by_submaniplex(tsm)
+        monkeypatch.setattr(extend_db, "classify_symmetry", lambda K: Symmetry.CHIRAL)
+        with pytest.raises(PreconditionError, match="facets of the input are not regular"):
+            extend_dually_bipartite(tsm, 1)
 
 
 class TestMatching:

@@ -15,7 +15,7 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from chirex.cli import EXIT_IO, EXIT_PRECONDITION, EXIT_VERIFICATION, main
+from chirex.cli import EXIT_IO, EXIT_OK, EXIT_PRECONDITION, main
 from chirex.extend_db import extend_dually_bipartite
 from chirex.serial import (SchemaError, gpr_from_json, gpr_to_json, maniplex_from_json,
                            maniplex_to_json, save_json)
@@ -181,9 +181,8 @@ def inputs(tmp_path_factory):
 
 
 class TestCli:
-    """A document that fails the schema exits 4; one that loads (rank 0
-    or 1) has nothing to extend and exits 3, or 2 as a quotient, whose
-    rank is a verdict of mix-extend (``facet-rank``)."""
+    """A document that fails the schema exits 4; one that loads (rank 1)
+    has nothing to extend, or is a quotient of the wrong rank, and exits 3."""
 
     @FUZZ
     @given(st.data())
@@ -208,6 +207,42 @@ class TestCli:
                     str(paths["facet"]), "--quotient", str(paths["quotient"]), "--s", "2"]
         code = main(argv)
         if doc in RANK_0_AND_1[keys][1:]:
-            assert code == (EXIT_VERIFICATION if slot == "quotient" else EXIT_PRECONDITION)
+            assert code == EXIT_PRECONDITION
         else:
             assert code == EXIT_IO, (argv, doc if depth == 0 else depth)
+
+    @FUZZ
+    @given(st.data())
+    def test_arguments(self, inputs, data):
+        # small integers (|v| <= 4, so nothing large is built) and strings
+        # that are no integers, for every numeric option of the commands
+        # that build: each run ends in success, a precondition or a usage
+        # error, never a verification failure
+        (facet, ext, quotient), folder = inputs
+        value = st.one_of(st.integers(-4, 4).map(str),
+                          st.text(max_size=3).filter(lambda v: not _is_int(v)))
+        out = str(folder / "out.json")
+        command = data.draw(st.sampled_from(["extend-db", "two-sm", "mix-extend", "pipeline"]))
+        if command == "extend-db":
+            argv = ["extend-db", str(facet), "--s", data.draw(value), "-o", out]
+        elif command == "two-sm":
+            source = data.draw(st.sampled_from([facet, quotient]))
+            argv = ["two-sm", str(source), "--s", data.draw(value), "-o", out]
+        elif command == "mix-extend":
+            argv = ["mix-extend", "--extension", str(ext), "--facet", str(facet),
+                    "--quotient", str(quotient), "--s", data.draw(value)]
+        else:
+            argv = ["pipeline", "--family", data.draw(st.sampled_from(["44", "36", "63"])),
+                    "--b", data.draw(value), "--c", data.draw(value),
+                    "--db-s", data.draw(value)]
+            if data.draw(st.booleans()):
+                argv += ["--mix-s", data.draw(value)]
+        assert main(argv) in (EXIT_OK, EXIT_PRECONDITION, EXIT_IO), argv
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True

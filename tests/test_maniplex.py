@@ -9,7 +9,8 @@ from chirex.permcore import Perm, disjoint_union, left_product, orbit_partition
 from chirex.toroidal import TorusParams, build_toroidal_map
 from chirex.two_s_m import build_two_s_m
 
-from helpers import (aut_count_by_scan, cube, hemicube, polygon, schlafli_by_orders,
+from helpers import (aut_count_by_scan, colouring_by_facet_bfs, cross_check_maps, cube,
+                     hemicube, orientable_by_deque, polygon, schlafli_by_orders,
                      triangular_prism)
 
 
@@ -254,6 +255,25 @@ class TestCovers:
         padded = Maniplex(2, tuple(Perm(r.images + (6,)) for r in tri.adjacency))
         assert covers(RootedManiplex(twice, 0), RootedManiplex(padded, 0)) is None
         assert covers(RootedManiplex(tri, 0), RootedManiplex(tri, 0)) == list(range(6))
+
+
+class TestColouringsAgainstOracles:
+    def test_forced_maps_match_the_deque_bfs(self):
+        # orientability and the facet colouring, each one forced map onto
+        # the two-point graph, against the deque BFS they replaced, rooted
+        # at the base flag and at its 0-neighbour
+        orientable, bipartite = [], []
+        for rooted in cross_check_maps():
+            man = rooted.maniplex
+            for base in (rooted.base_flag, man.adjacency[0](rooted.base_flag)):
+                white = is_orientable(man, base)
+                assert white == orientable_by_deque(man, base)
+                colouring = dually_bipartite_colouring(man, base)
+                assert colouring == colouring_by_facet_bfs(man, base)
+                orientable.append(white is not None)
+                bipartite.append(colouring is not None)
+        for found in (orientable, bipartite):
+            assert len(found) == 2 * 515 and 0 < sum(found) < len(found)
 
 
 class TestDuallyBipartite:

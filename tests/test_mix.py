@@ -182,6 +182,9 @@ class TestRegularQuotientExtension:
         with pytest.raises(PreconditionError):
             regular_quotient_extension(P, polygon(4),
                                        build_toroidal_map(TorusParams("44", 2, 0)), 2)
+        # a quotient of the wrong rank is a precondition too, like the facet's
+        with pytest.raises(PreconditionError, match="quotient rank 2"):
+            regular_quotient_extension(P, K, polygon(4), 2)
 
     def test_non_regular_quotient_rejected(self):
         K = build_toroidal_map(TorusParams("44", 3, 1))

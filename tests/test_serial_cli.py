@@ -153,6 +153,28 @@ class TestCli:
         assert "precondition failure: 2s^M would have" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_usage_errors_exit_4(self, tmp_path, capsys):
+        # a bad or missing argument is a usage error (exit 4), since 2 is
+        # kept for a failed verification; --help still succeeds
+        path = self._build(tmp_path)
+        out = str(tmp_path / "x.json")
+        for argv in (["extend-db", str(path), "--s", "abc", "-o", out],
+                     ["extend-db", str(path), "-o", out], ["no-such-command"], []):
+            assert main(argv) == 4, argv
+        assert "usage:" in capsys.readouterr().err
+        assert main(["--help"]) == 0
+        assert main(["pipeline", "--help"]) == 0
+        assert "--mix-s" in capsys.readouterr().out
+
+    def test_quotient_of_the_wrong_rank_exit_3(self, tmp_path, capsys):
+        ext, facet, _ = _mix_inputs(tmp_path)
+        square = tmp_path / "square.json"
+        save_json(str(square), maniplex_to_json(polygon(4)))
+        capsys.readouterr()
+        assert main(["mix-extend", "--extension", str(ext), "--facet", str(facet),
+                     "--quotient", str(square), "--s", "2"]) == 3
+        assert "quotient rank 2 differs from the facet rank 3" in capsys.readouterr().err
+
     def test_precondition_exit_code(self, tmp_path):
         path = self._build(tmp_path, b=2, c=0)  # regular, not chiral
         assert main(["extend-db", str(path), "--s", "1",

@@ -130,6 +130,28 @@ def test_traced_names_exist_in_the_package():
     assert tracing.FUNCTIONS and missing == []
 
 
+def test_verification_survives_python_O(tmp_path):
+    # python -O strips asserts; a graph that fails the criterion must still
+    # fail in a fresh interpreter under -O, so no check depends on assert
+    from chirex.extend_db import extend_dually_bipartite
+    from chirex.serial import gpr_to_json, maniplex_to_json, save_json
+    from chirex.toroidal import TorusParams, build_toroidal_map
+
+    K = build_toroidal_map(TorusParams("44", 3, 1))
+    graph = gpr_to_json(extend_dually_bipartite(K, 1).graph)
+    graph["arrows"][-1] = list(range(graph["vertices"]))  # an identity last arrow
+    facet, ext = tmp_path / "k.json", tmp_path / "ext.json"
+    save_json(str(facet), maniplex_to_json(K))
+    save_json(str(ext), graph)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-O", "-m", "chirex.cli", "verify-gpr", str(ext),
+                           "--facet", str(facet)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert any(" FAIL " in line for line in done.stdout.splitlines()), done.stdout
+    assert "Traceback" not in done.stderr
+
+
 def _run_script(*argv) -> list[str]:
     # each script as a user runs it: a fresh interpreter, chirex from src/
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
