@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .gpr import GprGraph, check_tau_relations, rho_bar, verify_extension_criterion
-from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
+from .maniplex import (MAX_FLAGS, PreconditionError, Report, RootedManiplex, Symmetry,
                        VerificationError, classify_symmetry, dually_bipartite_colouring,
                        forced_map, rotation_system)
 from .permcore import Perm, orbit_of, orbit_partition
@@ -72,6 +72,9 @@ def build_matching(K: RootedManiplex, colouring, s: int,
     n = K.rank
     W = rs.degree
     copies = 2 * s
+    if W * copies > MAX_FLAGS:
+        raise PreconditionError("the extension would have %d vertices, more than the %d allowed"
+                                % (W * copies, MAX_FLAGS))
     rng = random.Random(seed) if seed is not None else None
 
     _, facet_of_flag = K.maniplex.facet_partition
@@ -125,25 +128,21 @@ def build_matching(K: RootedManiplex, colouring, s: int,
     for v, p in enumerate(partner):
         if p != -1:
             ell, flag = divmod(v, W)
-            key = (ell, comp_of[flag])
-            if key in anchor and anchor[key] != v:
+            if anchor.setdefault((ell, comp_of[flag]), v) != v:
                 raise VerificationError("component has two matched anchors")
-            anchor[key] = v
-    for ell in range(copies):
-        for ci in range(len(facet_comps)):
-            if (ell, ci) not in anchor:
-                raise VerificationError("component without a matched anchor")
+    if len(anchor) != copies * len(facet_comps):
+        raise VerificationError("component without a matched anchor")
 
     # step 4: spread each anchor edge over its component via rho. A flag
     # u = L v reached by the letter L gets the target rho(L) t(v): the
-    # forced map from the letters to their rho images, with the letters in
-    # the order s_1, s_1^-1, s_2, ..., gives every flag the target of its
-    # BFS tree word, and every other edge must agree with it.
+    # forced map from the letters s_1..s_{n-2} to their rho images gives
+    # every flag the target of its BFS tree word, and every other edge must
+    # agree with it. Forward letters suffice: they are permutations, so
+    # they reach the whole component, and a map consistent on an edge is
+    # consistent on its inverse.
     facet = rs.sigma[: n - 2]
-    letters, images = [], []
-    for g, r in zip(facet, rho_bar(facet)):
-        letters += [g.images, g.inverse().images]
-        images += [r.images, r.inverse().images]
+    letters = [g.images for g in facet]
+    images = [r.images for r in rho_bar(facet)]
     for (ell, ci), av in anchor.items():
         target = [-1] * W
         ell2, psi = divmod(partner[av], W)
@@ -173,11 +172,7 @@ def extend_dually_bipartite(K: RootedManiplex, s: int,
     copies = 2 * s
 
     def widen(p: Perm) -> Perm:
-        imgs = []
-        for ell in range(copies):
-            base = ell * W
-            imgs.extend(base + p.images[f] for f in range(W))
-        return Perm(imgs)
+        return Perm([ell * W + x for ell in range(copies) for x in p.images])
 
     t = Perm(matching.partner)
     arrows = [widen(g) for g in rs.sigma]
@@ -201,6 +196,5 @@ def extend_dually_bipartite(K: RootedManiplex, s: int,
     last_entry = report.data["last_entry"]
     if last_entry % copies != 0:
         raise VerificationError("2s does not divide the last Schlafli entry")
-    report.data["copies"] = copies
     return DbExtensionResult(graph=G, t=t, matching=matching, report=report,
                              last_entry=last_entry, s=s, base_vertex=base_vertex)

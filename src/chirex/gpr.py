@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
                        classify_symmetry, forced_map, rotation_system)
@@ -37,6 +38,12 @@ class GprGraph:
         if not 1 <= k <= self.rank:
             raise IndexError("arrow label %d out of range 1..%d" % (k, self.rank))
         return self.arrows[k - 1]
+
+    @cached_property
+    def criterion_reports(self) -> dict:
+        """The report of :func:`verify_extension_criterion` per facet map,
+        stored by its first run on this graph; read-only."""
+        return {}
 
 
 def components(G: GprGraph, I) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -164,6 +171,9 @@ def gpr_group(G: GprGraph) -> PermGroup:
 def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> Report:
     """Check the four conditions under which a GPR-graph with labels
     1..n defines a chiral (n+1)-polytope with facets isomorphic to K.
+
+    The report is computed once per graph and facet map and kept on G
+    (``G.criterion_reports``); a later call returns the same report.
     """
     n = G.rank
     if n < 2:
@@ -172,6 +182,8 @@ def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> Report:
         raise PreconditionError("facet rank %d does not match label count %d" % (K.rank, n))
     if G.num_vertices == 0:
         raise PreconditionError("the GPR-graph has no vertices")
+    if K in G.criterion_reports:
+        return G.criterion_reports[K]
     report = Report()
     cay = cayley_gpr(K)
 
@@ -205,6 +217,7 @@ def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> Report:
     k = unmatched_component_level(G, gblocks, gblock_of)
     report.add("component-intersection", k is None,
                "" if k is None else "no suitable {%d..%d}-component" % (k, n - 1))
+    G.criterion_reports[K] = report
     return report
 
 

@@ -23,6 +23,13 @@ class VerificationError(RuntimeError):
     """A construction failed one of its verified conditions."""
 
 
+# The most flags (or GPR-graph vertices) a construction builds, checked
+# before it allocates: 64 times the largest 2s^M of the tests and the
+# benchmark (16384 flags), and small enough that the adjacency tuples fit
+# in a few hundred MB.
+MAX_FLAGS = 1 << 20
+
+
 @dataclass(frozen=True)
 class Maniplex:
     rank: int
@@ -273,53 +280,35 @@ def automorphism_orbit(M: Maniplex, base: int) -> AutomorphismOrbit:
     flag graph; its size is |Aut(M)|, since automorphisms act freely.
 
     Every flag psi not yet classified gets one forced map base -> psi.
-    A found automorphism is kept as a generator and the orbit is closed
-    under all generators. A failure excludes psi's whole orbit under the
-    generators kept so far: an automorphism a with base -> h(psi) would
-    make h^-1 a one with base -> psi.
+    A found automorphism is kept as a generator, and the orbit becomes
+    orbit_of(base) under all generators. A failure excludes orbit_of(psi)
+    under the generators kept so far: an automorphism a with
+    base -> h(psi) would make h^-1 a one with base -> psi.
     """
     N = M.num_flags
     if len(orbit_of(base, M.adjacency)) != N:
         raise PreconditionError("automorphism orbit needs a connected flag graph")
-    IMAGE = 1  # 0 marks an unknown flag, 2 + k the orbit of the k-th failure
-    state = [0] * N
+    IMAGE, EXCLUDED = 1, 2  # 0 marks a flag not yet classified
+    state = bytearray(N)
     state[base] = IMAGE
-    orbit = [base]
-    gens: list[tuple[int, ...]] = []
-    forced_maps = failures = 0
+    orbit, gens, forced_maps = [base], [], 0
     for psi in range(N):
         if state[psi]:
             continue
         forced_maps += 1
         aut = find_rooted_automorphism(M, base, psi)
         if aut is not None:
-            gens.append(aut.images)
-            # the new generator moves the old points, every generator the new
-            old, i = len(orbit), 0
-            while i < len(orbit):
-                for h in (gens if i >= old else gens[-1:]):
-                    q = h[orbit[i]]
-                    if state[q] != IMAGE:
-                        if state[q]:
-                            raise VerificationError("flag %d is excluded and an image" % q)
-                        state[q] = IMAGE
-                        orbit.append(q)
-                i += 1
-            continue
-        tag = 2 + failures
-        failures += 1
-        state[psi] = tag
-        stack = [psi]
-        while stack:
-            p = stack.pop()
-            for h in gens:
-                q = h[p]
-                if state[q] != tag:
-                    if state[q] == IMAGE:
-                        raise VerificationError("flag %d is excluded and an image" % q)
-                    state[q] = tag
-                    stack.append(q)
-    return AutomorphismOrbit(orbit=orbit, generators=gens, forced_maps=forced_maps)
+            gens.append(aut)
+            orbit = closed = orbit_of(base, gens)
+            mark = IMAGE
+        else:
+            closed, mark = orbit_of(psi, gens), EXCLUDED
+        for q in closed:
+            if state[q] not in (0, mark):
+                raise VerificationError("flag %d is excluded and an image" % q)
+            state[q] = mark
+    return AutomorphismOrbit(orbit=orbit, generators=[g.images for g in gens],
+                             forced_maps=forced_maps)
 
 
 def classify_symmetry(M: RootedManiplex) -> Symmetry:

@@ -164,8 +164,9 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
       Weiss, *Chiral polytopes* (1991), reduce the intersection property
       at rank 4 to three meets: <s1> & <s2> = 1, <s2> & <s3> = 1 and
       <s1,s2> & <s2,s3> = <s2>. Gamma(P) satisfies them, since the
-      extension criterion for P, run once here, certifies that P is a
-      chiral polytope. Each meet of the mix lies in the facet subgroup
+      extension criterion for P certifies that P is a chiral polytope; P
+      keeps its report, so a P that extend_dually_bipartite verified is
+      not checked again. Each meet of the mix lies in the facet subgroup
       <s1, s2>, where the projection onto Gamma(P) is injective
       (``facet-projection-collapses``), and it projects into the same
       meet of Gamma(P); so it is no larger there. Other ranks enumerate

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .maniplex import (Maniplex, RootedManiplex, Symmetry, VerificationError,
-                       classify_symmetry, facets)
+from .maniplex import (MAX_FLAGS, Maniplex, PreconditionError, RootedManiplex, Symmetry,
+                       VerificationError, classify_symmetry, facets)
 from .permcore import Perm
 
 FAMILIES = ("44", "36", "63")
@@ -122,9 +122,12 @@ def build_toroidal_map(p: TorusParams) -> RootedManiplex:
                     raise VerificationError("tile edges %d and %d do not meet" % (j2, k2))
                 across.append((dx, dy, (t2 * K + k2) * 2 + which2))
     lat = lattice_for(p)
+    L = T * K * 2
+    if lat.index * L > MAX_FLAGS:
+        raise PreconditionError("%s would have %d flags, more than the %d allowed"
+                                % (p, lat.index * L, MAX_FLAGS))
     cells = lat.cells()
     cell_index = {c: i for i, c in enumerate(cells)}
-    L = T * K * 2
     r0, r1, r2 = [], [], []
     for ci, (x, y) in enumerate(cells):
         for t in range(T):

@@ -12,14 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .maniplex import (Maniplex, PreconditionError, RootedManiplex, Symmetry,
+from .maniplex import (MAX_FLAGS, Maniplex, PreconditionError, RootedManiplex, Symmetry,
                        automorphism_orbit, classify_symmetry, schlafli, validate)
 from .permcore import Perm
-
-# The most flags build_two_s_m builds: 64 times the largest 2s^M of the
-# tests and the benchmark (16384 flags), and small enough that the
-# adjacency tuples fit in a few hundred MB.
-MAX_FLAGS = 1 << 20
 
 
 @dataclass(frozen=True)

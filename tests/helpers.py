@@ -9,9 +9,10 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from chirex.gpr import GprGraph, components, rooted_digraph_isomorphic
-from chirex.maniplex import (Maniplex, PreconditionError, RootedManiplex,
-                             RotationSystem, Symmetry, classify_symmetry,
-                             forced_map, rotation_system, schlafli, tau)
+from chirex.maniplex import (AutomorphismOrbit, Maniplex, PreconditionError, RootedManiplex,
+                             RotationSystem, Symmetry, VerificationError, classify_symmetry,
+                             find_rooted_automorphism, forced_map, rotation_system,
+                             schlafli, tau)
 from chirex.permcore import Perm, PermGroup, orbit_of, orbit_partition
 from chirex.toroidal import TorusParams, build_toroidal_map
 from chirex.two_s_m import TwoSM, build_two_s_m, every_ridge_in_two_facets
@@ -336,6 +337,55 @@ def aut_count_by_scan(M: Maniplex, base: int) -> int:
     rows = [r.images for r in M.adjacency]
     return sum(1 for psi in range(M.num_flags)
                if forced_map(rows, rows, base, psi, [-1] * M.num_flags) is not None)
+
+
+def automorphism_orbit_by_closure(M: Maniplex, base: int) -> AutomorphismOrbit:
+    """``maniplex.automorphism_orbit`` with hand-written closures: after a
+    found automorphism the orbit is extended incrementally (the new
+    generator moves the old points, every generator the new), and a
+    failure's exclusion is a tagged stack DFS. The oracle for the version
+    that takes both closures from ``orbit_of``."""
+    N = M.num_flags
+    if len(orbit_of(base, M.adjacency)) != N:
+        raise PreconditionError("automorphism orbit needs a connected flag graph")
+    IMAGE = 1  # 0 marks an unknown flag, 2 + k the orbit of the k-th failure
+    state = [0] * N
+    state[base] = IMAGE
+    orbit = [base]
+    gens: list[tuple[int, ...]] = []
+    forced_maps = failures = 0
+    for psi in range(N):
+        if state[psi]:
+            continue
+        forced_maps += 1
+        aut = find_rooted_automorphism(M, base, psi)
+        if aut is not None:
+            gens.append(aut.images)
+            old, i = len(orbit), 0
+            while i < len(orbit):
+                for h in (gens if i >= old else gens[-1:]):
+                    q = h[orbit[i]]
+                    if state[q] != IMAGE:
+                        if state[q]:
+                            raise VerificationError("flag %d is excluded and an image" % q)
+                        state[q] = IMAGE
+                        orbit.append(q)
+                i += 1
+            continue
+        tag = 2 + failures
+        failures += 1
+        state[psi] = tag
+        stack = [psi]
+        while stack:
+            p = stack.pop()
+            for h in gens:
+                q = h[p]
+                if state[q] != tag:
+                    if state[q] == IMAGE:
+                        raise VerificationError("flag %d is excluded and an image" % q)
+                    state[q] = tag
+                    stack.append(q)
+    return AutomorphismOrbit(orbit=orbit, generators=gens, forced_maps=forced_maps)
 
 
 def intersection_property_orbits(sigma, base: int = 0):

@@ -130,6 +130,17 @@ class TestPreconditions:
         with pytest.raises(PreconditionError):
             build_matching(K, colouring, 0)
 
+    def test_vertex_limit(self, monkeypatch):
+        # {4,4}_(3,1) at s = 1 has 2 * 40 vertices: allowed at the limit,
+        # refused above it before the partner list is allocated
+        K = k31()
+        colouring = dually_bipartite_colouring(K.maniplex, K.base_flag)
+        monkeypatch.setattr(extend_db, "MAX_FLAGS", 80)
+        assert extend_dually_bipartite(K, 1).graph.num_vertices == 80
+        monkeypatch.setattr(extend_db, "MAX_FLAGS", 79)
+        with pytest.raises(PreconditionError, match="80 vertices, more than the 79 allowed"):
+            build_matching(K, colouring, 1)
+
     def test_regular_facets_against_the_sub_maniplex(self, monkeypatch):
         # the regular-facet check alone, past stubbed chiral and colouring
         # checks, on inputs whose facets are rotary: one forced map on K's

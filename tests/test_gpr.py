@@ -221,6 +221,23 @@ class TestExtensionCriterion:
         report = verify_extension_criterion(bad, K)
         assert "cyclic-meet-trivial" in report.failing()
 
+    def test_report_kept_per_graph_and_facet_map(self):
+        # the extension's report is the criterion's, returned again for the
+        # same graph and an equal facet map; an equal graph built anew gets
+        # a fresh run with the same verdicts and data, passing or failing
+        K, result = self._extension(2)
+        G = result.graph
+        cached = verify_extension_criterion(G, build_toroidal_map(TorusParams("44", 3, 1)))
+        assert cached is result.report and list(G.criterion_reports) == [K]
+        failing = GprGraph(G.rank, G.arrows[:-1] + (G.arrows[-2],))
+        for graph, report in ((G, cached), (failing, verify_extension_criterion(failing, K))):
+            assert verify_extension_criterion(graph, K) is report
+            fresh = verify_extension_criterion(
+                GprGraph(graph.rank, tuple(Perm(a.images) for a in graph.arrows)), K)
+            assert fresh is not report
+            assert (fresh.verdicts, fresh.data) == (report.verdicts, report.data)
+        assert not failing.criterion_reports[K].passed
+
     def test_rank_mismatch(self):
         from helpers import polygon
         K, result = self._extension()
@@ -462,8 +479,9 @@ class TestCriterionFacetSubgroup:
         report = verify_extension_criterion(extension(9, 1, 2), torus(9, 1))
         failing = merged_copies(3, 1, 1)
         monkeypatch.setattr(permcore._Chain, "__init__", refuse)
-        assert verify_extension_criterion(extension(9, 1, 2), torus(9, 1)).verdicts \
-            == report.verdicts
+        # an equal graph built anew, so the criterion runs again
+        fresh = GprGraph(extension(9, 1, 2).rank, extension(9, 1, 2).arrows)
+        assert verify_extension_criterion(fresh, torus(9, 1)).verdicts == report.verdicts
         assert report.passed
         with pytest.raises(RuntimeError, match="chain built"):
             verify_extension_criterion(failing, torus(3, 1))

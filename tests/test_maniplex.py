@@ -9,9 +9,9 @@ from chirex.permcore import Perm, disjoint_union, left_product, orbit_partition
 from chirex.toroidal import TorusParams, build_toroidal_map
 from chirex.two_s_m import build_two_s_m
 
-from helpers import (aut_count_by_scan, colouring_by_facet_bfs, cross_check_maps, cube,
-                     hemicube, orientable_by_deque, polygon, schlafli_by_orders,
-                     triangular_prism)
+from helpers import (aut_count_by_scan, automorphism_orbit_by_closure, colouring_by_facet_bfs,
+                     cross_check_maps, cube, hemicube, orientable_by_deque, polygon,
+                     schlafli_by_orders, triangular_prism)
 
 
 class TestValidate:
@@ -173,6 +173,30 @@ class TestAutomorphismOrbit:
         for base in range(0, M.num_flags, 5):
             found = self.check_against_scan(M, base)
             assert len(found.orbit) < M.num_flags
+
+    def test_orbit_of_closures_match_the_hand_written_ones(self):
+        # the 504 sweep maps (the chiral ones exercise the exclusion) at two
+        # base flags, and 2s^R for R = {4,4}_(2,0) at s = 2, 3, 4: the same
+        # scan finds the same generators, so the orbit and both counts agree
+        sweep = [torus(family, b, c) for family in ("44", "36", "63")
+                 for b in range(-6, 7) for c in range(-6, 7) if (b, c) != (0, 0)]
+        R = torus("44", 2, 0)
+        maps = sweep + [build_two_s_m(R, s).rooted for s in (2, 3, 4)]
+        excluded = 0
+        for rooted in maps:
+            M = rooted.maniplex
+            aut_count = M.num_flags // (1 if classify_symmetry(rooted) is Symmetry.REGULAR else 2)
+            for base in (0, M.num_flags // 2 + 1):
+                found, oracle = automorphism_orbit(M, base), automorphism_orbit_by_closure(M, base)
+                assert found.orbit[0] == oracle.orbit[0] == base
+                assert len(found.orbit) == len(set(found.orbit)) == aut_count
+                assert set(found.orbit) == set(oracle.orbit)
+                assert found.generators == oracle.generators
+                assert found.forced_maps == oracle.forced_maps
+                excluded += found.forced_maps - len(found.generators)
+                if M.num_flags <= 100:
+                    assert aut_count == aut_count_by_scan(M, base)
+        assert excluded > 0
 
     def test_disconnected_graph_raises(self):
         M = polygon(4).maniplex

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from chirex import maniplex, mix, permcore
+from chirex import cli, gpr, maniplex, mix, permcore
 from chirex.extend_db import extend_dually_bipartite
 from chirex.gpr import VerificationError, cayley_gpr
 from chirex.maniplex import (PreconditionError, Report, Symmetry,
@@ -131,6 +131,20 @@ class TestIntersectionPropertyGroup:
         assert verdict[0] is (name != "cyclic-pair")
 
 
+def count_criterion_evaluations(monkeypatch) -> Counter:
+    """Evaluations of the extension criterion per (graph, facet map),
+    counted at its condition 1, which every evaluation runs once."""
+    evaluations = Counter()
+    real = gpr.facet_components_isomorphic
+
+    def counting(G, cay):
+        evaluations[tuple(a.images for a in G.arrows), tuple(a.images for a in cay.arrows)] += 1
+        return real(G, cay)
+
+    monkeypatch.setattr(gpr, "facet_components_isomorphic", counting)
+    return evaluations
+
+
 class TestRegularQuotientExtension:
     def test_each_chain_built_once(self, monkeypatch):
         K = build_toroidal_map(TorusParams("44", 3, 1))
@@ -153,9 +167,11 @@ class TestRegularQuotientExtension:
 
     def test_each_fact_computed_once(self, monkeypatch):
         # K's rotation system serves the matching, the extension and the
-        # criterion of both runs, and 2s^R's serves twosm-regular and the mix
+        # criterion, and 2s^R's serves twosm-regular and the mix; the
+        # criterion runs once, in the extension, and the mix reads its report
         rotations, partitions = Counter(), Counter()
         real_orientable, real_partition = maniplex.is_orientable, maniplex.orbit_partition
+        evaluations = count_criterion_evaluations(monkeypatch)
 
         def counting_orientable(M, base_flag=0):
             rotations[M, base_flag] += 1
@@ -175,6 +191,14 @@ class TestRegularQuotientExtension:
         assert set(rotations.values()) == {1}
         facets_of = {tuple(r.images for r in M.maniplex.adjacency[:-1]) for M in (K, R)}
         assert set(partitions) == facets_of and set(partitions.values()) == {1}
+        assert list(evaluations.values()) == [1]
+
+    def test_pipeline_runs_the_criterion_once(self, monkeypatch, capsys):
+        evaluations = count_criterion_evaluations(monkeypatch)
+        assert cli.main(["pipeline", "--family", "44", "--b", "3", "--c", "1",
+                         "--db-s", "2", "--mix-s", "2"]) == 0
+        assert "stage mix-extend" in capsys.readouterr().out
+        assert list(evaluations.values()) == [1]
 
     def test_rank_mismatch_rejected(self):
         K = build_toroidal_map(TorusParams("44", 3, 1))

@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -152,6 +157,28 @@ class TestCli:
         assert main(["two-sm", str(path), "--s", "2", "-o", str(out)]) == 3
         assert "precondition failure: 2s^M would have" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_oversized_arguments_exit_3(self, tmp_path):
+        # a fresh interpreter with its address space capped at 2 GiB: an
+        # allocation sized by the arguments fails fast there with a
+        # MemoryError (exit 1) instead of filling the machine's memory
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        k31, out = str(self._build(tmp_path)), str(tmp_path / "x.json")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   OPENBLAS_NUM_THREADS="1")
+        for argv in (["build-map", "--family", "44", "--b", "100000", "--c", "0", "-o", out],
+                     ["extend-db", k31, "--s", "1000000000", "-o", out],
+                     ["pipeline", "--family", "36", "--b", "100000", "--c", "1", "--db-s", "1"],
+                     ["pipeline", "--family", "44", "--b", "3", "--c", "1",
+                      "--db-s", "1000000000", "--mix-s", "2"]):
+            done = subprocess.run([sys.executable, "-m", "chirex.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120, preexec_fn=cap)
+            assert done.returncode == 3, (argv, done.stderr)
+            assert done.stderr.splitlines() == [done.stderr.strip()], done.stderr
+            assert "more than the 1048576 allowed" in done.stderr
+        assert not os.path.exists(out)
 
     def test_usage_errors_exit_4(self, tmp_path, capsys):
         # a bad or missing argument is a usage error (exit 4), since 2 is

@@ -3,9 +3,11 @@
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,21 +75,20 @@ def test_no_unused_imports_in_the_package():
     assert found == []
 
 
-def _referenced_names(tree: ast.AST, skip=frozenset()) -> set[str]:
+def _referenced_names(tree: ast.AST) -> Counter:
     # names, attributes, imported names and string constants (the
-    # benchmark's tracer names the functions it wraps as strings)
-    out = set()
+    # benchmark's tracer names the functions it wraps as strings), each
+    # counted as often as it occurs
+    out = Counter()
     for node in ast.walk(tree):
-        if node in skip:
-            continue
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            out[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            out[node.attr] += 1
         elif isinstance(node, ast.alias):
-            out.add(node.name)
+            out[node.name] += 1
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
+            out[node.value] += 1
     return out
 
 
@@ -95,23 +96,22 @@ def test_no_test_only_names_in_the_package():
     # a module-level function or class of the package must be used by the
     # package itself (outside its own definition and the __init__
     # re-exports), by scripts/ or by perfbench/; oracles that only tests
-    # call belong in tests/helpers.py
+    # call belong in tests/helpers.py. Each tree is counted once, and a
+    # definition's own references are subtracted from the total.
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
-    outside = set()
-    for folder in ("scripts", "perfbench"):
-        for path in sorted((ROOT / folder).glob("*.py")):
-            outside |= _referenced_names(ast.parse(path.read_text(), filename=str(path)))
+    outside = [path for folder in ("scripts", "perfbench")
+               for path in sorted((ROOT / folder).glob("*.py"))]
+    counts = Counter()
+    for tree in [ast.parse(path.read_text(), filename=str(path)) for path in outside]:
+        counts += _referenced_names(tree)
+    for tree in trees.values():
+        counts += _referenced_names(tree)
     found = []
     for path, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            own = set(ast.walk(node))
-            used = set(outside)
-            for other, other_tree in trees.items():
-                used |= _referenced_names(other_tree, own if other == path else frozenset())
-            if node.name not in used:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and counts[node.name] == _referenced_names(node)[node.name]):
                 found.append("%s.%s" % (path.stem, node.name))
     assert found == []
 
@@ -128,6 +128,28 @@ def test_traced_names_exist_in_the_package():
     missing += ["%s.%s" % (cls, meth) for cls, meth, *_ in tracing.METHODS + tracing.AGGREGATED
                 if meth not in vars(getattr(permcore, cls))]  # rebound on the class itself
     assert tracing.FUNCTIONS and missing == []
+
+
+def test_benchmark_jobs_match_their_expected_summaries(tmp_path, monkeypatch):
+    # every job of the four benchmark workloads, run once in-process and
+    # compared with perfbench/expected.json, so a changed output fails here
+    # before it fails the benchmark; jobs.py is loaded read-only, and
+    # registered first because its dataclass looks its module up
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", ROOT / "perfbench" / "jobs.py")
+    jobs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, jobs)
+    spec.loader.exec_module(jobs)
+    expected = jobs.load_expected()
+    mismatches, count = [], 0
+    for workload in ("extend-order", "mix-pipeline", "construct-verify", "seeded-extend"):
+        work = tmp_path / workload
+        work.mkdir()
+        for job in jobs.make_jobs(workload, str(work), 1, expected):
+            count += 1
+            summary = json.loads(json.dumps(job.summarise(job.run())))
+            if job.expected is None or summary != job.expected:
+                mismatches.append(job.name)
+    assert count == 62 and mismatches == []
 
 
 def test_verification_survives_python_O(tmp_path):

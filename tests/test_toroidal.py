@@ -3,7 +3,8 @@ import hashlib
 import pytest
 from hypothesis import given, strategies as st
 
-from chirex.maniplex import (Symmetry, classify_symmetry, covers, facets,
+from chirex import toroidal
+from chirex.maniplex import (PreconditionError, Symmetry, classify_symmetry, covers, facets,
                              is_orientable, schlafli, validate)
 from chirex.serial import canonical_dumps, maniplex_to_json
 from chirex.toroidal import (TorusParams, Lattice2D, build_toroidal_map,
@@ -74,6 +75,18 @@ class TestBuild:
         assert p36.maniplex.num_flags == p63.maniplex.num_flags
         assert len(facets(p36.maniplex)) == 2 * lattice_for(TorusParams("36", 2, 1)).index
         assert len(facets(p63.maniplex)) == lattice_for(TorusParams("63", 2, 1)).index
+
+    def test_flag_limit(self, monkeypatch):
+        # {4,4}_(3,1) has 80 flags: allowed at the limit, refused above it
+        # before the cell list is allocated, which for (100000, 0) is 10^10
+        monkeypatch.setattr(toroidal, "MAX_FLAGS", 80)
+        assert build_toroidal_map(TorusParams("44", 3, 1)).maniplex.num_flags == 80
+        monkeypatch.setattr(toroidal, "MAX_FLAGS", 79)
+        with pytest.raises(PreconditionError, match=r"\{4,4\}_\(3,1\) would have 80 flags"):
+            build_toroidal_map(TorusParams("44", 3, 1))
+        monkeypatch.undo()
+        with pytest.raises(PreconditionError, match="80000000000 flags"):
+            build_toroidal_map(TorusParams("44", 100000, 0))
 
     def test_negative_params_same_size(self):
         a = build_toroidal_map(TorusParams("44", -2, 1))
