@@ -51,18 +51,17 @@ def _cmd_extend_db(args) -> int:
     t0 = time.time()
     result = extend_dually_bipartite(rooted, args.s, seed=args.seed)
     save_json(args.output, gpr_to_json(result.graph))
-    report = report_to_json(
-        "extend-db",
-        {"s": args.s, "seed": args.seed, "input_flags": rooted.maniplex.num_flags},
-        result.report.verdicts,
-        orders={"group": gpr_group(result.graph).order()},
-        schlafli=None,
-        timing=time.time() - t0,
-    )
-    report["last_entry"] = result.last_entry
-    report["edge_count"] = len(result.matching.partner) // 2
-    report["copies"] = 2 * args.s
-    if args.report:
+    if args.report:  # the group order is taken for the report only
+        report = report_to_json(
+            "extend-db",
+            {"s": args.s, "seed": args.seed, "input_flags": rooted.maniplex.num_flags},
+            result.report.verdicts,
+            orders={"group": gpr_group(result.graph).order()},
+            timing=time.time() - t0,
+        )
+        report["last_entry"] = result.last_entry
+        report["edge_count"] = len(result.matching.partner) // 2
+        report["copies"] = 2 * args.s
         save_json(args.report, report)
     print("wrote %s: %d vertices, last entry %d" %
           (args.output, result.graph.num_vertices, result.last_entry))
@@ -84,12 +83,11 @@ def _cmd_verify_gpr(args) -> int:
     facet = maniplex_from_json(load_json(args.facet))
     t0 = time.time()
     report = verify_extension_criterion(graph, facet)
-    out = report_to_json(
-        "verify-gpr", {"vertices": graph.num_vertices, "rank": graph.rank},
-        report.verdicts, orders={"group": gpr_group(graph).order()},
-        timing=time.time() - t0)
     if args.report:
-        save_json(args.report, out)
+        save_json(args.report, report_to_json(
+            "verify-gpr", {"vertices": graph.num_vertices, "rank": graph.rank},
+            report.verdicts, orders={"group": gpr_group(graph).order()},
+            timing=time.time() - t0))
     for name, ok, detail in report.verdicts:
         print("%-32s %s %s" % (name, "pass" if ok else "FAIL", detail))
     if not report.passed:

@@ -12,10 +12,10 @@ import random
 from dataclasses import dataclass
 
 from .gpr import GprGraph, check_tau_relations, rho_bar, verify_extension_criterion
-from .maniplex import (MAX_FLAGS, PreconditionError, Report, RootedManiplex, Symmetry,
-                       VerificationError, classify_symmetry, dually_bipartite_colouring,
-                       forced_map, rotation_system)
-from .permcore import Perm, orbit_of, orbit_partition
+from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry, VerificationError,
+                       classify_symmetry, dually_bipartite_colouring, forced_map,
+                       rotation_system)
+from .permcore import MAX_FLAGS, Perm, orbit_of
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,18 @@ def _check_preconditions(K: RootedManiplex) -> list[int]:
     if forced_map(rows, rows, base, rows[0][base], [-1] * man.num_flags) is None:
         raise PreconditionError("facets of the input are not regular")
     return colouring
+
+
+def _white_facets(K: RootedManiplex) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The facets of K on its white flags in orbit_partition's form: blocks of
+    white-flag indices, ordered by their least index, and each index's block."""
+    _, facet_of_flag = K.maniplex.facet_partition
+    number: dict[int, int] = {}
+    block_of = [number.setdefault(facet_of_flag[f], len(number)) for f in K.rotation.white_flags]
+    blocks: list[list[int]] = [[] for _ in number]
+    for w, b in enumerate(block_of):
+        blocks[b].append(w)
+    return [tuple(b) for b in blocks], block_of
 
 
 def build_matching(K: RootedManiplex, colouring, s: int,
@@ -103,15 +115,13 @@ def build_matching(K: RootedManiplex, colouring, s: int,
             b = cycle[-j]
             match(vid(a, ell), vid(b, (ell + sign * cbar[a]) % copies))
 
-    # orbits E_k of the base flag under <s_k .. s_{n-1}>
-    orbit_k = {}
-    for k in range(1, n):
-        orbit_k[k] = frozenset(orbit_of(w0, rs.sigma[k - 1:]))
+    # orbits E_k of the base flag under <s_k .. s_{n-1}>; E_{n-1} is the cycle
+    orbit_k = {k: frozenset(orbit_of(w0, rs.sigma[k - 1:])) for k in range(1, n - 1)}
+    base_orbit = frozenset(cycle)  # flags s_{n-1}^j w0, handled by steps 1-2
 
-    # {1..n-2}-components of the white flags
-    facet_comps, comp_of = orbit_partition(rs.sigma[: n - 2], W)
+    # {1..n-2}-components of the white flags: the facets of K
+    facet_comps, comp_of = _white_facets(K)
 
-    base_orbit = orbit_k[n - 1]  # flags s_{n-1}^j w0, handled by steps 1-2
     # step 3: anchor the remaining components, odd copies choose
     for comp in facet_comps:
         if any(f in base_orbit for f in comp):

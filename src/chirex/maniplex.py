@@ -12,22 +12,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .permcore import Perm, PermGroup, left_product, orbit_of, orbit_partition
-
-
-class PreconditionError(ValueError):
-    """An operation was called on input outside its contract."""
+from .permcore import (Perm, PermGroup, PreconditionError, left_product, orbit_of,
+                       orbit_partition)
 
 
 class VerificationError(RuntimeError):
     """A construction failed one of its verified conditions."""
-
-
-# The most flags (or GPR-graph vertices) a construction builds, checked
-# before it allocates: 64 times the largest 2s^M of the tests and the
-# benchmark (16384 flags), and small enough that the adjacency tuples fit
-# in a few hundred MB.
-MAX_FLAGS = 1 << 20
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,22 @@ class DegreeMismatch(ValueError):
     """Raised when permutations on different point sets are combined."""
 
 
+class PreconditionError(ValueError):
+    """An operation was called on input outside its contract."""
+
+
+# The most flags (or GPR-graph vertices) a construction builds, checked
+# before it allocates: 64 times the largest 2s^M of the tests and the
+# benchmark (16384 flags), and small enough that the adjacency tuples fit
+# in a few hundred MB.
+MAX_FLAGS = 1 << 20
+# The most bytes one stabiliser-chain level (orbit x degree int32) maps,
+# checked before it maps them. The {4,4}_(3,1) extension on 80s points maps
+# 100 MB at s = 64, the largest order of the tests and the benchmark, and
+# 400 MB at s = 128; 1.6 GB at s = 256 is refused, as 4 TB at MAX_FLAGS is.
+MAX_LEVEL_BYTES = 1 << 30
+
+
 class Perm:
     """A permutation of {0, ..., d-1} stored as its image tuple.
 
@@ -167,8 +183,9 @@ class _Chain:
     Input generators join S_0..S_j; a residue found at level i lies in
     <S_i>, so it joins S_{i+1}..S_j only. A per-level, per-generator cursor
     marks verified rows, so no Schreier generator is sifted twice; they go
-    in batches of at most ``BATCH`` entries, first residue inserted. Every
-    product of a batch, and every sift step, is one ``take`` on (or one
+    in batches of at most ``BATCH`` entries, first residue inserted. One
+    routine, ``_sift``, sifts input generators, batches and membership
+    probes; every product and sift step is one ``take`` on (or one
     assignment to) the flat view of a level's rows, at np.intp row offsets.
     """
 
@@ -183,9 +200,10 @@ class _Chain:
         self.pts, self.uinv, self.row_of = [], [], []
         self.sifts = 0
         for g in gens:
-            h, j = self._strip(np.array(g, dtype=np.int32))
-            if (h != self.identity).any():
-                self._insert(h, 0, j)
+            h = np.array([g], dtype=np.int32)
+            bad, j = self._sift(h, 0)
+            if not bad:
+                self._insert(h[0], 0, j)
         i = len(self.base) - 1
         while i >= 0:
             i = self._check(i)
@@ -215,19 +233,14 @@ class _Chain:
                     pts.append(q)
             inv, old = self.uinv[lev], len(pts) - len(new)
             if len(pts) > len(inv):  # a quarter more rows at least, old rows copied once
-                n = max(len(pts), len(inv) + len(inv) // 4)
-                inv = np.frombuffer(mmap.mmap(-1, 4 * n * self.degree), np.int32).reshape(n, -1)
+                size = 4 * max(len(pts), len(inv) + len(inv) // 4) * self.degree
+                if size > MAX_LEVEL_BYTES:
+                    raise PreconditionError("a stabiliser chain level would map %d bytes, more "
+                                            "than the %d allowed" % (size, MAX_LEVEL_BYTES))
+                inv = np.frombuffer(mmap.mmap(-1, size), np.int32).reshape(-1, self.degree)
                 inv[:old], self.uinv[lev] = self.uinv[lev][:old], inv
             for k, (r, s) in enumerate(new, old):
                 inv[k, s] = inv[r]  # u_k = u_r * s, so u_k^{-1}[s[y]] = u_r^{-1}[y]
-
-    def _strip(self, g, start: int = 0):
-        for i in range(start, len(self.base)):
-            r = self.row_of[i][g[self.base[i]]]
-            if r < 0:
-                return g, i
-            g = self.uinv[i][r][g]  # g * u^{-1}
-        return g, len(self.base)
 
     def _check(self, i: int) -> int:
         """Resume verifying level i; the next level to verify (i - 1 when done)."""
@@ -243,24 +256,31 @@ class _Chain:
                 to = self._offsets(np.arange(len(rows)))[:, None] + inv[rows]
                 g.reshape(-1)[to] = w[rows - a]  # u_p * s * u_q^{-1}
                 self.sifts += len(rows)
-                bad = len(rows)  # sift g in place, up to the first row leaving an orbit
-                for lev in range(i + 1, len(self.base) if bad else 0):
-                    at = self.row_of[lev][g[:bad, self.base[lev]]]
-                    mv = at.nonzero()[0]  # a row fixing the base point stays as it is
-                    if not len(mv):
-                        continue
-                    out = (at[mv] < 0).nonzero()[0]
-                    if len(out):
-                        bad, mv = int(mv[out[0]]), mv[:out[0]]
-                    g[mv] = self._gather(self.uinv[lev], at[mv], g[mv])
-                moved = (g[:bad] != self.identity).any(axis=1).nonzero()[0]
-                bad = int(moved[0]) if len(moved) else bad
+                bad, j = self._sift(g, i + 1)
                 self.cursor[i][k] = b if bad == len(rows) else int(rows[bad]) + 1
-                if bad < len(rows):  # its partly sifted row strips to the same residue
-                    h, j = self._strip(g[bad].copy(), i + 1)
-                    self._insert(h, i + 1, j)
+                if bad < len(rows):
+                    self._insert(g[bad].copy(), i + 1, j)
                     return j
         return i - 1
+
+    def _sift(self, g, start: int) -> tuple[int, int]:
+        """Sift the rows of g in place from level start. Returns the first
+        row that leaves an orbit or ends as a non-identity residue, and the
+        level where it did; (len(g), len(base)) if every row sifts out."""
+        bad, j = len(g), len(self.base)
+        for lev in range(start, len(self.base)):
+            at = self.row_of[lev][g[:bad, self.base[lev]]]
+            mv = at.nonzero()[0]  # a row fixing the base point stays as it is
+            if not len(mv):
+                continue
+            out = (at[mv] < 0).nonzero()[0]
+            if len(out):
+                bad, j, mv = int(mv[out[0]]), lev, mv[:out[0]]
+                if not bad:
+                    return 0, lev
+            g[mv] = self._gather(self.uinv[lev], at[mv], g[mv])  # g * u^{-1}
+        moved = (g[:bad] != self.identity).any(axis=1).nonzero()[0]
+        return (int(moved[0]), len(self.base)) if len(moved) else (bad, j)
 
     def _offsets(self, rows):
         # in int32, rows * degree would wrap once a row passes 2**31 // degree
@@ -274,7 +294,7 @@ class _Chain:
         return math.prod(len(p) for p in self.pts)
 
     def contains(self, g) -> bool:
-        return bool((self._strip(self._np.array(g, self._np.int32))[0] == self.identity).all())
+        return self._sift(self._np.array([g], self._np.int32), 0)[0] == 1
 
     def stats(self) -> dict:
         """Base length, strong generators, Schreier generators sifted, orbit lengths."""

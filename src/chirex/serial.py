@@ -40,12 +40,22 @@ def _require(data: dict, field: str, kind) -> Any:
     return value
 
 
-def _int_list(values, length: int, field: str) -> list[int]:
-    if not isinstance(values, list) or len(values) != length:
-        raise SchemaError("field %r: expected a list of %d integers" % (field, length))
-    if not all(_is_int(v) for v in values):
-        raise SchemaError("field %r: non-integer entry" % field)
-    return values
+def _perm_rows(rows: list, count: int, degree: int, field: str) -> tuple[Perm, ...]:
+    """The list ``field`` of JSON rows as ``count`` permutations of 0..degree-1."""
+    if len(rows) != count:
+        raise SchemaError("%s needs %d rows, found %d" % (field, count, len(rows)))
+    perms = []
+    for i, row in enumerate(rows):
+        name = "%s[%d]" % (field, i)
+        if not isinstance(row, list) or len(row) != degree:
+            raise SchemaError("field %r: expected a list of %d integers" % (name, degree))
+        if not all(_is_int(v) for v in row):
+            raise SchemaError("field %r: non-integer entry" % name)
+        try:
+            perms.append(Perm(row))
+        except ValueError as exc:
+            raise SchemaError("%s: %s" % (name, exc)) from exc
+    return tuple(perms)
 
 
 def maniplex_to_json(M: RootedManiplex) -> dict:
@@ -65,19 +75,10 @@ def maniplex_from_json(data: dict) -> RootedManiplex:
     base = _require(data, "base_flag", int)
     if rank < 1:
         raise SchemaError("rank must be at least 1, got %d" % rank)
-    if len(adjacency) != rank:
-        raise SchemaError("adjacency needs %d rows, found %d" % (rank, len(adjacency)))
-    perms = []
-    for i, row in enumerate(adjacency):
-        images = _int_list(row, flags, "adjacency[%d]" % i)
-        try:
-            p = Perm(images)
-        except ValueError as exc:
-            raise SchemaError("adjacency[%d]: %s" % (i, exc)) from exc
-        perms.append(p)
+    perms = _perm_rows(adjacency, rank, flags, "adjacency")
     if not 0 <= base < flags:
         raise SchemaError("base_flag out of range")
-    man = Maniplex(rank=rank, adjacency=tuple(perms))
+    man = Maniplex(rank=rank, adjacency=perms)
     report = validate(man)
     if not report.passed:
         raise SchemaError("maniplex axioms fail on load: %s" % ", ".join(report.failing()))
@@ -95,20 +96,11 @@ def gpr_to_json(G: GprGraph) -> dict:
 def gpr_from_json(data: dict) -> GprGraph:
     vertices = _require(data, "vertices", int)
     rank = _require(data, "rank", int)
-    arrows_raw = _require(data, "arrows", list)
+    arrows = _require(data, "arrows", list)
     if rank < 1 or vertices < 1:
         raise SchemaError("rank and vertices must be at least 1, got %d and %d"
                           % (rank, vertices))
-    if len(arrows_raw) != rank:
-        raise SchemaError("arrows needs %d rows, found %d" % (rank, len(arrows_raw)))
-    arrows = []
-    for k, row in enumerate(arrows_raw):
-        images = _int_list(row, vertices, "arrows[%d]" % k)
-        try:
-            arrows.append(Perm(images))
-        except ValueError as exc:
-            raise SchemaError("arrows[%d]: %s" % (k, exc)) from exc
-    return GprGraph(rank=rank, arrows=tuple(arrows))
+    return GprGraph(rank=rank, arrows=_perm_rows(arrows, rank, vertices, "arrows"))
 
 
 def report_to_json(construction: str, params: dict, verdicts,

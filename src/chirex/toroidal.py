@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .maniplex import (MAX_FLAGS, Maniplex, PreconditionError, RootedManiplex, Symmetry,
+from .maniplex import (Maniplex, PreconditionError, RootedManiplex, Symmetry,
                        VerificationError, classify_symmetry, facets)
-from .permcore import Perm
+from .permcore import MAX_FLAGS, Perm
 
 FAMILIES = ("44", "36", "63")
 
@@ -58,7 +58,6 @@ class Lattice2D:
         if det == 0:
             raise ValueError("degenerate lattice basis")
         self.g1, self.g2 = g1, g2
-        self.det = det
         self.index = abs(det)
         # lower-triangular basis (a, 0), (e, f): reps live in [0,a) x [0,f)
         f, u, v = _egcd(g1[1], g2[1])
@@ -72,11 +71,6 @@ class Lattice2D:
         x -= t * self.e
         y -= t * self.f
         return (x % self.a, y)
-
-    def contains(self, v: tuple[int, int]) -> bool:
-        alpha = v[0] * self.g2[1] - v[1] * self.g2[0]
-        beta = self.g1[0] * v[1] - self.g1[1] * v[0]
-        return alpha % self.det == 0 and beta % self.det == 0
 
     def cells(self) -> list[tuple[int, int]]:
         return [(x, y) for y in range(self.f) for x in range(self.a)]
@@ -153,15 +147,6 @@ class QuotientResult:
     rooted: RootedManiplex
 
 
-def _facet_count(p: TorusParams) -> int:
-    index = lattice_for(p).index
-    if p.family == "44":
-        return index
-    if p.family == "36":
-        return 2 * index
-    return index  # hexagonal faces of {6,3}
-
-
 def regular_quotient(p: TorusParams) -> QuotientResult | None:
     """Largest regular toroidal quotient with at least two facets.
 
@@ -178,9 +163,10 @@ def regular_quotient(p: TorusParams) -> QuotientResult | None:
             except ValueError:
                 continue
             clat = lattice_for(cand)
-            if not (clat.contains(lat.g1) and clat.contains(lat.g2)):
+            if clat.canon(*lat.g1) != (0, 0) or clat.canon(*lat.g2) != (0, 0):
                 continue
-            nfacets = _facet_count(cand)
+            # a cell holds one square, two triangles or one hexagon
+            nfacets = 2 * clat.index if p.family == "36" else clat.index
             if nfacets < 2:
                 continue
             if best is None or nfacets > best[0]:

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .maniplex import (MAX_FLAGS, Maniplex, PreconditionError, RootedManiplex, Symmetry,
+from .maniplex import (Maniplex, PreconditionError, RootedManiplex, Symmetry,
                        automorphism_orbit, classify_symmetry, schlafli, validate)
-from .permcore import Perm
+from .permcore import MAX_FLAGS, Perm
 
 
 @dataclass(frozen=True)

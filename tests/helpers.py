@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
@@ -11,10 +12,10 @@ import numpy as np
 from chirex.gpr import GprGraph, components, rooted_digraph_isomorphic
 from chirex.maniplex import (AutomorphismOrbit, Maniplex, PreconditionError, RootedManiplex,
                              RotationSystem, Symmetry, VerificationError, classify_symmetry,
-                             find_rooted_automorphism, forced_map, rotation_system,
+                             facets, find_rooted_automorphism, forced_map, rotation_system,
                              schlafli, tau)
 from chirex.permcore import Perm, PermGroup, orbit_of, orbit_partition
-from chirex.toroidal import TorusParams, build_toroidal_map
+from chirex.toroidal import TorusParams, build_toroidal_map, lattice_for
 from chirex.two_s_m import TwoSM, build_two_s_m, every_ridge_in_two_facets
 
 
@@ -185,6 +186,13 @@ def facet_word(RS: RotationSystem, phi_f: int, phi: int,
         v, letter = parent[v]
         letters.append(letter)
     return GroupWord(tuple(letters))
+
+
+def white_facets_by_orbits(K: RootedManiplex):
+    """The facets of K on its white flags as orbits of s_1..s_{n-2}, the
+    partition the matching computed before it read K's facet partition."""
+    rs = rotation_system(K)
+    return orbit_partition(rs.sigma[: rs.rank - 2], rs.degree)
 
 
 def check_spread_by_words(K: RootedManiplex, matching) -> int:
@@ -453,6 +461,30 @@ def is_chiral_params(p: TorusParams) -> bool:
     """The closed-form chirality test: b c (b - c) != 0 in canonical form."""
     q = canonical_params(p)
     return q.b * q.c * (q.b - q.c) != 0
+
+
+def lattice_contains(lat, v) -> bool:
+    """v lies in the lattice spanned by lat.g1 and lat.g2: by Cramer's rule
+    both of its coordinates in that basis are integers."""
+    (a, b), (c, d) = lat.g1, lat.g2
+    det = a * d - b * c
+    return (v[0] * d - v[1] * c) % det == 0 and (a * v[1] - b * v[0]) % det == 0
+
+
+def regular_quotient_by_scan(p: TorusParams) -> TorusParams | None:
+    """The regular candidate (d, 0) or (d, d) whose lattice contains p's and
+    whose built map has the most facets, at least two; the first on ties."""
+    lat = lattice_for(p)
+    best = None
+    for d in range(1, math.isqrt(lat.index) + 2):
+        for form in ((d, 0), (d, d)):
+            cand = TorusParams(p.family, *form)
+            if not all(lattice_contains(lattice_for(cand), g) for g in (lat.g1, lat.g2)):
+                continue
+            count = len(facets(build_toroidal_map(cand).maniplex))
+            if count >= 2 and (best is None or count > best[0]):
+                best = (count, cand)
+    return None if best is None else best[1]
 
 
 # 2s^M flag coordinates: flag (flag of M, x, delta) is

@@ -124,6 +124,14 @@ def test_criterion_5_regular_quotient_pipeline():
         assert dict((n, ok) for n, ok, _ in result.report.verdicts)["intersection-property"]
         assert not is_regular_via_mix(result.group)
         assert result.schlafli[-1] == math.lcm(q, 2 * s)
+    # beyond {4,4}: on {3,6}_(2,1) the mix with {3,6}_(1,0) raises q = 30
+    K = build_toroidal_map(TorusParams("36", 2, 1))
+    seed = extend_dually_bipartite(K, 1)
+    quotient = regular_quotient(TorusParams("36", 2, 1))
+    assert seed.last_entry == 30 and str(quotient.params) == "{3,6}_(1,0)"
+    result = regular_quotient_extension(seed.graph, K, quotient.rooted, 4)
+    assert result.report.passed, result.report.failing()
+    assert result.schlafli == [3, 6, 120]  # lcm(30, 8)
     elapsed = time.time() - t0
     assert elapsed < 600, "pipeline took %.1fs" % elapsed
     _announce(5, "regular-quotient extension pipeline")
@@ -170,24 +178,31 @@ def test_criterion_6_cross_validation():
 # every chiral dually-bipartite {4,4}_(b,c) with b <= 9: 0 < c < b, b - c even
 HEADLINE_MAPS = [(b, c) for b in range(2, 10) for c in range(1, b) if (b - c) % 2 == 0]
 HEADLINE_S = (1, 2, 4, 8, 16, 32, 64)
+# every chiral {3,6}_(b,c) is dually bipartite; the window b <= 6, s <= 16
+# takes about 1 s (b <= 9 takes about 6 s)
+HEADLINE_MAPS_36 = [(b, c) for b in range(2, 7) for c in range(1, b)]
+HEADLINE_S_36 = (1, 2, 4, 8, 16)
 
 
 def test_criterion_7_distinct_extensions_note():
-    """The headline claim on a window of maps: for each of the 16 maps
-    and each s, the extension's report passes and 2s divides its last
-    entry q, so q is unbounded in s. The larger cases stay with their
-    own tests: s = 1024 and the seeded q = 576576 in
+    """The headline claim on a window of maps: for each of the 16 {4,4}
+    and 15 {3,6} maps and each s, the extension's report passes and 2s
+    divides its last entry q, so q is unbounded in s. The larger cases
+    stay with their own tests: s = 1024 and the seeded q = 576576 in
     tests/test_extend_db.py, the mix at large s in
     tests/test_mix.py::TestLargeS."""
-    assert len(HEADLINE_MAPS) == 16
+    assert len(HEADLINE_MAPS) == 16 and len(HEADLINE_MAPS_36) == 15
     t0 = time.time()
-    for b, c in HEADLINE_MAPS:
-        K = build_toroidal_map(TorusParams("44", b, c))
-        assert classify_symmetry(K) is Symmetry.CHIRAL, (b, c)
-        for s in HEADLINE_S:
-            result = extend_dually_bipartite(K, s)
-            assert result.report.passed, (b, c, s, result.report.failing())
-            assert result.last_entry % (2 * s) == 0, (b, c, s, result.last_entry)
+    for family, maps, svalues in (("44", HEADLINE_MAPS, HEADLINE_S),
+                                  ("36", HEADLINE_MAPS_36, HEADLINE_S_36)):
+        for b, c in maps:
+            K = build_toroidal_map(TorusParams(family, b, c))
+            assert classify_symmetry(K) is Symmetry.CHIRAL, (family, b, c)
+            for s in svalues:
+                result = extend_dually_bipartite(K, s)
+                assert result.report.passed, (family, b, c, s, result.report.failing())
+                assert result.last_entry % (2 * s) == 0, (family, b, c, s, result.last_entry)
     elapsed = time.time() - t0
     assert elapsed < 60, "sweep took %.1fs" % elapsed
-    _announce(7, "2s divides the last entry on 16 maps up to s = 64")
+    _announce(7, "2s divides the last entry on 16 {4,4} maps up to s = 64 "
+                 "and 15 {3,6} maps up to s = 16")

@@ -9,14 +9,14 @@ from chirex import extend_db, gpr
 from chirex.extend_db import build_matching, extend_dually_bipartite
 from chirex.gpr import VerificationError, gpr_group
 from chirex.maniplex import (PreconditionError, Symmetry, classify_symmetry,
-                             dually_bipartite_colouring, rotation_system)
+                             dually_bipartite_colouring, is_orientable, rotation_system)
 from chirex.permcore import Perm, left_product, orbit_of
 from chirex.toroidal import TorusParams, build_toroidal_map
 from chirex.two_s_m import build_two_s_m
 
 from helpers import (GroupWord, check_spread_by_words, cross_check_maps, evaluate_word,
                      facet_word, facets_regular_by_submaniplex, polygon, rho_bar,
-                     word_action)
+                     white_facets_by_orbits, word_action)
 
 # Step-3 seeds of the benchmark's seeded-extend workload, keyed 44_b_c_sS_qQ
 SEED_POOLS = json.loads(
@@ -187,6 +187,15 @@ class TestMatching:
             assert len(matching.partner) // 2 == W * s  # the report's edge_count
             for v, p in enumerate(matching.partner):
                 assert (v // W) % 2 != (p // W) % 2
+
+    def test_white_facets_match_the_orbit_partition(self):
+        # Step 3's seeded draws follow the block order, so the order agrees too
+        checked = 0
+        for K in cross_check_maps():
+            if K.rank >= 3 and is_orientable(K.maniplex, K.base_flag) is not None:
+                assert extend_db._white_facets(K) == white_facets_by_orbits(K)
+                checked += 1
+        assert checked == 504 + 2 + 2
 
     def test_seed_is_reproducible(self):
         K = k31()

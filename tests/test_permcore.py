@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -5,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chirex.permcore import (DegreeMismatch, Perm, PermGroup, _Chain, left_product,
-                             orbit_of, orbit_partition)
+from chirex import permcore
+from chirex.permcore import (DegreeMismatch, Perm, PermGroup, PreconditionError, _Chain,
+                             left_product, orbit_of, orbit_partition)
 
 from helpers import (GroupWord, brute_force_closure, components_union_find,
                      evaluate_word, orbit_by_deque, word_action)
@@ -271,6 +274,49 @@ class TestChainInvariants:
         # levels 0..j instead of i+1..j take the sifts from about 3.6k to 26k
         assert stats["strong_generators"] < 500
         assert 0 < stats["schreier_sifts"] < 10_000
+
+
+class TestChainPins:
+    """Orders, bases and counters recorded before the input generators,
+    the Schreier batches and membership shared one sift routine."""
+
+    @pytest.mark.parametrize("b,c,s,seed,order,sifts,sha", [
+        (3, 1, 1, None, 414720000, 530,
+         "3512bf0de226cba2e89f50bca34ce95600187f7c2c32a70e6796a6e86608ddc9"),
+        (3, 1, 2, None, 414720000, 667,
+         "4159aa630e3c7f8d976b3946cc760befb1e6faa581857c175e6408a3a50fb3c2"),
+        (3, 1, 3, None, 1244160000, 821,
+         "9d2b6e0b02e950f5f8bab834e9258e3dcaf35b9fade45fcb6ed108cd002aaf47"),
+        (4, 2, 1, None, 346802426255455027200000000, 1959,
+         "46827a5d8cb87ff36a53e4a3c3795b4725ef577175da6b451f5d4cc774e2f3d4"),
+        (5, 1, 1, None, 3007123476809447997888894546739200000000, 3638,
+         "69987d94b1de56de9e3299f56cb291a508a336fa8048eb5742a1d70f9de5de85"),
+        (3, 1, 2, 7, 4414470040173601417374086055489297098873239184215996534673238279585792
+         * 10 ** 32, 24842, "f3bd26076ad17cf9e073dd475047c85cf798136efa69e26f2283dcd63f67d061"),
+    ], ids=["3_1_s1", "3_1_s2", "3_1_s3", "4_2_s1", "5_1_s1", "3_1_s2_seed7"])
+    def test_order_base_and_stats(self, extension_groups, b, c, s, seed, order, sifts, sha):
+        from chirex.extend_db import extend_dually_bipartite
+        from chirex.gpr import gpr_group
+        from chirex.toroidal import TorusParams, build_toroidal_map
+
+        if seed is None:
+            G = extension_groups[(b, c, s)]
+        else:
+            K = build_toroidal_map(TorusParams("44", b, c))
+            G = gpr_group(extend_dually_bipartite(K, s, seed=seed).graph)
+        stats = G.chain.stats()
+        assert (G.order(), stats["schreier_sifts"]) == (order, sifts)
+        blob = json.dumps({"base": list(G.base()), "stats": stats}, sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == sha
+
+    def test_level_budget(self, extension_groups, monkeypatch):
+        # level 0 of the (3,1) s = 1 chain is 80 rows of 80 int32 points
+        gens = [g.images for g in extension_groups[(3, 1, 1)].generators]
+        monkeypatch.setattr(permcore, "MAX_LEVEL_BYTES", 4 * 80 * 80)
+        assert _Chain(gens, 80).order() == 414720000
+        monkeypatch.setattr(permcore, "MAX_LEVEL_BYTES", 4 * 80 * 80 - 1)
+        with pytest.raises(PreconditionError, match="would map 25600 bytes, more than the 25599"):
+            _Chain(gens, 80)
 
 
 class TestFlatGathers:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -158,27 +159,52 @@ class TestCli:
         assert "precondition failure: 2s^M would have" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_oversized_arguments_exit_3(self, tmp_path):
+    @staticmethod
+    def _run_capped(argv):
         # a fresh interpreter with its address space capped at 2 GiB: an
         # allocation sized by the arguments fails fast there with a
-        # MemoryError (exit 1) instead of filling the machine's memory
+        # MemoryError (exit 1) or an OSError (exit 4) instead of filling the
+        # machine's memory
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 
-        k31, out = str(self._build(tmp_path)), str(tmp_path / "x.json")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
                    OPENBLAS_NUM_THREADS="1")
+        return subprocess.run([sys.executable, "-m", "chirex.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120, preexec_fn=cap)
+
+    def test_oversized_arguments_exit_3(self, tmp_path):
+        k31, out = str(self._build(tmp_path)), str(tmp_path / "x.json")
         for argv in (["build-map", "--family", "44", "--b", "100000", "--c", "0", "-o", out],
                      ["extend-db", k31, "--s", "1000000000", "-o", out],
                      ["pipeline", "--family", "36", "--b", "100000", "--c", "1", "--db-s", "1"],
                      ["pipeline", "--family", "44", "--b", "3", "--c", "1",
                       "--db-s", "1000000000", "--mix-s", "2"]):
-            done = subprocess.run([sys.executable, "-m", "chirex.cli", *argv], env=env,
-                                  capture_output=True, text=True, timeout=120, preexec_fn=cap)
+            done = self._run_capped(argv)
             assert done.returncode == 3, (argv, done.stderr)
             assert done.stderr.splitlines() == [done.stderr.strip()], done.stderr
             assert "more than the 1048576 allowed" in done.stderr
         assert not os.path.exists(out)
+
+    def test_group_order_within_the_chain_budget(self, tmp_path):
+        # at s = 512 the extension has 40960 vertices, and level 0 of its
+        # chain would map 40960^2 int32 (6.7 GB): without a report no order
+        # is taken, and with one the level is refused before it is mapped
+        k31, out = str(self._build(tmp_path)), str(tmp_path / "e.json")
+        done = self._run_capped(["extend-db", k31, "--s", "512", "-o", out])
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "wrote %s: 40960 vertices, last entry 1024\n" % out
+        for argv in (["extend-db", k31, "--s", "512", "-o", out,
+                      "--report", str(tmp_path / "r.json")],
+                     ["pipeline", "--family", "44", "--b", "3", "--c", "1", "--db-s", "512",
+                      "--out-prefix", str(tmp_path / "pl")],
+                     ["verify-gpr", out, "--facet", k31, "--report", str(tmp_path / "v.json")]):
+            done = self._run_capped(argv)
+            assert done.returncode == 3, (argv, done.stderr)
+            assert done.stderr == ("precondition failure: a stabiliser chain level would map "
+                                   "6710886400 bytes, more than the 1073741824 allowed\n")
+        done = self._run_capped(["verify-gpr", out, "--facet", k31])
+        assert done.returncode == 0, done.stderr
 
     def test_usage_errors_exit_4(self, tmp_path, capsys):
         # a bad or missing argument is a usage error (exit 4), since 2 is
@@ -347,4 +373,24 @@ class TestGoldenReports:
             ".extension.json": "552565cacd0f53b25ff5e369e1f1db094f91b8460cd52f1010e6d7a5a728d558",
             ".extend-db.report.json": "23f92b033f35831457d7c8aa15ad7170b7d61d4b97da975bc226420578ad0f72",
             ".mix.report.json": "cca5ba5bc9964358165174b5aeb40a9128604085e039ee90a19c3025c30d1320",
+        }
+
+    def test_pipeline_36(self, tmp_path, capsys):
+        # {3,6}_(2,1): the extension has last entry 30 and the mix with
+        # {3,6}_(1,0) at s = 4 raises it to lcm(30, 8) = 120
+        prefix = str(tmp_path / "pl")
+        assert main(["pipeline", "--family", "36", "--b", "2", "--c", "1", "--db-s", "1",
+                     "--mix-s", "4", "--out-prefix", prefix]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [re.sub(r", [0-9.]+s$", "", line) for line in lines] == [
+            "stage build: {3,6}_(2,1), 84 flags, Chiral",
+            "stage quotient: {3,6}_(1,0)",
+            "stage extend-db: s=1, last entry 30 (2s | 30)",
+            "stage mix-extend: s=4, type [3, 6, 120], last entry lcm(30,8)=120"]
+        digests = {ext: _digest(tmp_path / ("pl" + ext)) for ext in
+                   (".extension.json", ".extend-db.report.json", ".mix.report.json")}
+        assert digests == {
+            ".extension.json": "2df8c86bc036b65a93f07bf784f8c7ad919fe76045d406214447ffe6c5aa672e",
+            ".extend-db.report.json": "6c0e883653e00e5d460da2e5d25b641ee7b5fba1ab888d5e1fa42d0058354ab2",
+            ".mix.report.json": "cd96ce094663fe80c4e28faa1cae4ba8277347e87640e0b960e6d221e4cac5f5",
         }

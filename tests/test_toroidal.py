@@ -10,7 +10,8 @@ from chirex.serial import canonical_dumps, maniplex_to_json
 from chirex.toroidal import (TorusParams, Lattice2D, build_toroidal_map,
                              lattice_for, regular_quotient)
 
-from helpers import expected_flag_count, is_chiral_params
+from helpers import (expected_flag_count, is_chiral_params, lattice_contains,
+                     regular_quotient_by_scan)
 
 SYMBOL = {"44": [4, 4], "36": [3, 6], "63": [6, 3]}
 
@@ -32,14 +33,16 @@ class TestParams:
 
 
 class TestLattice:
-    @given(st.integers(-5, 5), st.integers(-5, 5),
+    @given(st.sampled_from(["44", "36"]), st.integers(-5, 5), st.integers(-5, 5),
            st.integers(-30, 30), st.integers(-30, 30))
-    def test_canonical_representatives(self, b, c, x, y):
+    def test_canonical_representatives(self, family, b, c, x, y):
         if (b, c) == (0, 0):
             return
-        lat = lattice_for(TorusParams("44", b, c))
+        lat = lattice_for(TorusParams(family, b, c))
         cx, cy = lat.canon(x, y)
-        assert lat.contains((x - cx, y - cy))
+        assert lattice_contains(lat, (x - cx, y - cy))
+        # regular_quotient tests containment by canon(v) == (0, 0)
+        assert ((cx, cy) == (0, 0)) == lattice_contains(lat, (x, y))
         assert (cx, cy) in set(lat.cells())
         assert len(lat.cells()) == lat.index
 
@@ -129,3 +132,13 @@ class TestRegularQuotient:
 
     def test_none_when_lattice_is_primitive(self):
         assert regular_quotient(TorusParams("44", 2, 1)) is None
+
+    @pytest.mark.parametrize("family", ["44", "36", "63"])
+    def test_matches_scan_of_built_candidates(self, family):
+        # containment by Cramer's rule and facet counts of the built maps
+        for b in range(6):
+            for c in range(6):
+                if (b, c) != (0, 0):
+                    p = TorusParams(family, b, c)
+                    got = regular_quotient(p)
+                    assert (got and got.params) == regular_quotient_by_scan(p), p
