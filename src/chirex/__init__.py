@@ -8,7 +8,7 @@ from .maniplex import (AutomorphismOrbit, Maniplex,
                        classify_symmetry, covers,
                        dually_bipartite_colouring, facets, find_rooted_automorphism,
                        forced_map, is_orientable,
-                       rotation_system, schlafli, tau, validate)
+                       rotation_system, schlafli, validate)
 from .toroidal import TorusParams, build_toroidal_map, regular_quotient
 from .gpr import (GprGraph, cayley_gpr, check_tau_relations, components,
                   facet_components_isomorphic, gpr_group,

@@ -50,7 +50,9 @@ def _cmd_extend_db(args) -> int:
     rooted = maniplex_from_json(load_json(args.maniplex))
     t0 = time.time()
     result = extend_dually_bipartite(rooted, args.s, seed=args.seed)
-    save_json(args.output, gpr_to_json(result.graph))
+    # every value is taken before the first file is written, so a refused
+    # group order leaves no file behind
+    outputs = [(args.output, gpr_to_json(result.graph))]
     if args.report:  # the group order is taken for the report only
         report = report_to_json(
             "extend-db",
@@ -62,7 +64,9 @@ def _cmd_extend_db(args) -> int:
         report["last_entry"] = result.last_entry
         report["edge_count"] = len(result.matching.partner) // 2
         report["copies"] = 2 * args.s
-        save_json(args.report, report)
+        outputs.append((args.report, report))
+    for path, data in outputs:
+        save_json(path, data)
     print("wrote %s: %d vertices, last entry %d" %
           (args.output, result.graph.num_vertices, result.last_entry))
     return EXIT_OK
@@ -130,11 +134,12 @@ def _cmd_pipeline(args) -> int:
     q = result.last_entry
     print("stage extend-db: s=%d, last entry %d (2s | %d), %.1fs"
           % (args.db_s, q, q, time.time() - t0))
+    outputs = []  # written at the end, once every order is taken
     if args.out_prefix:
-        save_json(args.out_prefix + ".extension.json", gpr_to_json(result.graph))
-        save_json(args.out_prefix + ".extend-db.report.json", report_to_json(
+        outputs.append((args.out_prefix + ".extension.json", gpr_to_json(result.graph)))
+        outputs.append((args.out_prefix + ".extend-db.report.json", report_to_json(
             "extend-db", {"s": args.db_s, "seed": args.seed},
-            result.report.verdicts, orders={"group": gpr_group(result.graph).order()}))
+            result.report.verdicts, orders={"group": gpr_group(result.graph).order()})))
 
     if args.mix_s is not None:
         t0 = time.time()
@@ -144,10 +149,12 @@ def _cmd_pipeline(args) -> int:
               % (args.mix_s, mix_result.schlafli, q, 2 * args.mix_s,
                  mix_result.schlafli[-1], time.time() - t0))
         if args.out_prefix:
-            save_json(args.out_prefix + ".mix.report.json", report_to_json(
+            outputs.append((args.out_prefix + ".mix.report.json", report_to_json(
                 "mix-extend", {"s": args.mix_s, "q": q}, mix_result.report.verdicts,
                 orders={"group": mix_result.group.order()},
-                schlafli=mix_result.schlafli))
+                schlafli=mix_result.schlafli)))
+    for path, data in outputs:
+        save_json(path, data)
     return EXIT_OK
 
 

@@ -12,8 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 
-from .permcore import (Perm, PermGroup, PreconditionError, left_product, orbit_of,
-                       orbit_partition)
+from .permcore import Perm, PreconditionError, orbit_of, orbit_partition
 
 
 class VerificationError(RuntimeError):
@@ -194,31 +193,10 @@ class RotationSystem:
     def degree(self) -> int:
         return len(self.white_flags)
 
-    def group(self) -> PermGroup:
-        return PermGroup(self.degree, self.sigma)
-
 
 def rotation_system(M: RootedManiplex) -> RotationSystem:
     """The rotation system of M; cached on M (``M.rotation``)."""
     return M.rotation
-
-
-def tau(sigma, i: int, j: int) -> Perm:
-    """The element tau_{i,j} = sigma_{i+1} ... sigma_j of the rank-n
-    rotation generators sigma = (sigma_1, ..., sigma_{n-1}), with the
-    usual conventions: identity when i == j or when i < j touches the
-    ends, and tau_{i,j} = tau_{j,i}^{-1} when i > j."""
-    n = len(sigma) + 1
-    if not (-1 <= i <= n and -1 <= j <= n):
-        raise IndexError("tau indices out of range")
-    degree = sigma[0].degree
-    if i == j:
-        return Perm.identity(degree)
-    if i > j:
-        return tau(sigma, j, i).inverse()
-    if i == -1 or j == n:
-        return Perm.identity(degree)
-    return left_product(sigma[i:j], degree=degree)
 
 
 def forced_map(rows_a, rows_b, src: int, dst: int, image: list[int]) -> list[int] | None:

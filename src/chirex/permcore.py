@@ -157,17 +157,16 @@ def _unchecked(images: tuple) -> Perm:
     return p
 
 
-def left_product(perms, degree: int | None = None) -> Perm:
+def left_product(perms) -> Perm:
     """Product of left-acting maps: left_product([a, b])(x) == a(b(x)).
 
     This is the adapter for products written in "apply the rightmost
     factor first" order, which is how connection elements act on flags.
+    An empty product has no degree and raises ValueError.
     """
     perms = list(perms)
     if not perms:
-        if degree is None:
-            raise ValueError("degree required for an empty product")
-        return Perm.identity(degree)
+        raise ValueError("an empty product has no degree")
     return reduce(lambda acc, p: p * acc, perms[1:], perms[0])
 
 

@@ -13,8 +13,8 @@ from chirex.gpr import GprGraph, components, rooted_digraph_isomorphic
 from chirex.maniplex import (AutomorphismOrbit, Maniplex, PreconditionError, RootedManiplex,
                              RotationSystem, Symmetry, VerificationError, classify_symmetry,
                              facets, find_rooted_automorphism, forced_map, rotation_system,
-                             schlafli, tau)
-from chirex.permcore import Perm, PermGroup, orbit_of, orbit_partition
+                             schlafli)
+from chirex.permcore import Perm, PermGroup, left_product, orbit_of, orbit_partition
 from chirex.toroidal import TorusParams, build_toroidal_map, lattice_for
 from chirex.two_s_m import TwoSM, build_two_s_m, every_ridge_in_two_facets
 
@@ -396,9 +396,77 @@ def automorphism_orbit_by_closure(M: Maniplex, base: int) -> AutomorphismOrbit:
     return AutomorphismOrbit(orbit=orbit, generators=gens, forced_maps=forced_maps)
 
 
+def tau(sigma, i: int, j: int) -> Perm:
+    """The element tau_{i,j} = sigma_{i+1} ... sigma_j of the rank-n
+    rotation generators sigma = (sigma_1, ..., sigma_{n-1}), with the
+    usual conventions: identity when i == j or when i < j touches the
+    ends, and tau_{i,j} = tau_{j,i}^{-1} when i > j."""
+    n = len(sigma) + 1
+    if not (-1 <= i <= n and -1 <= j <= n):
+        raise IndexError("tau indices out of range")
+    if i > j:
+        return tau(sigma, j, i).inverse()
+    if i == j or i == -1 or j == n:
+        return Perm.identity(sigma[0].degree)
+    return left_product(sigma[i:j])
+
+
+def intersection_property_by_enumeration(sigma, cap: int = 1_000_000):
+    """Intersection property for a rotation-generator list of any rank.
+
+    For every pair of index sets I, J (neither containing the other,
+    the nested pairs being trivially correct) the subgroup generated by
+    the tau elements of the smaller side is enumerated and its members
+    sifted through the larger side's stabiliser chain; the member count
+    must equal the order of the subgroup for the intersected index set.
+    Returns (True, None) or (False, (I, J)) with the first failing pair,
+    and raises if both sides of some pair exceed the enumeration cap.
+    The rank-free oracle for the mix's rank-4 certificate,
+    ``mix.intersection_property_group``.
+    """
+    sigma = tuple(sigma)
+    degree = sigma[0].degree
+    n = len(sigma) + 1  # rank of the would-be polytope
+    subsets = [I for size in range(n + 1) for I in combinations(range(n), size)]
+    groups: dict[tuple, PermGroup] = {}
+    orders: dict[tuple, int] = {}
+    elements: dict[tuple, set | None] = {}
+
+    def group_for(I) -> PermGroup:
+        if I not in groups:
+            groups[I] = PermGroup(degree, [tau(sigma, i, j) for i, j in combinations(I, 2)])
+        return groups[I]
+
+    def order_for(I) -> int:
+        if I not in orders:
+            orders[I] = group_for(I).order()
+        return orders[I]
+
+    def elems(I):
+        if I not in elements:
+            elements[I] = brute_force_closure(group_for(I).generators, degree, cap)
+        return elements[I]
+
+    for a, I in enumerate(subsets):
+        for J in subsets[a + 1:]:
+            si, sj = set(I), set(J)
+            if si <= sj or sj <= si:
+                continue  # the intersection is the smaller subgroup itself
+            meet = tuple(sorted(si & sj))
+            small, big = (I, J) if order_for(I) <= order_for(J) else (J, I)
+            members = elems(small)
+            if members is None:
+                raise VerificationError(
+                    "both subgroups of pair %s exceed the enumeration cap" % ((I, J),))
+            hits = sum(1 for p in members if p in group_for(big))
+            if hits != order_for(meet):
+                return False, (I, J)
+    return True, None
+
+
 def intersection_property_orbits(sigma, base: int = 0):
     """Orbit form of the intersection property over all index pairs: the
-    cross-check for ``mix.intersection_property_group``.
+    cross-check for :func:`intersection_property_by_enumeration`.
 
     The rotation generators must act freely and transitively; subgroup
     elements then correspond to the points of the base's orbit, and

@@ -150,7 +150,8 @@ def test_criterion_6_cross_validation():
     corpus = _corpus()
 
     for rooted in corpus:
-        mirror_regular = is_regular_via_mix(rotation_system(rooted).group())
+        rs = rotation_system(rooted)
+        mirror_regular = is_regular_via_mix(PermGroup(rs.degree, rs.sigma))
         assert mirror_regular == (classify_symmetry(rooted) is Symmetry.REGULAR)
 
     # flag-level covering agrees with the diamond-order homomorphism test
@@ -158,14 +159,15 @@ def test_criterion_6_cross_validation():
         for N in corpus:
             if M.rank != N.rank:
                 continue
-            G = rotation_system(M).group()
-            H = rotation_system(N).group()
+            rs, rt = rotation_system(M), rotation_system(N)
+            G, H = PermGroup(rs.degree, rs.sigma), PermGroup(rt.degree, rt.sigma)
             hom_exists = diamond(G, H).order() == G.order()
             assert (covers(M, N) is not None) == hom_exists, (M, N)
 
     # stabiliser chain vs brute-force closure on every small group
     for rooted in corpus:
-        G = rotation_system(rooted).group()
+        rs = rotation_system(rooted)
+        G = PermGroup(rs.degree, rs.sigma)
         closure = brute_force_closure(G.generators, G.degree)
         if closure is None:
             continue

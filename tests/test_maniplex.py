@@ -4,14 +4,14 @@ from chirex.maniplex import (Maniplex, PreconditionError, RootedManiplex,
                              Symmetry, automorphism_orbit, classify_symmetry,
                              covers, dually_bipartite_colouring, facets,
                              find_rooted_automorphism, is_orientable,
-                             rotation_system, schlafli, tau, validate)
-from chirex.permcore import Perm, disjoint_union, left_product, orbit_partition
+                             rotation_system, schlafli, validate)
+from chirex.permcore import Perm, PermGroup, disjoint_union, left_product, orbit_partition
 from chirex.toroidal import TorusParams, build_toroidal_map
 from chirex.two_s_m import build_two_s_m
 
 from helpers import (aut_count_by_scan, automorphism_orbit_by_closure, colouring_by_facet_bfs,
                      cross_check_maps, cube, hemicube, orientable_by_deque, polygon,
-                     schlafli_by_orders, triangular_prism)
+                     schlafli_by_orders, tau, triangular_prism)
 
 
 class TestValidate:
@@ -213,7 +213,7 @@ class TestRotationSystem:
         assert rs.degree == 24
         assert rs.rank == 3
         assert [g.order() for g in rs.sigma] == [4, 3]
-        assert rs.group().order() == 24  # free and transitive on white flags
+        assert PermGroup(rs.degree, rs.sigma).order() == 24  # free and transitive on white flags
 
     def test_sigma_matches_connections(self):
         rooted = cube()

@@ -7,16 +7,17 @@ import pytest
 
 from chirex import cli, gpr, maniplex, mix, permcore
 from chirex.extend_db import extend_dually_bipartite
-from chirex.gpr import VerificationError, cayley_gpr
+from chirex.gpr import GprGraph, VerificationError, cayley_gpr
 from chirex.maniplex import (PreconditionError, Report, Symmetry,
                              classify_symmetry, rotation_system)
-from chirex.mix import (diamond, enantiomorph_generators,
-                        intersection_property_group, is_regular_via_mix,
+from chirex.mix import (diamond, enantiomorph_generators, is_regular_via_mix,
                         paired_perm, regular_quotient_extension)
 from chirex.permcore import Perm, PermGroup, left_product
 from chirex.toroidal import TorusParams, build_toroidal_map, regular_quotient
+from chirex.two_s_m import build_two_s_m
 
-from helpers import cube, intersection_property_orbits, polygon
+from helpers import (cube, intersection_property_by_enumeration, intersection_property_orbits,
+                     polygon)
 
 
 class TestDiamond:
@@ -71,7 +72,8 @@ class TestRegularViaMix:
     ])
     def test_toroidal(self, family, b, c, regular):
         rooted = build_toroidal_map(TorusParams(family, b, c))
-        G = rotation_system(rooted).group()
+        rs = rotation_system(rooted)
+        G = PermGroup(rs.degree, rs.sigma)
         assert is_regular_via_mix(G) is regular
         D = diamond(G, PermGroup(G.degree, enantiomorph_generators(G.generators)))
         # the diamond's order grows past |G| iff the mirror map does not extend
@@ -88,26 +90,29 @@ class TestRegularViaMix:
 
 
 class TestIntersectionPropertyGroup:
+    """The rank-free enumeration oracle that the rank-4 certificate is
+    compared with, against the orbit oracle."""
+
     def test_regular_torus_rotations(self):
         rs = rotation_system(build_toroidal_map(TorusParams("44", 2, 0)))
-        ok, witness = intersection_property_group(rs.sigma)
+        ok, witness = intersection_property_by_enumeration(rs.sigma)
         assert ok and witness is None
 
     def test_chiral_torus_rotations(self):
         rs = rotation_system(build_toroidal_map(TorusParams("44", 2, 1)))
-        ok, _ = intersection_property_group(rs.sigma)
+        ok, _ = intersection_property_by_enumeration(rs.sigma)
         assert ok
 
     def test_cap_exhaustion_raises(self):
         rs = rotation_system(build_toroidal_map(TorusParams("44", 2, 0)))
         with pytest.raises(VerificationError):
-            intersection_property_group(rs.sigma, cap=1)
+            intersection_property_by_enumeration(rs.sigma, cap=1)
 
     def test_failure_detected(self):
         # sigma_1, sigma_2 of equal order with <s1> = <s1 s2>: the pair
         # ({0,1},{1,2}) then meets in more than the <tau_02>-trivial part
         a = Perm.from_cycles(4, [(0, 1, 2, 3)])
-        ok, witness = intersection_property_group([a, a])
+        ok, witness = intersection_property_by_enumeration([a, a])
         assert not ok
         assert witness is not None
 
@@ -126,7 +131,7 @@ class TestIntersectionPropertyGroup:
         else:
             family, b, c = name.split("-")
             sigma = rotation_system(build_toroidal_map(TorusParams(family, int(b), int(c)))).sigma
-        verdict = intersection_property_group(sigma)
+        verdict = intersection_property_by_enumeration(sigma)
         assert verdict == intersection_property_orbits(sigma)
         assert verdict[0] is (name != "cyclic-pair")
 
@@ -210,6 +215,14 @@ class TestRegularQuotientExtension:
         with pytest.raises(PreconditionError, match="quotient rank 2"):
             regular_quotient_extension(P, K, polygon(4), 2)
 
+    def test_rank_4_facets_rejected(self):
+        # the intersection property is certified at rank 4 only, so K must
+        # be a map; a rank-4 K is refused before any verdict is taken
+        K = build_two_s_m(build_toroidal_map(TorusParams("44", 2, 0)), 2).rooted
+        P = GprGraph(4, tuple(Perm.identity(1) for _ in range(4)))
+        with pytest.raises(PreconditionError, match="rank-3 facets only, got rank 4"):
+            regular_quotient_extension(P, K, K, 2)
+
     def test_non_regular_quotient_rejected(self):
         K = build_toroidal_map(TorusParams("44", 3, 1))
         P = extend_dually_bipartite(K, 1).graph
@@ -248,14 +261,11 @@ class TestCertifiedVerdicts:
         result = regular_quotient_extension(P, K, R, s)
         verdict = dict((name, ok) for name, ok, _ in result.report.verdicts)
         assert result.report.passed
-        assert verdict["intersection-property"] is intersection_property_group(
+        assert verdict["intersection-property"] is intersection_property_by_enumeration(
             result.group.generators)[0]
         assert verdict["result-chiral"] is not is_regular_via_mix(result.group)
 
     def test_rank_4_skips_the_whole_mix(self, monkeypatch):
-        def no_enumeration(sigma, cap=None):
-            raise AssertionError("the rank-4 path enumerated subgroups")
-
         widths = []
         real_diamond = mix.diamond
 
@@ -263,7 +273,6 @@ class TestCertifiedVerdicts:
             widths.append(len(G.generators))
             return real_diamond(G, H)
 
-        monkeypatch.setattr(mix, "intersection_property_group", no_enumeration)
         monkeypatch.setattr(mix, "diamond", counting_diamond)
         K, P, R = _seed(3, 1, 1)
         result = regular_quotient_extension(P, K, R, 4)

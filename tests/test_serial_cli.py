@@ -16,6 +16,7 @@ from chirex.serial import (SchemaError, canonical_dumps, gpr_from_json,
                            gpr_to_json, load_json, maniplex_from_json,
                            maniplex_to_json, report_to_json, save_json)
 from chirex.toroidal import TorusParams, build_toroidal_map
+from chirex.two_s_m import build_two_s_m
 
 from helpers import polygon
 
@@ -189,20 +190,25 @@ class TestCli:
     def test_group_order_within_the_chain_budget(self, tmp_path):
         # at s = 512 the extension has 40960 vertices, and level 0 of its
         # chain would map 40960^2 int32 (6.7 GB): without a report no order
-        # is taken, and with one the level is refused before it is mapped
+        # is taken, and with one the level is refused before it is mapped;
+        # a refused order leaves none of the command's files behind
         k31, out = str(self._build(tmp_path)), str(tmp_path / "e.json")
         done = self._run_capped(["extend-db", k31, "--s", "512", "-o", out])
         assert done.returncode == 0, done.stderr
         assert done.stdout == "wrote %s: 40960 vertices, last entry 1024\n" % out
-        for argv in (["extend-db", k31, "--s", "512", "-o", out,
-                      "--report", str(tmp_path / "r.json")],
-                     ["pipeline", "--family", "44", "--b", "3", "--c", "1", "--db-s", "512",
-                      "--out-prefix", str(tmp_path / "pl")],
-                     ["verify-gpr", out, "--facet", k31, "--report", str(tmp_path / "v.json")]):
+        prefix = str(tmp_path / "pl")
+        for argv, written in (
+                (["extend-db", k31, "--s", "512", "-o", str(tmp_path / "e2.json"),
+                  "--report", str(tmp_path / "r.json")], ["e2.json", "r.json"]),
+                (["pipeline", "--family", "44", "--b", "3", "--c", "1", "--db-s", "512",
+                  "--out-prefix", prefix], ["pl.extension.json", "pl.extend-db.report.json"]),
+                (["verify-gpr", out, "--facet", k31, "--report", str(tmp_path / "v.json")],
+                 ["v.json"])):
             done = self._run_capped(argv)
             assert done.returncode == 3, (argv, done.stderr)
             assert done.stderr == ("precondition failure: a stabiliser chain level would map "
                                    "6710886400 bytes, more than the 1073741824 allowed\n")
+            assert not any((tmp_path / name).exists() for name in written), argv
         done = self._run_capped(["verify-gpr", out, "--facet", k31])
         assert done.returncode == 0, done.stderr
 
@@ -294,7 +300,21 @@ class TestCli:
         save_json(str(one), {"vertices": 1, "rank": 1, "arrows": [[0]]})
         assert main(["mix-extend", "--extension", str(one), "--facet", str(segment),
                      "--quotient", str(segment), "--s", "2"]) == 3
-        assert "two labels" in capsys.readouterr().err
+        assert "rank-3 facets only, got rank 1" in capsys.readouterr().err
+
+    def test_mix_extend_rank_4_rejected(self, tmp_path, capsys):
+        # the mix certifies its intersection property at rank 4 only, so
+        # rank-4 facets (a 2s^M of a map) are a precondition failure
+        K = build_two_s_m(build_toroidal_map(TorusParams("44", 2, 0)), 2).rooted
+        facet = tmp_path / "k4.json"
+        save_json(str(facet), maniplex_to_json(K))
+        ext = tmp_path / "p4.json"
+        save_json(str(ext), {"vertices": 1, "rank": 4, "arrows": [[0]] * 4})
+        capsys.readouterr()
+        assert main(["mix-extend", "--extension", str(ext), "--facet", str(facet),
+                     "--quotient", str(facet), "--s", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "precondition failure: the mix is certified for rank-3 facets only, got rank 4\n")
 
     def test_rank_zero_rejected(self, tmp_path, capsys):
         # a rank-0 file has no adjacency rows to index, so it must fail
