@@ -134,13 +134,6 @@ def _cmd_pipeline(args) -> int:
     q = result.last_entry
     print("stage extend-db: s=%d, last entry %d (2s | %d), %.1fs"
           % (args.db_s, q, q, time.time() - t0))
-    outputs = []  # written at the end, once every order is taken
-    if args.out_prefix:
-        outputs.append((args.out_prefix + ".extension.json", gpr_to_json(result.graph)))
-        outputs.append((args.out_prefix + ".extend-db.report.json", report_to_json(
-            "extend-db", {"s": args.db_s, "seed": args.seed},
-            result.report.verdicts, orders={"group": gpr_group(result.graph).order()})))
-
     if args.mix_s is not None:
         t0 = time.time()
         mix_result = regular_quotient_extension(result.graph, rooted,
@@ -148,11 +141,28 @@ def _cmd_pipeline(args) -> int:
         print("stage mix-extend: s=%d, type %s, last entry lcm(%d,%d)=%d, %.1fs"
               % (args.mix_s, mix_result.schlafli, q, 2 * args.mix_s,
                  mix_result.schlafli[-1], time.time() - t0))
-        if args.out_prefix:
-            outputs.append((args.out_prefix + ".mix.report.json", report_to_json(
-                "mix-extend", {"s": args.mix_s, "q": q}, mix_result.report.verdicts,
-                orders={"group": mix_result.group.order()},
-                schlafli=mix_result.schlafli)))
+    if not args.out_prefix:
+        return EXIT_OK
+    # every order is taken before the first file is written
+    if args.mix_s is None:
+        order = gpr_group(result.graph).order()
+    else:
+        # the mix acts on P's vertices, the orbit of point 0, as Gamma(P), so
+        # the mix's chain gives Gamma(P)'s order too; order() builds the chain
+        mix_order = mix_result.group.order()
+        orbit = mix_result.group.chain.orbit0
+        if len(orbit) != result.graph.num_vertices:
+            raise VerificationError("the mix's orbit of point 0 has %d points, not P's %d "
+                                    "vertices" % (len(orbit), result.graph.num_vertices))
+        order = mix_result.group.orbit_order()
+    outputs = [(args.out_prefix + ".extension.json", gpr_to_json(result.graph)),
+               (args.out_prefix + ".extend-db.report.json", report_to_json(
+                   "extend-db", {"s": args.db_s, "seed": args.seed},
+                   result.report.verdicts, orders={"group": order}))]
+    if args.mix_s is not None:
+        outputs.append((args.out_prefix + ".mix.report.json", report_to_json(
+            "mix-extend", {"s": args.mix_s, "q": q}, mix_result.report.verdicts,
+            orders={"group": mix_order}, schlafli=mix_result.schlafli)))
     for path, data in outputs:
         save_json(path, data)
     return EXIT_OK

@@ -104,7 +104,10 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     K is a rank-3 map, so the result has rank 4; another rank is refused.
     P is given as its GPR-graph (labels 1..3 with arrows sigma_1..sigma_3
     of the extension's rotation group). The mix is the diamond of the
-    rotation groups of P and 2s^R, and it projects onto Gamma(P).
+    rotation groups of P and 2s^R, and it projects onto Gamma(P): P's
+    vertices are the points 0..V-1, on which Gamma(P) is transitive, so
+    they are the orbit of point 0 and the mix's constituent there is
+    Gamma(P), whose order is ``result.group.orbit_order()``.
 
     Two verdicts are certified without the mix's stabiliser chain:
 

@@ -7,7 +7,7 @@ import pytest
 
 from chirex import cli, gpr, maniplex, mix, permcore
 from chirex.extend_db import extend_dually_bipartite
-from chirex.gpr import GprGraph, VerificationError, cayley_gpr
+from chirex.gpr import GprGraph, VerificationError, cayley_gpr, gpr_group
 from chirex.maniplex import (PreconditionError, Report, Symmetry,
                              classify_symmetry, rotation_system)
 from chirex.mix import (diamond, enantiomorph_generators, is_regular_via_mix,
@@ -301,6 +301,46 @@ def test_facet_subgroup_order_is_the_white_flag_count(b, c, db_s):
     K, P, _ = _seed(b, c, db_s)
     W = rotation_system(K).degree
     assert PermGroup(P.num_vertices, P.arrows[:-1]).order() == W
+
+
+class TestMixChain:
+    """The mix's chain takes the orbit of point 0, P's vertices, first; its
+    image levels give Gamma(P)'s order and its order is unchanged from when
+    the base took the mix's moved points in ascending order."""
+
+    ORDERS = {
+        (1, 1, 2): 693604852510910054400000000,
+        (1, 1, 3): 1040407278766365081600000000,
+        (1, 1, 4): 1387209705021820108800000000,
+        (1, 1, 5): 1734012131277275136000000000,
+        (2, 0, 2): 2774419410043640217600000000,
+        (2, 0, 3): 9363665508897285734400000000,
+        (2, 0, 4): 22195355280349121740800000000,
+        (2, 0, 5): 43350303281931878400000000000,
+    }
+
+    @staticmethod
+    def check_orbit_first(G: PermGroup, P: GprGraph) -> None:
+        V = P.num_vertices
+        assert G.orbit_order() == gpr_group(P).order()
+        base, split = G.base(), G.chain.split
+        assert len(G.chain.orbit0) == V
+        assert all(x < V for x in base[:split]) and all(x >= V for x in base[split:])
+
+    @pytest.mark.parametrize("b,c,s", sorted(ORDERS))
+    def test_quotients_of_4_2(self, b, c, s):
+        K, P, _ = _seed(4, 2, 1)
+        G = regular_quotient_extension(P, K, build_toroidal_map(TorusParams("44", b, c)), s).group
+        assert G.order() == self.ORDERS[b, c, s]
+        self.check_orbit_first(G, P)
+
+    @pytest.mark.parametrize("family,b,c", [("44", 3, 1), ("44", 5, 1), ("36", 2, 1)])
+    def test_other_maps(self, family, b, c):
+        params = TorusParams(family, b, c)
+        K = build_toroidal_map(params)
+        P = extend_dually_bipartite(K, 1).graph
+        G = regular_quotient_extension(P, K, regular_quotient(params).rooted, 4).group
+        self.check_orbit_first(G, P)
 
 
 class TestLargeS:

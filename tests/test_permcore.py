@@ -441,3 +441,109 @@ class TestSympyOracle:
             assert (probe in G) == expected
             outside += not expected
         assert outside > 0
+
+
+def intransitive_groups(count):
+    """Generator lists on 6..24 points cut into two or three parts:
+    disjoint products, where each generator moves one part, and diagonal
+    products, where each moves every part at once, so the kernel of the
+    action on the orbit of point 0 ranges from trivial to a direct factor."""
+    rng = random.Random(21)
+    groups = []
+    for n in range(count):
+        degree = rng.randrange(6, 25)
+        points = list(range(degree))
+        rng.shuffle(points)
+        cuts = sorted(rng.sample(range(1, degree), rng.choice((1, 2))))
+        parts = [points[a:b] for a, b in zip([0] + cuts, cuts + [degree])]
+        gens = []
+        for _ in range(rng.randrange(1, 4)):
+            images = list(range(degree))
+            for part in (parts if n % 2 else [rng.choice(parts)]):
+                moved = part[:]
+                rng.shuffle(moved)
+                for x, y in zip(part, moved):
+                    images[x] = y
+            gens.append(Perm(images))
+        groups.append(gens)
+    return groups
+
+
+class TestOrbitFirst:
+    """The levels whose base points lie in the orbit of point 0 come first,
+    and their orbit lengths multiply to the order of the action there."""
+
+    @staticmethod
+    def orbit_first(G: PermGroup) -> tuple[int, ...]:
+        orbit = set(orbit_of(0, G.generators))
+        base, split = G.base(), G.chain.split
+        assert all(b in orbit for b in base[:split])
+        assert not any(b in orbit for b in base[split:])
+        return tuple(sorted(orbit))
+
+    def test_against_sympy(self):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+        rng = random.Random(4)
+        kernels = 0
+        for gens in intransitive_groups(160):
+            degree = gens[0].degree
+            G = PermGroup(degree, gens)
+            H = combinatorics.PermutationGroup(
+                [combinatorics.Permutation(list(g.images)) for g in gens])
+            check_bsgs(G)
+            orbit = self.orbit_first(G)
+            index = {x: k for k, x in enumerate(orbit)}
+            image = combinatorics.PermutationGroup(
+                [combinatorics.Permutation([index[g(x)] for x in orbit]) for g in gens])
+            assert (G.order(), G.orbit_order()) == (H.order(), image.order())
+            kernels += G.order() > G.orbit_order() > 1
+            outside = [x for x in range(degree) if x not in index]
+            for _ in range(4):
+                word = Perm.identity(degree)
+                for _ in range(rng.randrange(1, 20)):
+                    word = word * rng.choice(gens)
+                assert word in G
+                if outside:  # a member followed by a swap across the orbit's edge
+                    swap = Perm.from_cycles(degree, [(rng.choice(orbit), rng.choice(outside))])
+                    assert word * swap not in G
+                    assert not H.contains(combinatorics.Permutation(list((word * swap).images)))
+                images = list(range(degree))
+                rng.shuffle(images)
+                assert (Perm(images) in G) == H.contains(combinatorics.Permutation(images))
+        assert kernels > 20
+
+    @pytest.mark.parametrize("degree,cycles,orders", [
+        (10, ([(1, 2), (5, 9)], [(0, 3, 7, 8, 6), (1, 2, 9, 4, 5)]), (50, 5)),
+        (9, ([(1, 5, 6), (2, 8, 7)], [(0, 3), (2, 4, 8, 7, 5, 6)]), (5040, 2)),
+    ])
+    def test_image_level_opened_above_a_kernel_level(self, degree, cycles, orders):
+        # the first generator fixes the orbit of 0 pointwise and opens a
+        # kernel level; the image level the second one opens above it takes
+        # the kernel level's generators, without which their conjugates are
+        # never formed (orders 10 and 336); the orders are sympy's
+        G = PermGroup(degree, [Perm.from_cycles(degree, c) for c in cycles])
+        check_bsgs(G)
+        self.orbit_first(G)
+        assert (G.order(), G.orbit_order()) == orders and G.chain.split == 1
+
+    def test_transitive_chains_have_no_kernel_level(self, extension_groups):
+        for G in extension_groups.values():
+            assert self.orbit_first(G) == tuple(range(G.degree))
+            assert G.chain.split == len(G.base()) and G.orbit_order() == G.order()
+
+    def test_point_0_fixed(self):
+        G = PermGroup(5, [Perm.from_cycles(5, [(1, 2)]), Perm.from_cycles(5, [(3, 4)])])
+        assert (G.order(), G.orbit_order(), G.base()) == (4, 1, (1, 3))
+        assert Perm.from_cycles(5, [(0, 1)]) not in G
+
+    def test_inserted_level_budget(self, monkeypatch):
+        # the first generator fixes the orbit {0..6} of point 0 and makes a
+        # kernel level of 5 rows; the 7-cycle then inserts an image level
+        # of 7 rows ahead of it, 7 * 12 int32 that the budget refuses
+        gens = [tuple(range(7)) + (8, 9, 10, 11, 7), (1, 2, 3, 4, 5, 6, 0) + tuple(range(7, 12))]
+        monkeypatch.setattr(permcore, "MAX_LEVEL_BYTES", 4 * 7 * 12)
+        chain = _Chain(gens, 12)
+        assert (chain.base, chain.split, chain.order(), chain.orbit_order()) == ([0, 7], 1, 35, 7)
+        monkeypatch.setattr(permcore, "MAX_LEVEL_BYTES", 4 * 7 * 12 - 1)
+        with pytest.raises(PreconditionError, match="would map 336 bytes, more than the 335"):
+            _Chain(gens, 12)

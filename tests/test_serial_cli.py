@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from chirex import cli
 from chirex.cli import main
 from chirex.extend_db import extend_dually_bipartite
 from chirex.gpr import cayley_gpr
+from chirex.permcore import Perm, PermGroup
 from chirex.serial import (SchemaError, canonical_dumps, gpr_from_json,
                            gpr_to_json, load_json, maniplex_from_json,
                            maniplex_to_json, report_to_json, save_json)
@@ -239,6 +241,24 @@ class TestCli:
         assert main(["extend-db", str(path), "--s", "1",
                      "-o", str(tmp_path / "x.json")]) == 3
 
+    def test_pipeline_checks_the_mix_orbit(self, tmp_path, monkeypatch, capsys):
+        # the extension report's order is the mix's order on the orbit of
+        # point 0, so a mix whose orbit is not P's vertex set is refused
+        # before any file is written
+        real = cli.regular_quotient_extension
+
+        def trivial_mix(*args):
+            result = real(*args)
+            result.group = PermGroup(result.group.degree, [Perm.identity(result.group.degree)])
+            return result
+
+        monkeypatch.setattr(cli, "regular_quotient_extension", trivial_mix)
+        assert main(["pipeline", "--family", "44", "--b", "3", "--c", "1", "--db-s", "1",
+                     "--mix-s", "2", "--out-prefix", str(tmp_path / "pl")]) == 2
+        assert capsys.readouterr().err == ("verification failure: the mix's orbit of point 0 "
+                                           "has 1 points, not P's 80 vertices\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_pipeline_fails_fast_without_quotient(self, capsys):
         # (2,1) has no regular quotient with two facets
         assert main(["pipeline", "--family", "44", "--b", "2", "--c", "1",
@@ -393,6 +413,27 @@ class TestGoldenReports:
             ".extension.json": "552565cacd0f53b25ff5e369e1f1db094f91b8460cd52f1010e6d7a5a728d558",
             ".extend-db.report.json": "23f92b033f35831457d7c8aa15ad7170b7d61d4b97da975bc226420578ad0f72",
             ".mix.report.json": "cca5ba5bc9964358165174b5aeb40a9128604085e039ee90a19c3025c30d1320",
+        }
+
+    def test_pipeline_4_2_mix_s_4(self, tmp_path, capsys):
+        # recorded when the pipeline still built Gamma(P)'s chain for the
+        # extension report beside the mix's, whose base mixed P's points
+        # with 2s^R's
+        prefix = str(tmp_path / "pl")
+        assert main(["pipeline", "--family", "44", "--b", "4", "--c", "2", "--db-s", "1",
+                     "--mix-s", "4", "--out-prefix", prefix]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [re.sub(r", [0-9.]+s$", "", line) for line in lines] == [
+            "stage build: {4,4}_(4,2), 160 flags, Chiral",
+            "stage quotient: {4,4}_(2,0)",
+            "stage extend-db: s=1, last entry 18 (2s | 18)",
+            "stage mix-extend: s=4, type [4, 4, 72], last entry lcm(18,8)=72"]
+        digests = {ext: _digest(tmp_path / ("pl" + ext)) for ext in
+                   (".extension.json", ".extend-db.report.json", ".mix.report.json")}
+        assert digests == {
+            ".extension.json": "a5dae2c64fab2dfcd129c5b7925b882cc84f5fe6ef73d7dc70d99940fd9d5177",
+            ".extend-db.report.json": "85eb0658795198b7312988a8a20fff5094d367ef4ec439e61efe058c1c32c435",
+            ".mix.report.json": "2a9cc46f88aed69b9376fd3147459cd4071d738b0acf27ea360aff4b7e04fe54",
         }
 
     def test_pipeline_36(self, tmp_path, capsys):
