@@ -19,7 +19,7 @@ from .mix import regular_quotient_extension
 from .serial import (SchemaError, gpr_from_json, gpr_to_json, load_json,
                      maniplex_from_json, maniplex_to_json, report_to_json,
                      save_json)
-from .toroidal import TorusParams, build_toroidal_map, regular_quotient
+from .toroidal import FAMILIES, TorusParams, build_toroidal_map, regular_quotient
 from .two_s_m import build_two_s_m
 
 EXIT_OK = 0
@@ -178,7 +178,7 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build-map", help="build a toroidal map")
-    p.add_argument("--family", required=True, choices=("44", "36", "63"))
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("-o", "--output", required=True)
@@ -218,7 +218,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_mix_extend)
 
     p = sub.add_parser("pipeline", help="build, extend and mix end to end")
-    p.add_argument("--family", required=True, choices=("44", "36", "63"))
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.add_argument("--db-s", type=int, required=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .gpr import GprGraph, verify_extension_criterion
+from .gpr import GprGraph, gpr_group, verify_extension_criterion
 from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
                        VerificationError, classify_symmetry, covers, facets,
                        rotation_system)
@@ -156,14 +156,14 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
 
     q = criterion.data["last_entry"]  # the order of P's arrow n
     result.q = q
-    paired = tuple(paired_perm(P.arrow(k), rs2.sigma[k - 1]) for k in range(1, n + 1))
-    result.group = PermGroup(paired[0].degree, paired)
+    result.group = diamond(gpr_group(P), PermGroup(rs2.degree, rs2.sigma))
+    gens = result.group.generators
 
     # the mix projects onto <P.arrows>, so the projection is an isomorphism
     # on the facet subgroup iff the orders agree; by facets-of-extension P's
     # facet subgroup acts regularly on each copy of Cay(K) (gpr.FacetSubgroup)
     # and has order W, the white-flag count
-    facet_group = PermGroup(paired[0].degree, paired[:-1])
+    facet_group = PermGroup(result.group.degree, gens[:-1])
     facet_order = facet_group.order()
     white_count = rotation_system(K).degree
     check("facet-projection-collapses", facet_order == white_count,
@@ -174,7 +174,7 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
 
     check("intersection-property", *intersection_property_group(criterion))
 
-    last = paired[-1].order()
+    last = gens[-1].order()
     expected = math.lcm(q, 2 * s)
     check("last-entry-lcm", last == expected,
           "last entry %d != lcm(%d, %d) = %d" % (last, q, 2 * s, expected))
@@ -184,5 +184,5 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     check("result-chiral", not is_regular_via_mix(facet_group),
           "mirror map extends to an automorphism of the facet subgroup")
 
-    result.schlafli = [p.order() for p in paired]
+    result.schlafli = [g.order() for g in gens]
     return result

@@ -103,11 +103,13 @@ def build_toroidal_map(p: TorusParams) -> RootedManiplex:
     k of tile t in the cell, on edge k (which 0) or on edge k-1 (which 1)."""
     offsets, neighbours = _SQUARES if p.family == "44" else _TRIANGLES
     T, K = len(offsets), len(offsets[0])
-    # r_2 of each local flag (t*K + k)*2 + which: the neighbouring cell's
-    # step (dx, dy) and the local flag there
-    across = []
+    # per local flag (t*K + k)*2 + which of a cell: r_0, which swaps the
+    # two corners of an edge within the tile, and r_2 as the neighbouring
+    # cell's step (dx, dy) and the local flag there
+    local_r0, across = [], []
     for t in range(T):
         for k in range(K):
+            local_r0 += [(t * K + (k + 1) % K) * 2 + 1, (t * K + (k - 1) % K) * 2]
             for which in range(2):
                 dx, dy, t2, j2 = neighbours[t][k if which == 0 else (k - 1) % K]
                 k2 = offsets[t2].index((offsets[t][k][0] - dx, offsets[t][k][1] - dy))
@@ -117,22 +119,16 @@ def build_toroidal_map(p: TorusParams) -> RootedManiplex:
                 across.append((dx, dy, (t2 * K + k2) * 2 + which2))
     lat = lattice_for(p)
     L = T * K * 2
-    if lat.index * L > MAX_FLAGS:
+    N = lat.index * L
+    if N > MAX_FLAGS:
         raise PreconditionError("%s would have %d flags, more than the %d allowed"
-                                % (p, lat.index * L, MAX_FLAGS))
+                                % (p, N, MAX_FLAGS))
     cells = lat.cells()
     cell_index = {c: i for i, c in enumerate(cells)}
-    r0, r1, r2 = [], [], []
-    for ci, (x, y) in enumerate(cells):
-        for t in range(T):
-            tile = ci * T + t
-            for k in range(K):
-                # r_0 swaps the two corners of an edge within the tile
-                r0 += [(tile * K + (k + 1) % K) * 2 + 1, (tile * K + (k - 1) % K) * 2]
-                v = (tile * K + k) * 2
-                r1 += [v + 1, v]
-        for dx, dy, f2 in across:
-            r2.append(cell_index[lat.canon(x + dx, y + dy)] * L + f2)
+    r0 = [ci * L + f for ci in range(len(cells)) for f in local_r0]
+    r1 = [f ^ 1 for f in range(N)]
+    r2 = [cell_index[lat.canon(x + dx, y + dy)] * L + f2
+          for x, y in cells for dx, dy, f2 in across]
     adjacency = (Perm(r0), Perm(r1), Perm(r2))
     if p.family == "63":
         # {6,3} is the dual of {3,6}: reverse the colour roles

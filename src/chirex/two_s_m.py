@@ -63,37 +63,24 @@ def build_two_s_m(M: RootedManiplex, s: int) -> TwoSM:
     if N > MAX_FLAGS:
         raise PreconditionError("2s^M would have %d flags, more than the %d allowed"
                                 % (N, MAX_FLAGS))
-    pow_s = [s ** i for i in range(m)]
+    # colour i < n moves the flag of M and keeps (u, delta)
+    adjacency = [Perm([(r * num_u + u) * 2 + d for r in ri.images
+                       for u in range(num_u) for d in (0, 1)]) for ri in man.adjacency]
 
-    adjacency = []
-    for i in range(man.rank):
-        ri = man.adjacency[i].images
-        imgs = [0] * N
-        for v in range(N):
-            rest, delta = divmod(v, 2)
-            flag, u = divmod(rest, num_u)
-            imgs[v] = (ri[flag] * num_u + u) * 2 + delta
-        adjacency.append(Perm(imgs))
+    def move(j: int, e: int) -> list[int]:
+        # u after x_j += e: free digit j-1 moves mod s (x_0 absorbs -e)
+        step = s ** (j - 1)
+        return [u + ((u // step + e) % s - u // step % s) * step for u in range(num_u)]
 
-    imgs = [0] * N
-    for v in range(N):
-        rest, delta = divmod(v, 2)
-        flag, u = divmod(rest, num_u)
-        j = facet_of[flag]
-        if j == 0:
-            u2 = u  # moving by a_0 = 0 in free coordinates
-        else:
-            # add (-1)^delta * (e_j - e_0): only free coordinate j moves
-            step = pow_s[j - 1]
-            d = (u // step) % s
-            d2 = (d + (1 if delta == 0 else -1)) % s
-            u2 = u + (d2 - d) * step
-        imgs[v] = (flag * num_u + u2) * 2 + (1 - delta)
-    adjacency.append(Perm(imgs))
+    # colour n adds (-1)^delta (e_j - e_0), j the facet, and flips delta;
+    # moves[j][delta] is that move on u, the identity for j = 0
+    moves = [(range(num_u),) * 2] + [(move(j, 1), move(j, -1)) for j in range(1, m)]
+    adjacency.append(Perm([(f * num_u + moves[j][d][u]) * 2 + 1 - d
+                           for f, j in enumerate(facet_of)
+                           for u in range(num_u) for d in (0, 1)]))
 
     big = Maniplex(rank=man.rank + 1, adjacency=tuple(adjacency))
-    base = (M.base_flag * num_u + 0) * 2 + 0
-    result = TwoSM(maniplex=big, base_flag=base, m=m, s=s, source=M,
+    result = TwoSM(maniplex=big, base_flag=M.base_flag * num_u * 2, m=m, s=s, source=M,
                    facet_of_source=facet_of)
     if not validate(big).passed:
         raise PreconditionError("constructed maniplex failed validation")

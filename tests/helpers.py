@@ -15,8 +15,9 @@ from chirex.maniplex import (AutomorphismOrbit, Maniplex, PreconditionError, Roo
                              facets, find_rooted_automorphism, forced_map, rotation_system,
                              schlafli)
 from chirex.permcore import Perm, PermGroup, left_product, orbit_of, orbit_partition
-from chirex.toroidal import TorusParams, build_toroidal_map, lattice_for
-from chirex.two_s_m import TwoSM, build_two_s_m, every_ridge_in_two_facets
+from chirex.toroidal import (_SQUARES, _TRIANGLES, TorusParams, build_toroidal_map,
+                             lattice_for)
+from chirex.two_s_m import TwoSM, _facet_labels, build_two_s_m, every_ridge_in_two_facets
 
 
 def brute_force_closure(gens, degree: int, cap: int = 10_000):
@@ -555,6 +556,36 @@ def regular_quotient_by_scan(p: TorusParams) -> TorusParams | None:
     return None if best is None else best[1]
 
 
+def toroidal_adjacency_by_cells(p: TorusParams) -> tuple[tuple[int, ...], ...]:
+    """Image tuples of r_0, r_1, r_2 of the map, appended cell by cell and
+    tile by tile: the cross-check for ``toroidal.build_toroidal_map``."""
+    offsets, neighbours = _SQUARES if p.family == "44" else _TRIANGLES
+    T, K = len(offsets), len(offsets[0])
+    across = []
+    for t in range(T):
+        for k in range(K):
+            for which in range(2):
+                dx, dy, t2, j2 = neighbours[t][k if which == 0 else (k - 1) % K]
+                k2 = offsets[t2].index((offsets[t][k][0] - dx, offsets[t][k][1] - dy))
+                across.append((dx, dy, (t2 * K + k2) * 2 + (0 if j2 == k2 else 1)))
+    lat = lattice_for(p)
+    L = T * K * 2
+    cells = lat.cells()
+    cell_index = {c: i for i, c in enumerate(cells)}
+    r0, r1, r2 = [], [], []
+    for ci, (x, y) in enumerate(cells):
+        for t in range(T):
+            tile = ci * T + t
+            for k in range(K):
+                r0 += [(tile * K + (k + 1) % K) * 2 + 1, (tile * K + (k - 1) % K) * 2]
+                v = (tile * K + k) * 2
+                r1 += [v + 1, v]
+        for dx, dy, f2 in across:
+            r2.append(cell_index[lat.canon(x + dx, y + dy)] * L + f2)
+    adjacency = (tuple(r0), tuple(r1), tuple(r2))
+    return adjacency[::-1] if p.family == "63" else adjacency
+
+
 # 2s^M flag coordinates: flag (flag of M, x, delta) is
 # (flag * num_u + u) * 2 + delta, where u holds x_1..x_{m-1} in mixed
 # radix base s and x_0 makes the coordinate sum vanish mod s
@@ -588,6 +619,36 @@ def u_index(tsm: TwoSM, vector) -> int:
     for d in reversed(vector[1:]):
         u = u * tsm.s + (d % tsm.s)
     return u
+
+
+def two_s_m_adjacency_by_decoding(M: RootedManiplex, s: int) -> tuple[tuple[int, ...], ...]:
+    """Image tuples of the connections of 2s^M, each flag decoded into
+    (flag of M, u, delta) and encoded again: the cross-check for
+    ``two_s_m.build_two_s_m``."""
+    man = M.maniplex
+    m, facet_of = _facet_labels(M)
+    nu = s ** (m - 1)
+    N = man.num_flags * nu * 2
+    adjacency = []
+    for r in man.adjacency:
+        imgs = []
+        for v in range(N):
+            rest, delta = divmod(v, 2)
+            flag, u = divmod(rest, nu)
+            imgs.append((r.images[flag] * nu + u) * 2 + delta)
+        adjacency.append(tuple(imgs))
+    imgs = []
+    for v in range(N):
+        rest, delta = divmod(v, 2)
+        flag, u = divmod(rest, nu)
+        j = facet_of[flag]
+        if j:  # add (-1)^delta (e_j - e_0): only free coordinate j moves
+            step = s ** (j - 1)
+            d = (u // step) % s
+            u += (((d + (1 if delta == 0 else -1)) % s) - d) * step
+        imgs.append((flag * nu + u) * 2 + 1 - delta)
+    adjacency.append(tuple(imgs))
+    return tuple(adjacency)
 
 
 def two_s_m_type(M: RootedManiplex, s: int):

@@ -266,18 +266,20 @@ class TestCertifiedVerdicts:
         assert verdict["result-chiral"] is not is_regular_via_mix(result.group)
 
     def test_rank_4_skips_the_whole_mix(self, monkeypatch):
-        widths = []
+        calls = []
         real_diamond = mix.diamond
 
         def counting_diamond(G, H):
-            widths.append(len(G.generators))
+            calls.append((len(G.generators), G.degree))
             return real_diamond(G, H)
 
         monkeypatch.setattr(mix, "diamond", counting_diamond)
         K, P, R = _seed(3, 1, 1)
         result = regular_quotient_extension(P, K, R, 4)
         assert result.report.passed
-        assert widths == [2]  # one diamond, of the facet subgroup only
+        # the mix itself, from Gamma(P), and one mirror diamond, of the
+        # mix's facet subgroup only
+        assert calls == [(3, P.num_vertices), (2, result.group.degree)]
         assert result.group._chain is None  # nor the mix's order
 
     def test_failing_criterion_fails_the_intersection_property(self, monkeypatch):

@@ -371,6 +371,35 @@ class TestCli:
         assert main(["mix-extend", "--extension", str(missing), "--facet", str(facet)] + args) == 4
 
 
+    def test_files_that_do_not_belong_together_exit_2(self, tmp_path, capsys):
+        # each file is valid alone; the commands check how they fit together
+        # and refuse with one line, not with a DegreeMismatch (exit 4)
+        ext31 = tmp_path / "ext31.json"
+        assert main(["extend-db", str(self._build(tmp_path)), "--s", "1", "-o", str(ext31)]) == 0
+        ext42, facet42, _ = _mix_inputs(tmp_path)
+        cases = [(["verify-gpr", str(ext31), "--facet", str(self._build(tmp_path, f, b, c))],
+                  "verification failure: extension criterion failed")
+                 for f, b, c in (("44", 5, 1), ("36", 2, 1), ("44", 2, 0))]
+        mix = ["mix-extend", "--extension", str(ext42), "--s", "2"]
+        facet31, r20 = tmp_path / "44_3_1.json", tmp_path / "r20.json"
+        not_covered = ("verification failure: covers-quotient: the input does not cover "
+                       "the quotient")
+        cases += [
+            (mix + ["--facet", str(facet31), "--quotient", str(self._build(tmp_path, b=1, c=1))],
+             "verification failure: facets-of-extension: a facet component of the "
+             "extension is not the expected Cayley graph"),
+            (mix + ["--facet", str(facet31), "--quotient", str(r20)], not_covered),
+            (mix + ["--facet", str(facet42), "--quotient", str(self._build(tmp_path, b=3, c=0))],
+             not_covered),
+            (mix + ["--facet", str(facet42), "--quotient", str(facet31)],
+             "verification failure: quotient-regular: quotient is not regular"),
+        ]
+        capsys.readouterr()
+        for argv, err in cases:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == err + "\n", argv
+
+
 def _mix_inputs(tmp_path):
     """The criterion-5 input: {4,4}_(4,2), its extension at s = 1 and its
     regular quotient {4,4}_(2,0)."""

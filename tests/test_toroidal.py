@@ -11,7 +11,7 @@ from chirex.toroidal import (TorusParams, Lattice2D, build_toroidal_map,
                              lattice_for, regular_quotient)
 
 from helpers import (expected_flag_count, is_chiral_params, lattice_contains,
-                     regular_quotient_by_scan)
+                     regular_quotient_by_scan, toroidal_adjacency_by_cells)
 
 SYMBOL = {"44": [4, 4], "36": [3, 6], "63": [6, 3]}
 
@@ -95,6 +95,18 @@ class TestBuild:
         a = build_toroidal_map(TorusParams("44", -2, 1))
         b = build_toroidal_map(TorusParams("44", 2, -1))
         assert a.maniplex.num_flags == b.maniplex.num_flags == 40
+
+
+class TestOracle:
+    @pytest.mark.parametrize("family", toroidal.FAMILIES)
+    def test_matches_the_cell_by_cell_builder(self, family):
+        # the 168 maps of the sweep -6 <= b, c <= 6 in each family
+        for b in range(-6, 7):
+            for c in range(-6, 7):
+                if (b, c) != (0, 0):
+                    p = TorusParams(family, b, c)
+                    got = tuple(r.images for r in build_toroidal_map(p).maniplex.adjacency)
+                    assert got == toroidal_adjacency_by_cells(p), p
 
 
 # SHA-256 of the canonical JSON of each map: stored maps, extensions and

@@ -9,9 +9,9 @@ from chirex.toroidal import TorusParams, build_toroidal_map
 from chirex.two_s_m import (build_two_s_m, every_ridge_in_two_facets,
                             verify_aut_structure)
 
-from helpers import (decode, flag_id, lift_automorphism, num_u, polygon,
-                     translation_chi_automorphisms, two_s_m_type, u_index,
-                     u_vector)
+from helpers import (cube, decode, flag_id, lift_automorphism, num_u, polygon,
+                     translation_chi_automorphisms, triangular_prism,
+                     two_s_m_adjacency_by_decoding, two_s_m_type, u_index, u_vector)
 
 
 def m20():
@@ -92,6 +92,38 @@ class TestBuild:
         monkeypatch.setattr(two_s_m, "MAX_FLAGS", 511)
         with pytest.raises(PreconditionError, match="512 flags"):
             build_two_s_m(m20(), 2)
+
+
+# sources of the oracle test: polygons, the cube, the prism and small tori
+ORACLE_SOURCES = {
+    **{"%d-gon" % p: (lambda p=p: polygon(p)) for p in range(3, 7)},
+    "cube": cube,
+    "prism": triangular_prism,
+    **{"{%s,%s}_(%d,%d)" % (f[0], f[1], b, c): (lambda f=f, b=b, c=c:
+                                                build_toroidal_map(TorusParams(f, b, c)))
+       for f, pairs in (("44", ((1, 1), (2, 0), (2, 1))), ("36", ((1, 0), (1, 1), (2, 0))),
+                        ("63", ((1, 1), (2, 0), (2, 1))))
+       for b, c in pairs},
+}
+
+
+class TestOracle:
+    @pytest.mark.parametrize("name", sorted(ORACLE_SOURCES))
+    def test_matches_the_decoding_builder(self, name):
+        # every s in 2..5 whose 2s^M has at most 2^14 flags, which keeps the
+        # per-flag oracle fast; two base flags, so the facet labels differ
+        man = ORACLE_SOURCES[name]().maniplex
+        m = len(facets(man))
+        checked = 0
+        for base in (0, man.num_flags - 1):
+            R = RootedManiplex(man, base)
+            for s in range(2, 6):
+                if man.num_flags * s ** (m - 1) * 2 > 2 ** 14:
+                    break
+                got = tuple(r.images for r in build_two_s_m(R, s).maniplex.adjacency)
+                assert got == two_s_m_adjacency_by_decoding(R, s), (name, base, s)
+                checked += 1
+        assert checked >= 2
 
 
 class TestRidges:
