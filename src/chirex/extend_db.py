@@ -149,14 +149,19 @@ def build_matching(K: RootedManiplex, colouring, s: int,
     # every flag the target of its BFS tree word, and every other edge must
     # agree with it. Forward letters suffice: they are permutations, so
     # they reach the whole component, and a map consistent on an edge is
-    # consistent on its inverse.
+    # consistent on its inverse. The spread depends on the anchor edge's
+    # two flags only, so copies with the same anchor pair share one.
     facet = rs.sigma[: n - 2]
     letters = [g.images for g in facet]
     images = [r.images for r in rho_bar(facet)]
+    spreads: dict[tuple[int, int], tuple[list[int] | None, list[int]]] = {}
     for (ell, ci), av in anchor.items():
-        target = [-1] * W
         ell2, psi = divmod(partner[av], W)
-        reached = forced_map(letters, images, av % W, psi, target)
+        key = (av % W, psi)
+        if key not in spreads:
+            target = [-1] * W
+            spreads[key] = (forced_map(letters, images, *key, target), target)
+        reached, target = spreads[key]
         if reached is None:
             raise VerificationError("rho is not consistent on facet component %d" % ci)
         for u in reached[1:]:

@@ -9,6 +9,7 @@ representative, so labels are deterministic across runs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -143,11 +144,33 @@ class QuotientResult:
     rooted: RootedManiplex
 
 
+# bound on the verified quotient maps kept by _verified_quotient: the
+# -6 <= b, c <= 6 sweep of all three families names 34 candidates
+QUOTIENT_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=QUOTIENT_CACHE_SIZE)
+def _verified_quotient(cand: TorusParams) -> RootedManiplex:
+    """The candidate's map, built once and checked regular with at least two
+    facets; a failed check raises and is not cached."""
+    rooted = build_toroidal_map(cand)
+    if classify_symmetry(rooted) is not Symmetry.REGULAR:
+        raise VerificationError("quotient %s is not regular" % cand)
+    if len(facets(rooted.maniplex)) < 2:
+        raise VerificationError("quotient %s has fewer than two facets" % cand)
+    return rooted
+
+
 def regular_quotient(p: TorusParams) -> QuotientResult | None:
     """Largest regular toroidal quotient with at least two facets.
 
     Candidates are the reflexible parameter forms (d,0) and (d,d); the
-    quotient exists when the given lattice is contained in theirs.
+    quotient exists when the given lattice is contained in theirs. The
+    lattice search runs on every call, but the chosen candidate's map is
+    built and verified once: it is memoised by the candidate's
+    ``TorusParams``, at most ``QUOTIENT_CACHE_SIZE`` of them, so calls that
+    reach the same candidate share one ``RootedManiplex``, which callers
+    must treat as read-only.
     """
     lat = lattice_for(p)
     best: tuple[int, TorusParams] | None = None
@@ -169,9 +192,4 @@ def regular_quotient(p: TorusParams) -> QuotientResult | None:
                 best = (nfacets, cand)
     if best is None:
         return None
-    rooted = build_toroidal_map(best[1])
-    if classify_symmetry(rooted) is not Symmetry.REGULAR:
-        raise VerificationError("quotient %s is not regular" % best[1])
-    if len(facets(rooted.maniplex)) < 2:
-        raise VerificationError("quotient %s has fewer than two facets" % best[1])
-    return QuotientResult(params=best[1], rooted=rooted)
+    return QuotientResult(params=best[1], rooted=_verified_quotient(best[1]))

@@ -10,6 +10,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from chirex.gpr import GprGraph, components, rooted_digraph_isomorphic
+from chirex.gpr import rho_bar as perm_rho_bar
 from chirex.maniplex import (AutomorphismOrbit, Maniplex, PreconditionError, RootedManiplex,
                              RotationSystem, Symmetry, VerificationError, classify_symmetry,
                              facets, find_rooted_automorphism, forced_map, rotation_system,
@@ -18,6 +19,9 @@ from chirex.permcore import Perm, PermGroup, left_product, orbit_of, orbit_parti
 from chirex.toroidal import (_SQUARES, _TRIANGLES, TorusParams, build_toroidal_map,
                              lattice_for)
 from chirex.two_s_m import TwoSM, _facet_labels, build_two_s_m, every_ridge_in_two_facets
+
+# every chiral dually-bipartite {4,4}_(b,c) with b <= 9: 0 < c < b, b - c even
+HEADLINE_MAPS = [(b, c) for b in range(2, 10) for c in range(1, b) if (b - c) % 2 == 0]
 
 
 def brute_force_closure(gens, degree: int, cap: int = 10_000):
@@ -227,6 +231,38 @@ def check_spread_by_words(K: RootedManiplex, matching) -> int:
                 assert partner[ell * W + flag] == ell2 * W + target, (ell, flag)
                 checked += 1
     return checked
+
+
+def spread_by_copy(K: RootedManiplex, matching) -> tuple[int, ...]:
+    """The partner tuple rebuilt by the per-copy Step 4 loop that
+    ``extend_db.build_matching`` ran before it shared one forced map per
+    (anchor flag, target) pair: one fresh ``forced_map`` from the letters
+    s_1..s_{n-2} to their rho images for every facet component of every
+    copy, with no result kept between them.
+
+    Each component's anchor edge is the one of its least flag in the given
+    matching: rho is an automorphism of the facet group, so the spread of
+    any edge of the component gives the same partners as the Step 1-3
+    anchor's spread.
+    """
+    rs = rotation_system(K)
+    n, W = K.rank, rs.degree
+    facet = rs.sigma[: n - 2]
+    letters = [g.images for g in facet]
+    images = [r.images for r in perm_rho_bar(facet)]
+    comps = orbit_partition(facet, W)[0]
+    partner = [-1] * len(matching.partner)
+    for ell in range(matching.num_copies):
+        for ci, comp in enumerate(comps):
+            av = ell * W + comp[0]
+            ell2, psi = divmod(matching.partner[av], W)
+            target = [-1] * W
+            reached = forced_map(letters, images, comp[0], psi, target)
+            if reached is None:
+                raise VerificationError("rho is not consistent on facet component %d" % ci)
+            for u in reached:
+                partner[ell * W + u] = ell2 * W + target[u]
+    return tuple(partner)
 
 
 def orbit_by_deque(x: int, perms) -> list[int]:

@@ -21,7 +21,7 @@ from chirex.permcore import PermGroup, orbit_of
 from chirex.toroidal import TorusParams, build_toroidal_map, regular_quotient
 from chirex.two_s_m import build_two_s_m, verify_aut_structure
 
-from helpers import (brute_force_closure, cube, expected_flag_count,
+from helpers import (HEADLINE_MAPS, brute_force_closure, cube, expected_flag_count,
                      is_chiral_params, polygon)
 
 SWEEP = [(b, c) for b in range(-4, 5) for c in range(-4, 5) if (b, c) != (0, 0)]
@@ -177,8 +177,6 @@ def test_criterion_6_cross_validation():
     _announce(6, "cross-validation properties")
 
 
-# every chiral dually-bipartite {4,4}_(b,c) with b <= 9: 0 < c < b, b - c even
-HEADLINE_MAPS = [(b, c) for b in range(2, 10) for c in range(1, b) if (b - c) % 2 == 0]
 HEADLINE_S = (1, 2, 4, 8, 16, 32, 64)
 # every chiral {3,6}_(b,c) is dually bipartite; the window b <= 6, s <= 16
 # takes about 1 s (b <= 9 takes about 6 s)

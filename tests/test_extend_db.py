@@ -14,9 +14,9 @@ from chirex.permcore import Perm, left_product, orbit_of
 from chirex.toroidal import TorusParams, build_toroidal_map
 from chirex.two_s_m import build_two_s_m
 
-from helpers import (GroupWord, check_spread_by_words, cross_check_maps, evaluate_word,
-                     facet_word, facets_regular_by_submaniplex, polygon, rho_bar,
-                     white_facets_by_orbits, word_action)
+from helpers import (HEADLINE_MAPS, GroupWord, check_spread_by_words, cross_check_maps,
+                     evaluate_word, facet_word, facets_regular_by_submaniplex, polygon,
+                     rho_bar, spread_by_copy, white_facets_by_orbits, word_action)
 
 # Step-3 seeds of the benchmark's seeded-extend workload, keyed 44_b_c_sS_qQ
 SEED_POOLS = json.loads(
@@ -218,6 +218,34 @@ class TestStep4Spread:
         for step3 in SEED_POOLS[key]:
             K, matching = matching_for(b, c, s, step3)
             assert check_spread_by_words(K, matching) == len(matching.partner)
+
+    @pytest.mark.parametrize("b,c", HEADLINE_MAPS)
+    def test_matches_the_per_copy_loop(self, b, c):
+        for s in (1, 2, 4, 8):
+            K, matching = matching_for(b, c, s)
+            assert matching.partner == spread_by_copy(K, matching), s
+
+    @pytest.mark.parametrize("key", sorted(SEED_POOLS))
+    def test_matches_the_per_copy_loop_on_seeded_pools(self, key):
+        b, c, s, _ = (int(part.lstrip("sq")) for part in key.split("_")[1:])
+        for step3 in SEED_POOLS[key]:
+            K, matching = matching_for(b, c, s, step3)
+            assert matching.partner == spread_by_copy(K, matching), step3
+
+    def test_spreads_are_shared_between_copies(self, monkeypatch):
+        # unseeded, each component has one anchor pair in all 16 copies, so
+        # Step 4 runs one forced map per component, not 16
+        calls = []
+        real = extend_db.forced_map
+
+        def counting(rows_a, rows_b, src, dst, image):
+            calls.append((src, dst))
+            return real(rows_a, rows_b, src, dst, image)
+
+        monkeypatch.setattr(extend_db, "forced_map", counting)
+        K, matching = matching_for(3, 1, 8)
+        assert len(calls) == len(set(calls)) == len(white_facets_by_orbits(K)[0])
+        assert matching.partner == spread_by_copy(K, matching)
 
     @pytest.mark.parametrize("b,c,s,seed,sha", [
         (3, 1, 1, None, "2672e06dea1ab762ef5ef0e055294a2370a172d423105e6cb7b9cb78a8f1e306"),

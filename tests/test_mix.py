@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from chirex import cli, gpr, maniplex, mix, permcore
+from chirex import cli, gpr, maniplex, mix, permcore, toroidal
 from chirex.extend_db import extend_dually_bipartite
 from chirex.gpr import GprGraph, VerificationError, cayley_gpr, gpr_group
 from chirex.maniplex import (PreconditionError, Report, Symmetry,
@@ -173,7 +173,9 @@ class TestRegularQuotientExtension:
     def test_each_fact_computed_once(self, monkeypatch):
         # K's rotation system serves the matching, the extension and the
         # criterion, and 2s^R's serves twosm-regular and the mix; the
-        # criterion runs once, in the extension, and the mix reads its report
+        # criterion runs once, in the extension, and the mix reads its report.
+        # R must be built here: an earlier test may have memoised it
+        toroidal._verified_quotient.cache_clear()
         rotations, partitions = Counter(), Counter()
         real_orientable, real_partition = maniplex.is_orientable, maniplex.orbit_partition
         evaluations = count_criterion_evaluations(monkeypatch)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chirex import toroidal
-from chirex.maniplex import (PreconditionError, Symmetry, classify_symmetry, covers, facets,
-                             is_orientable, schlafli, validate)
+from chirex.maniplex import (PreconditionError, Symmetry, VerificationError, classify_symmetry,
+                             covers, facets, is_orientable, schlafli, validate)
 from chirex.serial import canonical_dumps, maniplex_to_json
 from chirex.toroidal import (TorusParams, Lattice2D, build_toroidal_map,
                              lattice_for, regular_quotient)
@@ -154,3 +154,56 @@ class TestRegularQuotient:
                     p = TorusParams(family, b, c)
                     got = regular_quotient(p)
                     assert (got and got.params) == regular_quotient_by_scan(p), p
+
+
+def sweep_params():
+    """The 504 maps of the sweep -6 <= b, c <= 6 in the three families."""
+    return [TorusParams(family, b, c) for family in toroidal.FAMILIES
+            for b in range(-6, 7) for c in range(-6, 7) if (b, c) != (0, 0)]
+
+
+class TestQuotientMemo:
+    def test_memoised_map_equals_a_fresh_build(self):
+        params = sweep_params()
+        assert len(params) == 504
+        for p in params:
+            result = regular_quotient(p)
+            if result is None:
+                continue
+            fresh = build_toroidal_map(result.params)
+            got = result.rooted
+            assert got.base_flag == fresh.base_flag, p
+            assert ([r.images for r in got.maniplex.adjacency]
+                    == [r.images for r in fresh.maniplex.adjacency]), p
+
+    def test_same_candidate_shares_one_map(self):
+        a = regular_quotient(TorusParams("44", 3, 1))
+        b = regular_quotient(TorusParams("44", 1, 3))
+        again = regular_quotient(TorusParams("44", 3, 1))
+        assert a.params == b.params == TorusParams("44", 1, 1)
+        assert a.rooted is b.rooted is again.rooted
+        assert again is not a and again == a
+
+    def test_failed_verification_is_not_cached(self, monkeypatch):
+        toroidal._verified_quotient.cache_clear()
+        monkeypatch.setattr(toroidal, "classify_symmetry", lambda M: Symmetry.CHIRAL)
+        for _ in range(2):
+            with pytest.raises(VerificationError, match=r"quotient \{4,4\}_\(1,1\) is not regular"):
+                regular_quotient(TorusParams("44", 3, 1))
+        assert toroidal._verified_quotient.cache_info().currsize == 0
+
+    def test_cache_stays_bounded(self):
+        # the sweep, then the forms (d,0) and (d,d) themselves: more
+        # candidates than the cache holds
+        toroidal._verified_quotient.cache_clear()
+        bound = toroidal.QUOTIENT_CACHE_SIZE
+        params = sweep_params() + [TorusParams(family, d, e) for family in toroidal.FAMILIES
+                                   for d in range(1, 13) for e in (0, d)]
+        candidates = set()
+        for p in params:
+            result = regular_quotient(p)
+            if result is not None:
+                candidates.add(result.params)
+            assert toroidal._verified_quotient.cache_info().currsize <= bound
+        assert len(candidates) > bound
+        assert toroidal._verified_quotient.cache_info().currsize == bound
