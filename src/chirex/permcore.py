@@ -38,7 +38,8 @@ MAX_LEVEL_BYTES = 1 << 30
 class Perm:
     """A permutation of {0, ..., d-1} stored as its image tuple.
 
-    ``Perm(images)`` checks that the images form a bijection. Products,
+    ``Perm(images)`` checks that the images form a bijection, and
+    ``Perm.from_array`` does so for a numpy array in linear time. Products,
     inverses, powers and identities are bijections by construction and
     are built unchecked.
     """
@@ -50,6 +51,20 @@ class Perm:
         if sorted(images) != list(range(len(images))):
             raise ValueError("images are not a bijection on 0..%d" % (len(images) - 1))
         self.images = images
+
+    @classmethod
+    def from_array(cls, arr) -> "Perm":
+        """``Perm(arr.tolist())`` for a 1-D integer numpy array, with the
+        bijection checked in linear time by counting each image once."""
+        import numpy as np
+        if arr.ndim != 1 or arr.dtype.kind not in "iu":
+            raise ValueError("images must be a 1-D integer array, not %d-D %s"
+                             % (arr.ndim, arr.dtype))
+        n = len(arr)
+        if n and (arr.min() < 0 or arr.max() >= n or np.count_nonzero(
+                np.bincount(arr.astype(np.intp, copy=False), minlength=n)) < n):
+            raise ValueError("images are not a bijection on 0..%d" % (n - 1))
+        return _unchecked(tuple(arr.tolist()))
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":

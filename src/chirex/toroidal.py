@@ -99,14 +99,15 @@ _TRIANGLES = (
 )
 
 
-def build_toroidal_map(p: TorusParams) -> RootedManiplex:
-    """Flag graph of the map; flag ((cell*T + t)*K + k)*2 + which is corner
-    k of tile t in the cell, on edge k (which 0) or on edge k-1 (which 1)."""
-    offsets, neighbours = _SQUARES if p.family == "44" else _TRIANGLES
+@functools.cache
+def _tile_tables(family: str):
+    """Per local flag (t*K + k)*2 + which of a cell: ``local_r0``, which
+    swaps the two corners of an edge within the tile, and r_2 as the
+    neighbouring cell's step ``dx``, ``dy`` and the local flag ``f2`` there.
+    The arrays are shared by every build, so they are read-only."""
+    import numpy as np
+    offsets, neighbours = _SQUARES if family == "44" else _TRIANGLES
     T, K = len(offsets), len(offsets[0])
-    # per local flag (t*K + k)*2 + which of a cell: r_0, which swaps the
-    # two corners of an edge within the tile, and r_2 as the neighbouring
-    # cell's step (dx, dy) and the local flag there
     local_r0, across = [], []
     for t in range(T):
         for k in range(K):
@@ -118,24 +119,42 @@ def build_toroidal_map(p: TorusParams) -> RootedManiplex:
                 if which2 == 1 and j2 != (k2 - 1) % K:
                     raise VerificationError("tile edges %d and %d do not meet" % (j2, k2))
                 across.append((dx, dy, (t2 * K + k2) * 2 + which2))
+    tables = (np.array(local_r0), *np.array(across).T)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+def build_toroidal_map(p: TorusParams) -> RootedManiplex:
+    """Flag graph of the map; flag ((cell*T + t)*K + k)*2 + which is corner
+    k of tile t in the cell, on edge k (which 0) or on edge k-1 (which 1).
+    Cell (x, y) of ``lat.cells()`` has index y*a + x; each colour is one
+    array expression over (cell, local flag)."""
+    import numpy as np
+    local_r0, dx, dy, f2 = _tile_tables(p.family)
     lat = lattice_for(p)
-    L = T * K * 2
+    L = len(local_r0)
     N = lat.index * L
     if N > MAX_FLAGS:
         raise PreconditionError("%s would have %d flags, more than the %d allowed"
                                 % (p, N, MAX_FLAGS))
-    cells = lat.cells()
-    cell_index = {c: i for i, c in enumerate(cells)}
-    r0 = [ci * L + f for ci in range(len(cells)) for f in local_r0]
-    r1 = [f ^ 1 for f in range(N)]
-    r2 = [cell_index[lat.canon(x + dx, y + dy)] * L + f2
-          for x, y in cells for dx, dy, f2 in across]
-    adjacency = (Perm(r0), Perm(r1), Perm(r2))
+    a, e, f = lat.a, lat.e, lat.f
+    cell = np.arange(lat.index)[:, None]
+    r0 = cell * L + local_r0
+    # r_2: Lattice2D.canon of each neighbouring cell, on whole arrays
+    X, Y = cell % a + dx, cell // a + dy
+    t = Y // f
+    X = (X - t * e) % a
+    Y -= t * f
+    r2 = (Y * a + X) * L + f2
+    adjacency = (Perm.from_array(r0.ravel()), Perm.from_array(np.arange(N) ^ 1),
+                 Perm.from_array(r2.ravel()))
     if p.family == "63":
         # {6,3} is the dual of {3,6}: reverse the colour roles
         adjacency = adjacency[::-1]
     man = Maniplex(rank=3, adjacency=adjacency)
-    return RootedManiplex(man, base_flag=cell_index[lat.canon(0, 0)] * L)
+    x0, y0 = lat.canon(0, 0)
+    return RootedManiplex(man, base_flag=(y0 * a + x0) * L)
 
 
 @dataclass(frozen=True)

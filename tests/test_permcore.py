@@ -105,6 +105,37 @@ class TestPerm:
         assert p.cycles(include_fixed=True) == [(0, 1), (2,), (3,)]
 
 
+class TestFromArray:
+    @pytest.mark.parametrize("images", [[0, 0, 1], [0, 3, 1], [1, -1, 0], [2, 0, 2]])
+    def test_not_a_bijection_gives_perms_message(self, images):
+        with pytest.raises(ValueError) as listed:
+            Perm(images)
+        with pytest.raises(ValueError) as array:
+            Perm.from_array(np.array(images))
+        assert str(array.value) == str(listed.value) == "images are not a bijection on 0..2"
+
+    @pytest.mark.parametrize("arr", [np.array([1.0, 0.0]), np.array([[0, 1], [1, 0]]),
+                                     np.array([True, False])])
+    def test_refuses_arrays_that_are_not_1d_integer(self, arr):
+        with pytest.raises(ValueError, match="1-D integer array"):
+            Perm.from_array(arr)
+
+    def test_empty_array_gives_degree_0(self):
+        p = Perm.from_array(np.array([], dtype=np.int64))
+        assert p.degree == 0 and p == Perm([]) and p.is_identity()
+
+    @given(st.integers(0, 12).flatmap(lambda d: st.permutations(range(d))),
+           st.sampled_from([np.int32, np.int64, np.uint16, np.intp]))
+    def test_equals_the_checked_constructor(self, images, dtype):
+        arr = np.array(images, dtype=dtype)
+        p = Perm.from_array(arr)
+        assert p == Perm(arr.tolist())
+        # Python ints, not numpy scalars: JSON output and hashes unchanged
+        assert type(p.images) is tuple
+        assert all(type(x) is int for x in p.images)
+        assert hash(p) == hash(tuple(images))
+
+
 class TestGroupWord:
     def test_letter_validation(self):
         with pytest.raises(ValueError):

@@ -174,6 +174,17 @@ def test_verification_survives_python_O(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_importing_the_package_leaves_numpy_unloaded():
+    # numpy is imported inside the functions that use it (the chain, the
+    # GPR rows, the torus builder), so the CLI starts without paying for it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c",
+                           "import sys, chirex, chirex.cli; print('numpy' in sys.modules)"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+
+
 def _run_script(*argv) -> list[str]:
     # each script as a user runs it: a fresh interpreter, chirex from src/
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -97,16 +97,56 @@ class TestBuild:
         assert a.maniplex.num_flags == b.maniplex.num_flags == 40
 
 
+# maps outside the sweep whose lattice has e != 0 and f > 1, so that
+# canon's y-step moves both coordinates
+BEYOND_THE_SWEEP = {"44": [(-16, 4), (-15, -10)], "36": [(-16, 12), (-15, -6)],
+                    "63": [(-16, 8), (-15, -5)]}
+
+
 class TestOracle:
     @pytest.mark.parametrize("family", toroidal.FAMILIES)
     def test_matches_the_cell_by_cell_builder(self, family):
-        # the 168 maps of the sweep -6 <= b, c <= 6 in each family
-        for b in range(-6, 7):
-            for c in range(-6, 7):
-                if (b, c) != (0, 0):
-                    p = TorusParams(family, b, c)
-                    got = tuple(r.images for r in build_toroidal_map(p).maniplex.adjacency)
-                    assert got == toroidal_adjacency_by_cells(p), p
+        # the 168 maps of the sweep -6 <= b, c <= 6 in each family, and two more
+        extra = BEYOND_THE_SWEEP[family]
+        for b, c in extra:
+            lat = lattice_for(TorusParams(family, b, c))
+            assert lat.e != 0 and lat.f > 1, (b, c)
+        for b, c in [(b, c) for b in range(-6, 7) for c in range(-6, 7)] + extra:
+            if (b, c) != (0, 0):
+                p = TorusParams(family, b, c)
+                rooted = build_toroidal_map(p)
+                got = tuple(r.images for r in rooted.maniplex.adjacency)
+                assert got == toroidal_adjacency_by_cells(p), p
+                lat = lattice_for(p)
+                per_cell = rooted.maniplex.num_flags // lat.index
+                assert rooted.base_flag == lat.cells().index(lat.canon(0, 0)) * per_cell, p
+
+
+class TestTileTables:
+    def test_shared_arrays_are_read_only(self):
+        for family in toroidal.FAMILIES:
+            tables = toroidal._tile_tables(family)
+            assert tables is toroidal._tile_tables(family)
+            for arr in tables:
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+
+    def test_broken_tile_table_raises_and_is_not_cached(self, monkeypatch):
+        # edge 0 of the square glued to edge 1 of the one below: corner 0
+        # meets that square at corner 3, whose edges are 2 and 3
+        offsets, neighbours = toroidal._SQUARES
+        broken = ((((0, -1, 0, 1),) + neighbours[0][1:]),)
+        monkeypatch.setattr(toroidal, "_SQUARES", (offsets, broken))
+        toroidal._tile_tables.cache_clear()
+        try:
+            for _ in range(2):
+                with pytest.raises(VerificationError, match="tile edges 1 and 3 do not meet"):
+                    build_toroidal_map(TorusParams("44", 3, 1))
+            assert toroidal._tile_tables.cache_info().currsize == 0
+        finally:
+            monkeypatch.undo()
+            toroidal._tile_tables.cache_clear()
+        assert validate(build_toroidal_map(TorusParams("44", 3, 1)).maniplex).passed
 
 
 # SHA-256 of the canonical JSON of each map: stored maps, extensions and
