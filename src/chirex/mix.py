@@ -5,12 +5,20 @@ The diamond of two groups with paired generators acts on the disjoint
 union of their point sets; its order against the factor orders decides
 covering and homomorphism questions.
 
-The quotient pipeline takes rank-3 facets and proves its two expensive
-claims about the rank-4 mix by certificate instead of on the whole mix
-group, whose stabiliser chain is quadratic in the degree:
+When the first group acts regularly on the orbit of one point, the same
+question needs no order: the generator map extends to a homomorphism iff
+one forced map per orbit of the second group succeeds
+(:func:`extension_obstruction`).
 
+The quotient pipeline takes rank-3 facets and proves its three expensive
+claims about the rank-4 mix by certificate, building no stabiliser chain:
+
+- the facet projection: P's facet subgroup acts regularly on the facet
+  component of vertex 0, so the mix's facet subgroup projects onto it
+  isomorphically iff the map to 2s^R's facet subgroup extends;
 - chirality: a mirror automorphism of the mix restricts to one of the
-  facet subgroup, so a chiral facet subgroup certifies a chiral mix;
+  facet subgroup, which is isomorphic to P's, so a chiral facet subgroup
+  of P certifies a chiral mix;
 - the intersection property: it follows from the extension criterion for
   the chiral extension and the facet projection being injective
   (:func:`intersection_property_group`).
@@ -27,7 +35,7 @@ from dataclasses import dataclass, field
 from .gpr import GprGraph, gpr_group, verify_extension_criterion
 from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
                        VerificationError, classify_symmetry, covers, facets,
-                       rotation_system)
+                       forced_map, rotation_system)
 from .permcore import Perm, PermGroup, disjoint_union, left_product
 from .two_s_m import build_two_s_m
 
@@ -64,6 +72,39 @@ def is_regular_via_mix(G: PermGroup) -> bool:
     map extends iff the projection is injective."""
     H = PermGroup(G.degree, enantiomorph_generators(G.generators))
     return diamond(G, H).order() == G.order()
+
+
+def extension_obstruction(G, H) -> int | None:
+    """Whether the map G[i] -> H[i] of paired generators extends to a
+    homomorphism <G> -> <H>, for permutation lists G and H of equal length
+    where <G> acts regularly on the orbit of point 0: None if it extends,
+    else a point y of H's at which the forced map 0 -> y fails.
+
+    A success needs no hypothesis: a word trivial in <G> fixes 0, so if
+    the forced map 0 -> y succeeds, the word in H's generators fixes y.
+    Those words form a normal subgroup of <H>, so it fixes y's whole orbit,
+    and one success per orbit of <H> certifies the homomorphism. A failure
+    rests on the caller's word that only the identity of <G> fixes 0: a
+    homomorphism then sends the one element taking 0 to x to an element
+    taking y to one point, so no forced map fails. A success maps the
+    orbit of 0 onto the orbit of y, so each orbit of <H> costs one map.
+    """
+    if not G or len(G) != len(H):
+        raise PreconditionError("need equal, nonzero generator counts")
+    rows_g = [g.images for g in G]
+    rows_h = [h.images for h in H]
+    image = [-1] * len(rows_g[0])
+    covered = bytearray(len(rows_h[0]))
+    for y in range(len(covered)):
+        if covered[y]:
+            continue
+        reached = forced_map(rows_g, rows_h, 0, y, image)
+        if reached is None:
+            return y
+        for a in reached:
+            covered[image[a]] = 1
+            image[a] = -1
+    return None
 
 
 def intersection_property_group(criterion: Report) -> tuple[bool, str]:
@@ -109,14 +150,27 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     they are the orbit of point 0 and the mix's constituent there is
     Gamma(P), whose order is ``result.group.orbit_order()``.
 
-    Two verdicts are certified without the mix's stabiliser chain:
+    No verdict of the mix builds a stabiliser chain; P's criterion builds
+    one only when P's facet components are not copies of Cay(K), and
+    ``facets-of-extension`` then refuses P. With that check passed, P's
+    facet subgroup F_P = <s1, s2> acts regularly on C0, the component of
+    vertex 0, so only its identity fixes 0, and its order is W, K's
+    white-flag count. Three verdicts rest on that:
 
-    - ``intersection-property``, from P's extension criterion
-      (:func:`intersection_property_group`).
+    - ``facet-projection-collapses`` (and ``facet-subgroup-order``, which
+      reads the same certificate). The mix's facet subgroup projects onto
+      F_P, injectively iff s_i -> t_i extends to a homomorphism onto
+      2s^R's facet subgroup <t1, t2>; then its order is W. That holds iff
+      the forced map of C0 succeeds from one point of each orbit of
+      <t1, t2> (:func:`extension_obstruction`).
     - ``result-chiral``. A mirror automorphism of the mix sends s1 to
       s1^-1 and s2 to s1^2 s2, inside the facet subgroup, so it restricts
-      to a mirror automorphism of that subgroup. So the diamond of the
-      facet subgroup alone decides; the whole mix's diamond is never built.
+      to a mirror automorphism of that subgroup, which is isomorphic to
+      F_P. So the mix is chiral if the mirror map of F_P does not extend,
+      decided by the forced maps of C0 into P's vertices under the mirror
+      generators.
+    - ``intersection-property``, from P's extension criterion and the
+      injective facet projection (:func:`intersection_property_group`).
 
     The group order of the mix is left to callers that report it
     (``result.group.order()``).
@@ -159,18 +213,15 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     result.group = diamond(gpr_group(P), PermGroup(rs2.degree, rs2.sigma))
     gens = result.group.generators
 
-    # the mix projects onto <P.arrows>, so the projection is an isomorphism
-    # on the facet subgroup iff the orders agree; by facets-of-extension P's
-    # facet subgroup acts regularly on each copy of Cay(K) (gpr.FacetSubgroup)
-    # and has order W, the white-flag count
-    facet_group = PermGroup(result.group.degree, gens[:-1])
-    facet_order = facet_group.order()
+    facet_arrows = P.arrows[:-1]
+    y = extension_obstruction(facet_arrows, rs2.sigma[:-1])
     white_count = rotation_system(K).degree
-    check("facet-projection-collapses", facet_order == white_count,
-          "facet subgroup of the mix does not project isomorphically")
-    check("facet-subgroup-order", facet_order == white_count,
-          "facet subgroup order %d != white flag count %d" % (facet_order, white_count))
-    result.report.data["facet_order"] = facet_order
+    check("facet-projection-collapses", y is None,
+          "facet subgroup of the mix does not project isomorphically: the forced "
+          "map of vertex 0 to 2s^R's white flag %s fails" % y)
+    check("facet-subgroup-order", y is None,
+          "facet subgroup order exceeds the white flag count %d" % white_count)
+    result.report.data["facet_order"] = white_count
 
     check("intersection-property", *intersection_property_group(criterion))
 
@@ -181,7 +232,8 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     check("lcm-is-lcm-of-orders", last == math.lcm(q, rs2.sigma[n - 1].order()),
           "disjoint-support order law violated")
 
-    check("result-chiral", not is_regular_via_mix(facet_group),
+    mirror = enantiomorph_generators(facet_arrows)
+    check("result-chiral", extension_obstruction(facet_arrows, mirror) is not None,
           "mirror map extends to an automorphism of the facet subgroup")
 
     result.schlafli = [g.order() for g in gens]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import operator
 from functools import reduce
 
 
@@ -38,16 +39,19 @@ MAX_LEVEL_BYTES = 1 << 30
 class Perm:
     """A permutation of {0, ..., d-1} stored as its image tuple.
 
-    ``Perm(images)`` checks that the images form a bijection, and
-    ``Perm.from_array`` does so for a numpy array in linear time. Products,
-    inverses, powers and identities are bijections by construction and
-    are built unchecked.
+    ``Perm(images)`` stores the images as Python ints and checks that they
+    are integers forming a bijection, and ``Perm.from_array`` does so for
+    a numpy array in linear time. Products, inverses, powers and
+    identities are bijections by construction and are built unchecked.
     """
 
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(images)
+        try:
+            images = tuple(map(operator.index, images))
+        except TypeError as exc:
+            raise ValueError("images are not integers: %s" % exc) from None
         if sorted(images) != list(range(len(images))):
             raise ValueError("images are not a bijection on 0..%d" % (len(images) - 1))
         self.images = images

@@ -15,6 +15,7 @@ from chirex.maniplex import (AutomorphismOrbit, Maniplex, PreconditionError, Roo
                              RotationSystem, Symmetry, VerificationError, classify_symmetry,
                              facets, find_rooted_automorphism, forced_map, rotation_system,
                              schlafli)
+from chirex import permcore
 from chirex.permcore import Perm, PermGroup, left_product, orbit_of, orbit_partition
 from chirex.toroidal import (_SQUARES, _TRIANGLES, TorusParams, build_toroidal_map,
                              lattice_for)
@@ -903,3 +904,17 @@ def cross_check_maps():
     yield from (polygon(p) for p in range(3, 9))
     R = build_toroidal_map(TorusParams("44", 2, 0))
     yield from (build_two_s_m(R, s).rooted for s in (2, 3))
+
+
+def count_chains(monkeypatch) -> list[tuple[int, int]]:
+    """(degree, generator count) of every stabiliser chain built from now
+    on, in the order they are built."""
+    built = []
+    init = permcore._Chain.__init__
+
+    def counting_init(chain, gens, degree):
+        built.append((degree, len(gens)))
+        init(chain, gens, degree)
+
+    monkeypatch.setattr(permcore._Chain, "__init__", counting_init)
+    return built

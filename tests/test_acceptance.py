@@ -15,8 +15,8 @@ from chirex.gpr import cayley_gpr, components, rooted_digraph_isomorphic
 from chirex.maniplex import (Symmetry, classify_symmetry, covers,
                              dually_bipartite_colouring, rotation_system,
                              schlafli)
-from chirex.mix import (diamond, is_regular_via_mix,
-                        regular_quotient_extension)
+from chirex.mix import (diamond, enantiomorph_generators, extension_obstruction,
+                        is_regular_via_mix, regular_quotient_extension)
 from chirex.permcore import PermGroup, orbit_of
 from chirex.toroidal import TorusParams, build_toroidal_map, regular_quotient
 from chirex.two_s_m import build_two_s_m, verify_aut_structure
@@ -153,8 +153,14 @@ def test_criterion_6_cross_validation():
         rs = rotation_system(rooted)
         mirror_regular = is_regular_via_mix(PermGroup(rs.degree, rs.sigma))
         assert mirror_regular == (classify_symmetry(rooted) is Symmetry.REGULAR)
+        # a rotation group acts regularly on the white flags, so one forced
+        # map per orbit of the mirror generators decides the same
+        mirror = enantiomorph_generators(rs.sigma)
+        assert (extension_obstruction(rs.sigma, mirror) is None) == mirror_regular
 
-    # flag-level covering agrees with the diamond-order homomorphism test
+    # flag-level covering agrees with the diamond-order homomorphism test,
+    # and with the forced-map certificate, on covering pairs and others
+    outcomes = set()
     for M in corpus:
         for N in corpus:
             if M.rank != N.rank:
@@ -163,6 +169,9 @@ def test_criterion_6_cross_validation():
             G, H = PermGroup(rs.degree, rs.sigma), PermGroup(rt.degree, rt.sigma)
             hom_exists = diamond(G, H).order() == G.order()
             assert (covers(M, N) is not None) == hom_exists, (M, N)
+            assert (extension_obstruction(rs.sigma, rt.sigma) is None) == hom_exists, (M, N)
+            outcomes.add(hom_exists)
+    assert outcomes == {True, False}
 
     # stabiliser chain vs brute-force closure on every small group
     for rooted in corpus:

@@ -5,19 +5,19 @@ from collections import Counter
 
 import pytest
 
-from chirex import cli, gpr, maniplex, mix, permcore, toroidal
+from chirex import cli, gpr, maniplex, mix, toroidal
 from chirex.extend_db import extend_dually_bipartite
 from chirex.gpr import GprGraph, VerificationError, cayley_gpr, gpr_group
 from chirex.maniplex import (PreconditionError, Report, Symmetry,
                              classify_symmetry, rotation_system)
-from chirex.mix import (diamond, enantiomorph_generators, is_regular_via_mix,
-                        paired_perm, regular_quotient_extension)
+from chirex.mix import (diamond, enantiomorph_generators, extension_obstruction,
+                        is_regular_via_mix, paired_perm, regular_quotient_extension)
 from chirex.permcore import Perm, PermGroup, left_product
 from chirex.toroidal import TorusParams, build_toroidal_map, regular_quotient
 from chirex.two_s_m import build_two_s_m
 
-from helpers import (cube, intersection_property_by_enumeration, intersection_property_orbits,
-                     polygon)
+from helpers import (count_chains, cube, intersection_property_by_enumeration,
+                     intersection_property_orbits, polygon)
 
 
 class TestDiamond:
@@ -89,6 +89,23 @@ class TestRegularViaMix:
         assert D.order() > G.order()
 
 
+class TestExtensionObstruction:
+    C4 = Perm.from_cycles(4, [(0, 1, 2, 3)])
+
+    def test_cyclic_images(self):
+        # C4 maps onto a product of 2-cycles, not onto an element of order 6;
+        # the orbit {0, 1} passes and the forced map fails on {2, 3, 4}
+        assert extension_obstruction([self.C4], [Perm.from_cycles(4, [(0, 1), (2, 3)])]) is None
+        assert extension_obstruction([self.C4], [Perm.from_cycles(5, [(0, 1), (2, 3, 4)])]) == 2
+        assert extension_obstruction([self.C4], [self.C4.inverse()]) is None
+
+    def test_generator_counts(self):
+        with pytest.raises(PreconditionError):
+            extension_obstruction([self.C4], [self.C4, self.C4])
+        with pytest.raises(PreconditionError):
+            extension_obstruction([], [])
+
+
 class TestIntersectionPropertyGroup:
     """The rank-free enumeration oracle that the rank-4 certificate is
     compared with, against the orbit oracle."""
@@ -151,24 +168,26 @@ def count_criterion_evaluations(monkeypatch) -> Counter:
 
 
 class TestRegularQuotientExtension:
-    def test_each_chain_built_once(self, monkeypatch):
+    def test_builds_no_chain(self, monkeypatch):
+        # every verdict is a certificate, so neither a passing mix nor a
+        # failing one builds a stabiliser chain; the failures are doctored
+        # past the checks before them and still reach the real forced maps
         K = build_toroidal_map(TorusParams("44", 3, 1))
         P = extend_dually_bipartite(K, 1).graph
         R = regular_quotient(TorusParams("44", 3, 1)).rooted
-        built = Counter()
-        init = permcore._Chain.__init__
-
-        def counting_init(chain, gens, degree):
-            gens = [tuple(g) for g in gens]
-            if gens:
-                built[degree, tuple(gens)] += 1
-            init(chain, gens, degree)
-
-        monkeypatch.setattr(permcore._Chain, "__init__", counting_init)
+        built = count_chains(monkeypatch)
         result = regular_quotient_extension(P, K, R, 2)
-        assert result.report.passed
-        repeated = [count for count in built.values() if count > 1]
-        assert built and repeated == []
+        assert result.report.passed and result.report.data["facet_order"] == 40
+        # {4,4}_(2,0) is not covered by (3,1): the facet projection fails
+        monkeypatch.setattr(mix, "covers", lambda M, N: True)
+        with pytest.raises(VerificationError, match="facet-projection-collapses: .*"
+                                                    "white flag 0 fails"):
+            regular_quotient_extension(P, K, build_toroidal_map(TorusParams("44", 2, 0)), 2)
+        # the identity in place of the mirror map always extends
+        monkeypatch.setattr(mix, "enantiomorph_generators", list)
+        with pytest.raises(VerificationError, match="result-chiral: mirror map extends"):
+            regular_quotient_extension(P, K, R, 2)
+        assert built == []
 
     def test_each_fact_computed_once(self, monkeypatch):
         # K's rotation system serves the matching, the extension and the
@@ -266,6 +285,11 @@ class TestCertifiedVerdicts:
         assert verdict["intersection-property"] is intersection_property_by_enumeration(
             result.group.generators)[0]
         assert verdict["result-chiral"] is not is_regular_via_mix(result.group)
+        # the facet certificate against the chain order of the mix's facet subgroup
+        facet_group = PermGroup(result.group.degree, result.group.generators[:-1])
+        order = facet_group.order()
+        assert verdict["facet-projection-collapses"] is (order == rotation_system(K).degree)
+        assert result.report.data["facet_order"] == order
 
     def test_rank_4_skips_the_whole_mix(self, monkeypatch):
         calls = []
@@ -279,9 +303,8 @@ class TestCertifiedVerdicts:
         K, P, R = _seed(3, 1, 1)
         result = regular_quotient_extension(P, K, R, 4)
         assert result.report.passed
-        # the mix itself, from Gamma(P), and one mirror diamond, of the
-        # mix's facet subgroup only
-        assert calls == [(3, P.num_vertices), (2, result.group.degree)]
+        # the mix itself, from Gamma(P), and no mirror diamond at all
+        assert calls == [(3, P.num_vertices)]
         assert result.group._chain is None  # nor the mix's order
 
     def test_failing_criterion_fails_the_intersection_property(self, monkeypatch):

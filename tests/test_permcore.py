@@ -46,6 +46,17 @@ class TestPerm:
         with pytest.raises(ValueError):
             Perm([0, 0])
 
+    @pytest.mark.parametrize("images", [[1.0, 0.0], [1, 0.0], ["1", "0"], "10"])
+    def test_images_that_are_not_integers(self, images):
+        # floats compare equal to 0..n-1 but cannot index a tuple
+        with pytest.raises(ValueError, match="images are not integers"):
+            Perm(images)
+
+    def test_numpy_scalars_become_ints(self):
+        p = Perm([np.int64(1), np.uint8(2), np.intp(0)])
+        assert p.images == (1, 2, 0) and all(type(x) is int for x in p.images)
+        assert (p * p).images == (2, 0, 1)
+
     @given(st.integers(0, 9).flatmap(lambda d: st.tuples(perms(d), perms(d))),
            st.integers(-6, 6))
     def test_unchecked_results_are_bijections(self, pq, k):

@@ -20,7 +20,7 @@ from chirex.serial import (SchemaError, canonical_dumps, gpr_from_json,
 from chirex.toroidal import TorusParams, build_toroidal_map
 from chirex.two_s_m import build_two_s_m
 
-from helpers import polygon
+from helpers import count_chains, polygon
 
 
 class TestRoundTrips:
@@ -416,6 +416,25 @@ def _digest(path) -> str:
     data = json.loads(path.read_text())
     data.pop("timing_seconds", None)
     return hashlib.sha256(json.dumps(data, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+class TestOneChainPerMix:
+    """The mix's verdicts are certificates, so the mix's own order, which
+    the commands report, is the only stabiliser chain they build."""
+
+    def test_pipeline(self, tmp_path, monkeypatch):
+        built = count_chains(monkeypatch)
+        assert main(["pipeline", "--family", "44", "--b", "3", "--c", "1", "--db-s", "1",
+                     "--mix-s", "2", "--out-prefix", str(tmp_path / "pl")]) == 0
+        assert [gens for _, gens in built] == [3]
+
+    def test_mix_extend_report(self, tmp_path, monkeypatch):
+        ext, facet, quotient = _mix_inputs(tmp_path)
+        built = count_chains(monkeypatch)
+        assert main(["mix-extend", "--extension", str(ext), "--facet", str(facet),
+                     "--quotient", str(quotient), "--s", "2",
+                     "--report", str(tmp_path / "mix.json")]) == 0
+        assert [gens for _, gens in built] == [3]
 
 
 class TestGoldenReports:
