@@ -2,9 +2,10 @@
 """Run the dually-bipartite matching extension for a range of s values
 and report the verified last Schlafli entry q of each; with --order, also
 the exact order of the rotation group (a stabiliser chain, the slow part
-at large s).
+at large s) and its chain's base length, Schreier generators sifted and
+sift rounds.
 
-Usage: python3 scripts/db_extension_sweep.py [--b 3] [--c 1] [--smax 3] [--order]
+Usage: python3 scripts/db_extension_sweep.py [--b 3] [--c 1] [--smax 3] [--seed N] [--order]
 """
 
 import argparse
@@ -28,14 +29,18 @@ def main() -> None:
     p = TorusParams(args.family, args.b, args.c)
     K = build_toroidal_map(p)
     print("base map %s with %d flags" % (p, K.maniplex.num_flags))
-    order_column = " %16s" % "group order" if args.order else ""
-    print("%3s %9s %11s%s %7s" % ("s", "vertices", "last entry", order_column, "time"))
+    order_columns = " %16s %4s %8s %6s" % ("group order", "base", "schreier", "rounds") \
+        if args.order else ""
+    print("%3s %9s %11s%s %7s" % ("s", "vertices", "last entry", order_columns, "time"))
     for s in range(1, args.smax + 1):
         t0 = time.time()
         result = extend_dually_bipartite(K, s, seed=args.seed)
         row = "%3d %9d %11d" % (s, result.graph.num_vertices, result.last_entry)
         if args.order:
-            row += " %16d" % gpr_group(result.graph).order()
+            group = gpr_group(result.graph)
+            stats = group.chain.stats()
+            row += " %16d %4d %8d %6d" % (group.order(), stats["base_length"],
+                                          stats["schreier_sifts"], stats["sift_rounds"])
         print(row + " %6.1fs" % (time.time() - t0))
 
 

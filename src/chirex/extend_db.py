@@ -15,7 +15,7 @@ from .gpr import GprGraph, check_tau_relations, rho_bar, verify_extension_criter
 from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry, VerificationError,
                        classify_symmetry, dually_bipartite_colouring, forced_map,
                        rotation_system)
-from .permcore import MAX_FLAGS, Perm, orbit_of
+from .permcore import MAX_FLAGS, Perm, orbit_of, repeated
 
 
 @dataclass(frozen=True)
@@ -183,15 +183,11 @@ def extend_dually_bipartite(K: RootedManiplex, s: int,
     matching = build_matching(K, colouring, s, seed)
     rs = rotation_system(K)
     n = K.rank
-    W = rs.degree
     copies = 2 * s
 
-    def widen(p: Perm) -> Perm:
-        return Perm([ell * W + x for ell in range(copies) for x in p.images])
-
     t = Perm(matching.partner)
-    arrows = [widen(g) for g in rs.sigma]
-    s_last_inv = widen(rs.sigma[n - 2].inverse())
+    arrows = [repeated(g, copies) for g in rs.sigma]
+    s_last_inv = repeated(rs.sigma[n - 2].inverse(), copies)
     # s_n = s_{n-1}^{-1} t: apply t first
     arrows.append(t * s_last_inv)
     G = GprGraph(rank=n, arrows=tuple(arrows))

@@ -10,6 +10,7 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import operator
@@ -190,7 +191,7 @@ def left_product(perms) -> Perm:
 
 
 class _Chain:
-    """Certified, deterministic incremental Schreier-Sims stabiliser chain.
+    """Certified, deterministic Schreier-Sims stabiliser chain, verified in rounds.
 
     Permutations are numpy int32 image arrays. Level i keeps base[i], its
     strong generators S_i (fixing base[:i]) and one array of inverse coset
@@ -199,12 +200,29 @@ class _Chain:
     most 25 % spare rows, in an anonymous mapping (a freed large malloc
     block raises glibc's mmap threshold and leaves a fragmented heap).
     Input generators join S_0..S_j; a residue found at level i lies in
-    <S_i>, so it joins S_{i+1}..S_j only. A per-level, per-generator cursor
-    marks verified rows, so no Schreier generator is sifted twice; they go
-    in batches of at most ``BATCH`` entries, first residue inserted. One
-    routine, ``_sift``, sifts input generators, batches and membership
-    probes; every product and sift step is one ``take`` on (or one
-    assignment to) the flat view of a level's rows, at np.intp row offsets.
+    <S_i>, so it joins S_{i+1}..S_j only.
+
+    The Schreier generators u_p s u_q^{-1} are verified in rounds, in
+    deepest-first order (level, generator, row); ``formed[i][k]`` counts
+    the rows of S_i's k-th generator formed so far. A round forms the next
+    pending ones into a pool of at most ``BATCH // degree`` rows and sifts
+    them with the pool's waiting rows as one batch, each from its own level.
+    A row that sifts out is verified for good, since levels only gain rows.
+    The first row in that order that does not is inserted, once every
+    pending row before it has sifted out: it is the residue that sifting one
+    Schreier generator at a time inserts, so base, strong generators and
+    orbits do not depend on the pool size. Every other failing row waits,
+    partly sifted, at the level where it stopped, and is sifted on only once
+    that level gains points. Level 0's rows, the last in the order and the
+    ones every level sifts, are formed only once no row of a deeper level is
+    pending, as the pool has room; a full pool pushes its last waiting rows
+    out, keeping only their positions, to form rows that come before them.
+
+    One routine, ``_sift``, sifts input generators, rounds and membership
+    probes. Every product and sift step is a ``take`` on (or an assignment
+    to) the flat view of a level's rows, at np.intp row offsets, over at most
+    ``BATCH // 8`` elements at a time, so the offsets of a take stay within
+    a quarter of the pool's bytes.
 
     An intransitive group keeps the levels whose base point lies in orbit0,
     the orbit of point 0, ahead of the rest: the first ``split`` levels are
@@ -212,37 +230,40 @@ class _Chain:
     that passes the image levels but still moves a point of orbit0 is a
     residue at level ``split``, which becomes a new image level; it also
     takes the first kernel level's generators, which fix orbit0 pointwise,
-    so every level stays inside the one above it (Seress, *Permutation
-    Group Algorithms*, 2003, ch. 5). A transitive group has no kernel level.
+    so every level stays inside the one above it. Opening a level moves the
+    waiting rows' levels from it on down one. A transitive group has no
+    kernel level (Seress, *Permutation Group Algorithms*, 2003, ch. 4-5).
     """
 
-    BATCH = 1 << 14
+    BATCH = 1 << 17
 
     def __init__(self, gens, degree: int):
         import numpy as np
         self._np = np
         self.degree = degree
         self.identity = np.arange(degree, dtype=np.int32)
-        self.base, self.gens, self.cursor = [], [], []  # one entry per level
+        # one entry per level; to_form[i] is False once every row of level i is formed
+        self.base, self.gens, self.formed, self.to_form = [], [], [], []
         self.pts, self.uinv, self.row_of = [], [], []
-        self.sifts = self.split = 0
+        self.sifts = self.rounds = self.split = 0
         # sorted(), not np.sort: the first np.sort call adds about 0.4 MB to peak RSS
         self.orbit0 = np.array(sorted(orbit_of(0, [_unchecked(tuple(g)) for g in gens]))
                                if degree else [], dtype=np.intp)
         for g in gens:
             h = np.array([g], dtype=np.int32)
-            bad, j = self._sift(h, 0)
-            if not bad:
+            j = int(self._sift(h, 0)[0])
+            if j >= 0:
                 self._insert(h[0], 0, j)
-        i = len(self.base) - 1
-        while i >= 0:
-            i = self._check(i)
+        self._verify()
 
-    def _insert(self, h, lo: int, j: int) -> None:
-        # h fixes base[:j] and joins S_lo..S_j, whose orbits are closed again
+    def _insert(self, h, lo: int, j: int) -> tuple[list[int], bool]:
+        """h fixes base[:j] and joins S_lo..S_j, whose orbits are closed
+        again. Returns the levels that gained points and whether level j is
+        new, which moves the levels from j on down one."""
         np = self._np
         image = j == self.split and (h[self.orbit0] != self.orbit0).any()
-        if image or j == len(self.base):
+        opened = image or j == len(self.base)
+        if opened:
             # an image level goes at split, ahead of the kernel levels, and
             # takes the first one's generators; its base point lies in orbit0
             pts = self.orbit0 if image else self.identity
@@ -250,14 +271,17 @@ class _Chain:
             self.split += bool(image)
             kernel = self.gens[j] if j < len(self.base) else []
             row_of = (self.identity == b).astype(np.int32) - 1  # b is row 0, the rest -1
-            for store, item in zip((self.base, self.gens, self.cursor, self.pts, self.uinv,
-                                    self.row_of), (b, list(kernel), [0] * len(kernel), [b],
-                                                   self.identity[None], row_of)):
+            for store, item in zip((self.base, self.gens, self.formed, self.to_form, self.pts,
+                                    self.uinv, self.row_of),
+                                   (b, list(kernel), [0] * len(kernel), True, [b],
+                                    self.identity[None], row_of)):
                 store.insert(j, item)
+        grown = [j] if opened else []
         for lev in range(lo, j + 1):
             gens, pts, row_of = self.gens[lev], self.pts[lev], self.row_of[lev]
             gens.append(h)
-            self.cursor[lev].append(0)
+            self.formed[lev].append(0)
+            self.to_form[lev] = True
             # old rows are closed under the older generators, new rows under none
             edges = [(r, h) for r in np.flatnonzero(row_of[h[pts]] < 0).tolist()]
             new = []  # the edge (row r, generator s) reaching each new point
@@ -268,6 +292,8 @@ class _Chain:
                     edges += [(len(pts), t) for t in gens]
                     new.append((r, s))
                     pts.append(q)
+            if new:
+                grown.append(lev)
             inv, old = self.uinv[lev], len(pts) - len(new)
             if len(pts) > len(inv):  # a quarter more rows at least, old rows copied once
                 size = 4 * max(len(pts), len(inv) + len(inv) // 4) * self.degree
@@ -278,53 +304,195 @@ class _Chain:
                 inv[:old], self.uinv[lev] = self.uinv[lev][:old], inv
             for k, (r, s) in enumerate(new, old):
                 inv[k, s] = inv[r]  # u_k = u_r * s, so u_k^{-1}[s[y]] = u_r^{-1}[y]
+        return grown, opened
 
-    def _check(self, i: int) -> int:
-        """Resume verifying level i; the next level to verify (i - 1 when done)."""
+    def _verify(self) -> None:
+        """Verify every Schreier generator, one round at a time."""
         np = self._np
-        inv, row_of, pts = self.uinv[i], self.row_of[i], self.pts[i]
-        for k, s in enumerate(self.gens[i]):
-            while self.cursor[i][k] < len(pts):
-                a = self.cursor[i][k]
-                b = min(len(pts), a + max(1, self.BATCH // self.degree))
-                w = self._gather(inv, row_of[s[pts[a:b]]], s)  # s * u_q^{-1}
-                rows = a + np.flatnonzero((w != inv[a:b]).any(axis=1))
-                g = np.empty((len(rows), self.degree), dtype=np.int32)
-                to = self._offsets(np.arange(len(rows)))[:, None] + inv[rows]
-                g.reshape(-1)[to] = w[rows - a]  # u_p * s * u_q^{-1}
-                self.sifts += len(rows)
-                bad, j = self._sift(g, i + 1)
-                self.cursor[i][k] = b if bad == len(rows) else int(rows[bad]) + 1
-                if bad < len(rows):
-                    self._insert(g[bad].copy(), i + 1, j)
-                    return j
-        return i - 1
-
-    def _sift(self, g, start: int) -> tuple[int, int]:
-        """Sift the rows of g in place from level start. Returns the first
-        row that leaves an orbit or ends as a non-identity residue, and the
-        level where it did; (len(g), len(base)) if every row sifts out. A row
-        still moving a point of orbit0 past the image levels ends at split."""
-        bad, j = len(g), len(self.base)
-        for lev in range(start, len(self.base) + 1):
-            if lev == len(self.base) or lev == self.split:
-                # past the image levels a row moves no point of orbit0, past all none
-                pts = self.orbit0 if lev < len(self.base) else slice(None)
-                moved = (g[:bad, pts] != self.identity[pts]).any(axis=1).nonzero()[0]
-                if len(moved):
-                    bad, j = int(moved[0]), lev
-                if lev == len(self.base) or not bad:
-                    return bad, j
-            at = self.row_of[lev][g[:bad, self.base[lev]]]
-            mv = at.nonzero()[0]  # a row fixing the base point stays as it is
-            if not len(mv):
+        size = max(1, self.BATCH // max(1, self.degree))
+        # the pool's slots, grown as needed: waiting rows' partly sifted
+        # images, positions (level, generator, row) and stop levels, which
+        # slots are in use and which to sift on; and the positions of the
+        # waiting rows pushed out of the pool
+        buf = np.empty((size, self.degree), np.int32)  # its pages are touched as used
+        pos, at = np.empty((3, 0), np.intp), np.empty(0, np.intp)
+        used = todo = np.empty(0, bool)
+        gone = np.empty((3, 0), np.intp)
+        while True:
+            # the pending rows without an image: pushed out, or not formed yet
+            ranges = self._unformed(size + 1)
+            lens = [b - a for _, _, a, b in ranges]
+            fresh = np.array([(lev, k, a - n) for (lev, k, a, _), n in
+                              zip(ranges, itertools.accumulate([0] + lens))],
+                             np.intp).reshape(-1, 3).repeat(lens, axis=0).T
+            fresh[2] += np.arange(fresh.shape[1])
+            cand = np.concatenate((gone, fresh), axis=1)
+            order = np.lexsort((cand[2], cand[1], -cand[0]))
+            slots = used.nonzero()[0]
+            if not len(slots) and not len(order):
+                return
+            room = size - len(slots)
+            if not room:
+                # push out up to a quarter of the pool: the last waiting
+                # rows, those behind the first row without an image
+                head = (-cand[0, order[0]], cand[1, order[0]], cand[2, order[0]])
+                last = slots[np.lexsort((pos[2, slots], pos[1, slots], -pos[0, slots]))[::-1]]
+                last = [t for t in last[:max(1, size // 4)].tolist()
+                        if (-pos[0, t], pos[1, t], pos[2, t]) > head]
+                if last:
+                    gone = np.concatenate((gone, pos[:, last]), axis=1)
+                    used[last] = todo[last] = False
+                    continue
+            if (cand[0] > 0).any() or (pos[0, slots] > 0).any():
+                # level 0's rows, the last in the order and those every level sifts,
+                # are formed only once no row of a deeper level is pending
+                room = min(room, int((cand[0] > 0).sum()))
+            make, rest = order[:room], order[room:]
+            taken = len(make) - int((make < gone.shape[1]).sum())
+            gone, make = cand[:, rest[rest < gone.shape[1]]], cand[:, make]
+            for lev, k, a, b in ranges:
+                self.formed[lev][k] = a + min(taken, b - a)
+                taken -= min(taken, b - a)
+            if len(slots) + make.shape[1] > len(used):
+                grow = min(size, max(len(slots) + make.shape[1], 2 * len(used))) - len(used)
+                pos = np.concatenate((pos, np.zeros((3, grow), np.intp)), axis=1)
+                at, used, todo = (np.concatenate((x, np.zeros(grow, x.dtype)))
+                                  for x in (at, used, todo))
+            # form them into free slots; trivial ones are verified
+            if make.shape[1]:
+                free = (~used).nonzero()[0]
+                nontrivial = self._form(make, buf, free)
+                free = free[:int(nontrivial.sum())]
+                pos[:, free] = make[:, nontrivial]
+                at[free] = pos[0, free] + 1
+                used[free] = todo[free] = True
+            if todo.any():
+                stop = self._sift(buf[:len(todo)], np.where(todo, at, len(self.base) + 1))
+                at[todo] = stop[todo]
+                self.sifts += int((todo & (stop < 0)).sum())
+                used &= ~todo | (stop >= 0)
+                todo[:] = False
+                self.rounds += 1
+            slots = used.nonzero()[0]
+            if not len(slots):
                 continue
-            out = (at[mv] < 0).nonzero()[0]
-            if len(out):
-                bad, j, mv = int(mv[out[0]]), lev, mv[:out[0]]
-                if not bad:
-                    return 0, lev
-            g[mv] = self._gather(self.uinv[lev], at[mv], g[mv])  # g * u^{-1}
+            # the first failure in deepest-first order is inserted, unless a
+            # row without an image comes before it; the others wait
+            first = slots[np.lexsort((pos[2, slots], pos[1, slots], -pos[0, slots]))[0]]
+            if len(rest):
+                nxt = cand[:, rest[0]]
+                if (-nxt[0], nxt[1], nxt[2]) < (-pos[0, first], pos[1, first], pos[2, first]):
+                    continue
+            used[first] = False
+            self.sifts += 1
+            j = int(at[first])
+            grown, opened = self._insert(buf[first].copy(), int(pos[0, first]) + 1, j)
+            if opened:  # the waiting rows come after first, so their own levels lie above j
+                at += at > j
+            mark = np.zeros(len(self.base) + 1, bool)
+            mark[grown] = True
+            todo[:] = used & mark[at]
+
+    def _unformed(self, size: int) -> list[tuple[int, int, int, int]]:
+        """The first ``size`` Schreier generators not formed yet, in
+        deepest-first order, as (level, generator, first row, end row)."""
+        ranges, n = [], 0
+        for lev in range(len(self.base) - 1, -1, -1):
+            if not self.to_form[lev]:
+                continue
+            total = len(self.pts[lev])
+            for k, a in enumerate(self.formed[lev]):
+                if a < total:
+                    b = min(total, a + size - n)
+                    ranges.append((lev, k, a, b))
+                    n += b - a
+                    if n == size:
+                        return ranges
+            if not ranges or ranges[-1][0] != lev:
+                self.to_form[lev] = False
+        return ranges
+
+    def _form(self, where, out, slots):
+        """Write the nontrivial Schreier generators u_p s u_q^{-1} at the
+        positions (level, generator, row) in where, grouped by level (s is
+        the level's generator, p the row's point), to the rows slots[0], ...
+        of out. Returns the mask of the positions that gave them."""
+        np = self._np
+        n, step = where.shape[1], max(1, self.BATCH // 8 // max(1, self.degree))
+        levs = where[0].tolist()
+        cuts = [0] + [k for k in range(1, n) if levs[k] != levs[k - 1] or k % step == 0] + [n]
+        nontrivial, done = np.empty(n, bool), 0
+        for a, b in itertools.pairwise(cuts):
+            lev, gen, row = levs[a], where[1, a:b], where[2, a:b]
+            inv, pts = self.uinv[lev], self.pts[lev]
+            s = np.array([self.gens[lev][k] for k in gen.tolist()])
+            q = self.row_of[lev][s[np.arange(b - a), [pts[r] for r in row.tolist()]]]
+            w, up = self._gather(inv, q, s), inv[row]  # s * u_q^{-1}, u_p^{-1}
+            nontrivial[a:b] = keep = (w != up).any(axis=1)
+            if not keep.all():
+                w, up = w[keep], up[keep]
+            # u_p * s * u_q^{-1} maps u_p^{-1}[y] to w[y]
+            out.reshape(-1)[self._offsets(slots[done:done + len(w)])[:, None] + up] = w
+            done += len(w)
+        return nontrivial
+
+    def _sift(self, g, start):
+        """Sift the rows of g in place, each from its own level (``start``
+        holds one level, or one per row). Returns, per row, the level where
+        it left an orbit or ended as a non-identity residue (len(base)), or
+        -1 where it sifted out. A row still moving a point of orbit0 past
+        the image levels stops at split."""
+        np = self._np
+        top = len(self.base)
+        stop = np.full(len(g), -1, np.intp)
+        step = max(1, self.BATCH // 8 // max(1, self.degree))  # rows per gather
+        if not len(g):
+            return stop
+        if isinstance(start, int):
+            first, joins, joined = start, [len(g)] * (top + 1 - start), len(g)
+            # act None: every row of a small g, in order, is still going
+            act = None if len(g) <= step else np.arange(len(g))
+        else:
+            order = np.argsort(start, kind="stable")
+            first = int(start[order[0]])
+            joins = np.searchsorted(start[order], np.arange(first + 1, top + 2)).tolist()
+            act, joined = order[:0], 0  # the rows still going, and order[:joined] started
+        for lev, hi in enumerate(joins, first):
+            if hi > joined:
+                act, joined = np.concatenate((act, order[joined:hi])), hi
+            if act is not None and not len(act):
+                if joined == joins[-1]:
+                    break
+                continue
+            if lev == top or lev == self.split:
+                # past the image levels a row moves no point of orbit0, past all none
+                pts = self.orbit0 if lev < top else slice(None)
+                out = (g[:, pts] != self.identity[pts]).any(axis=1) if act is None else \
+                    np.concatenate([(g[act[c:c + step]][:, pts] != self.identity[pts])
+                                    .any(axis=1) for c in range(0, len(act), step)])
+                if out.any():
+                    live = np.arange(len(g)) if act is None else act
+                    stop[live[out]] = lev
+                    act = live[~out]
+                if lev == top or act is not None and not len(act):
+                    continue
+            at = self.row_of[lev][g[:, self.base[lev]] if act is None else g[act, self.base[lev]]]
+            if at.min() < 0:
+                live = np.arange(len(g)) if act is None else act
+                stop[live[at < 0]] = lev
+                keep = (at >= 0).nonzero()[0]
+                if not len(keep) and joined == joins[-1]:
+                    return stop
+                act, at = live[keep], at[keep]
+            mv = at.nonzero()[0]  # a row fixing the base point stays as it is
+            if act is None and len(mv) == len(g):
+                g[:] = self._gather(self.uinv[lev], at, g)  # g * u^{-1}
+                continue
+            for c in range(0, len(mv), step):
+                part = mv[c:c + step]
+                rows = part if act is None else act[part]
+                g[rows] = self._gather(self.uinv[lev], at[part], g[rows])
+        return stop
 
     def _offsets(self, rows):
         # in int32, rows * degree would wrap once a row passes 2**31 // degree
@@ -342,13 +510,15 @@ class _Chain:
         return math.prod(len(p) for p in self.pts[:self.split])
 
     def contains(self, g) -> bool:
-        return self._sift(self._np.array([g], self._np.int32), 0)[0] == 1
+        return self._sift(self._np.array([g], self._np.int32), 0)[0] < 0
 
     def stats(self) -> dict:
-        """Base length, strong generators, Schreier generators sifted, orbit lengths."""
+        """Base length, strong generators, nontrivial Schreier generators
+        sifted (each once), sift rounds, orbit lengths."""
         strong = {id(h) for gens in self.gens for h in gens}
         return {"base_length": len(self.base), "strong_generators": len(strong),
-                "schreier_sifts": self.sifts, "orbit_sizes": [len(p) for p in self.pts]}
+                "schreier_sifts": self.sifts, "sift_rounds": self.rounds,
+                "orbit_sizes": [len(p) for p in self.pts]}
 
 
 class PermGroup:
@@ -439,3 +609,11 @@ def disjoint_union(a, b) -> tuple[int, ...]:
     their point sets, b's points shifted past a's."""
     d = len(a)
     return tuple(a) + tuple(x + d for x in b)
+
+
+def repeated(p: Perm, copies: int) -> Perm:
+    """p acting on each of ``copies`` consecutive blocks of p.degree
+    points: copy ell maps ell * degree + x to ell * degree + p(x). A
+    bijection by construction, so it skips Perm's check."""
+    d = p.degree
+    return _unchecked(tuple(ell * d + x for ell in range(copies) for x in p.images))

@@ -918,3 +918,39 @@ def count_chains(monkeypatch) -> list[tuple[int, int]]:
 
     monkeypatch.setattr(permcore._Chain, "__init__", counting_init)
     return built
+
+
+class CursorChain(permcore._Chain):
+    """The stabiliser chain verified as before rounds: level by level from
+    the deepest, each generator's rows in batches of ``BATCH // degree``
+    from a cursor (``formed``) of verified rows. The first residue of a
+    batch is inserted, and verifying resumes at the deepest level it
+    changed. The cross-check for the rounds of ``permcore._Chain``, which
+    must give the same base, strong generators, orbits and split."""
+
+    def _verify(self) -> None:
+        i = len(self.base) - 1
+        while i >= 0:
+            i = self._check(i)
+
+    def _check(self, i: int) -> int:
+        """Resume verifying level i; the next level to verify (i - 1 when done)."""
+        inv, row_of, pts = self.uinv[i], self.row_of[i], self.pts[i]
+        for k, s in enumerate(self.gens[i]):
+            while self.formed[i][k] < len(pts):
+                a = self.formed[i][k]
+                b = min(len(pts), a + max(1, self.BATCH // self.degree))
+                w = self._gather(inv, row_of[s[pts[a:b]]], s)  # s * u_q^{-1}
+                rows = a + np.flatnonzero((w != inv[a:b]).any(axis=1))
+                g = np.empty((len(rows), self.degree), dtype=np.int32)
+                to = self._offsets(np.arange(len(rows)))[:, None] + inv[rows]
+                g.reshape(-1)[to] = w[rows - a]  # u_p * s * u_q^{-1}
+                self.sifts += len(rows)
+                stop = self._sift(g, i + 1)
+                bad = np.flatnonzero(stop >= 0)
+                self.formed[i][k] = b if not len(bad) else int(rows[bad[0]]) + 1
+                if len(bad):
+                    j = int(stop[bad[0]])
+                    self._insert(g[bad[0]].copy(), i + 1, j)
+                    return j
+        return i - 1

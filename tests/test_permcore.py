@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from chirex import permcore
 from chirex.permcore import (DegreeMismatch, Perm, PermGroup, PreconditionError, _Chain,
-                             left_product, orbit_of, orbit_partition)
+                             left_product, orbit_of, orbit_partition, repeated)
 
-from helpers import (GroupWord, brute_force_closure, components_union_find,
+from helpers import (CursorChain, GroupWord, brute_force_closure, components_union_find,
                      evaluate_word, orbit_by_deque, word_action)
 
 
@@ -109,6 +109,12 @@ class TestPerm:
         lengths = {len(c) for c in p.cycles(include_fixed=True)}
         assert p.cycle_lengths() == lengths
         assert p.order() == math.lcm(*lengths)
+
+    @given(perms(5), st.integers(0, 4))
+    def test_repeated_equals_the_checked_constructor(self, p, copies):
+        wide = repeated(p, copies)
+        assert wide == Perm([ell * 5 + x for ell in range(copies) for x in p.images])
+        assert sorted(wide.images) == list(range(5 * copies))
 
     def test_cycles_include_fixed(self):
         p = Perm.from_cycles(4, [(0, 1)])
@@ -318,22 +324,24 @@ class TestChainInvariants:
 
 
 class TestChainPins:
-    """Orders, bases and counters recorded before the input generators,
-    the Schreier batches and membership shared one sift routine."""
+    """Orders and bases recorded before the input generators, the Schreier
+    batches and membership shared one sift routine; the counters, which
+    the sha also covers, since each Schreier generator is sifted once and
+    the pending ones go in rounds."""
 
     @pytest.mark.parametrize("b,c,s,seed,order,sifts,sha", [
-        (3, 1, 1, None, 414720000, 530,
-         "3512bf0de226cba2e89f50bca34ce95600187f7c2c32a70e6796a6e86608ddc9"),
-        (3, 1, 2, None, 414720000, 667,
-         "4159aa630e3c7f8d976b3946cc760befb1e6faa581857c175e6408a3a50fb3c2"),
-        (3, 1, 3, None, 1244160000, 821,
-         "9d2b6e0b02e950f5f8bab834e9258e3dcaf35b9fade45fcb6ed108cd002aaf47"),
-        (4, 2, 1, None, 346802426255455027200000000, 1959,
-         "46827a5d8cb87ff36a53e4a3c3795b4725ef577175da6b451f5d4cc774e2f3d4"),
-        (5, 1, 1, None, 3007123476809447997888894546739200000000, 3638,
-         "69987d94b1de56de9e3299f56cb291a508a336fa8048eb5742a1d70f9de5de85"),
+        (3, 1, 1, None, 414720000, 304,
+         "fdc9ecb8887352e7f0fbd6c3806630b2f3ce7248be8090e9be3ed3895736c068"),
+        (3, 1, 2, None, 414720000, 341,
+         "60355776ca6663656cd47075acffdad51e1333dc6db0de9e6047c4f8d30c3809"),
+        (3, 1, 3, None, 1244160000, 544,
+         "0a4efd1297ce3807782a44738859b01685778896fea74c0d8ed1015087024113"),
+        (4, 2, 1, None, 346802426255455027200000000, 1479,
+         "a679d220ea1c7d6b26585628816b8fd1feae045e2e5d1573e738e19866a65cb8"),
+        (5, 1, 1, None, 3007123476809447997888894546739200000000, 2988,
+         "8e31d467475cfdfbede8f90d7f389d2c055ae13c9e75d3b95219d72f5a6639e2"),
         (3, 1, 2, 7, 4414470040173601417374086055489297098873239184215996534673238279585792
-         * 10 ** 32, 24842, "f3bd26076ad17cf9e073dd475047c85cf798136efa69e26f2283dcd63f67d061"),
+         * 10 ** 32, 24157, "a5919d10cce6897415919416801975f85030dbae5d675ec3f471f47cf41161e6"),
     ], ids=["3_1_s1", "3_1_s2", "3_1_s3", "4_2_s1", "5_1_s1", "3_1_s2_seed7"])
     def test_order_base_and_stats(self, extension_groups, b, c, s, seed, order, sifts, sha):
         from chirex.extend_db import extend_dually_bipartite
@@ -410,8 +418,9 @@ def random_groups():
 
 
 class TestSmallBatches:
-    """Batches split mid-orbit, so residues land mid-batch and cursors
-    resume inside an orbit: the chain still matches sympy."""
+    """Pools of 1 and 3 rows split orbits, so residues land mid-round and
+    waiting rows are pushed out and formed again: the chain still matches
+    sympy."""
 
     @staticmethod
     def check_against_sympy(gens, degree, rng):
@@ -589,3 +598,56 @@ class TestOrbitFirst:
         monkeypatch.setattr(permcore, "MAX_LEVEL_BYTES", 4 * 7 * 12 - 1)
         with pytest.raises(PreconditionError, match="would map 336 bytes, more than the 335"):
             _Chain(gens, 12)
+
+
+class TestRoundsOracle:
+    """Rounds insert the residues that verifying one batch at a time from
+    per-generator cursors inserts, in the same order, so both chains agree
+    level by level, at the default pool and at pools of 1 and 3 rows."""
+
+    @staticmethod
+    def check(gens, degree, monkeypatch):
+        images = [g.images for g in gens]
+        for rows in (None, 1, 3):
+            if rows is not None:
+                monkeypatch.setattr(_Chain, "BATCH", rows * degree)
+            ours, theirs = _Chain(images, degree), CursorChain(images, degree)
+            assert (ours.base, ours.split, ours.pts, ours.order()) == \
+                (theirs.base, theirs.split, theirs.pts, theirs.order())
+            assert [[h.tolist() for h in level] for level in ours.gens] == \
+                [[h.tolist() for h in level] for level in theirs.gens]
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("b,c,s,seed", [(3, 1, 1, None), (3, 1, 2, None), (3, 1, 3, None),
+                                            (4, 2, 1, None), (5, 1, 1, None), (3, 1, 2, 7)])
+    def test_chain_pin_inputs(self, extension_groups, b, c, s, seed, monkeypatch):
+        from chirex.extend_db import extend_dually_bipartite
+        from chirex.gpr import gpr_group
+        from chirex.toroidal import TorusParams, build_toroidal_map
+
+        if seed is None:
+            G = extension_groups[(b, c, s)]
+        else:
+            K = build_toroidal_map(TorusParams("44", b, c))
+            G = gpr_group(extend_dually_bipartite(K, s, seed=seed).graph)
+        self.check(G.generators, G.degree, monkeypatch)
+
+    def test_intransitive_and_random_groups(self, monkeypatch):
+        for gens in intransitive_groups(160) + random_groups():
+            self.check(gens, gens[0].degree, monkeypatch)
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_mixes(self, s, monkeypatch):
+        # the diamond that regular_quotient_extension reports the order of
+        from chirex.extend_db import extend_dually_bipartite
+        from chirex.gpr import gpr_group
+        from chirex.maniplex import rotation_system
+        from chirex.mix import diamond
+        from chirex.toroidal import TorusParams, build_toroidal_map, regular_quotient
+        from chirex.two_s_m import build_two_s_m
+
+        params = TorusParams("44", 3, 1)
+        P = extend_dually_bipartite(build_toroidal_map(params), 1).graph
+        rs2 = rotation_system(build_two_s_m(regular_quotient(params).rooted, s).rooted)
+        G = diamond(gpr_group(P), PermGroup(rs2.degree, rs2.sigma))
+        self.check(G.generators, G.degree, monkeypatch)

@@ -207,8 +207,18 @@ def test_db_extension_sweep_script_runs():
     assert lines[1].split() == ["s", "vertices", "last", "entry", "time"]
     assert lines[2].split()[:3] == ["1", "80", "8"] and len(lines[2].split()) == 4
     lines = _run_script("db_extension_sweep.py", "--smax", "1", "--order")
-    assert lines[1].split() == ["s", "vertices", "last", "entry", "group", "order", "time"]
+    assert lines[1].split() == ["s", "vertices", "last", "entry", "group", "order", "base",
+                                "schreier", "rounds", "time"]
     assert lines[2].split()[:4] == ["1", "80", "8", "414720000"]
+
+
+def test_db_extension_sweep_reports_the_chain():
+    # the seeded (3,1) s = 2 order of TestChainPins, with its chain's counters
+    lines = _run_script("db_extension_sweep.py", "--smax", "2", "--seed", "7", "--order")
+    order = 4414470040173601417374086055489297098873239184215996534673238279585792 * 10 ** 32
+    s, _, _, printed, base, sifts, rounds = lines[3].split()[:7]
+    assert (s, int(printed), int(base), int(sifts)) == ("2", order, 129, 24157)
+    assert 0 < int(rounds) < int(sifts)
 
 
 def test_mix_pipeline_demo_script_runs():
