@@ -80,6 +80,8 @@ class Perm:
         images = list(range(degree))
         for cyc in cycles:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                if not 0 <= a < degree:  # a negative point would index from the end
+                    raise ValueError("cycle point %r is outside 0..%d" % (a, degree - 1))
                 images[a] = b
         return cls(images)
 
@@ -215,8 +217,13 @@ class _Chain:
     partly sifted, at the level where it stopped, and is sifted on only once
     that level gains points. Level 0's rows, the last in the order and the
     ones every level sifts, are formed only once no row of a deeper level is
-    pending, as the pool has room; a full pool pushes its last waiting rows
-    out, keeping only their positions, to form rows that come before them.
+    pending, as the pool has room. The pool never fills: a round starting
+    with u < size rows waiting forms at most size - u, all before the next
+    unformed row N; either the first failing row precedes N (or no N is
+    left) and is inserted, or every row formed sifted out, so at most
+    max(u, size - 1) rows wait after it. A round the level-0 rule leaves
+    nothing to form inserts or sifts out a waiting deeper row, which comes
+    before every level-0 row. ``_verify`` raises RuntimeError if it fills.
 
     One routine, ``_sift``, sifts input generators, rounds and membership
     probes. Every product and sift step is a ``take`` on (or an assignment
@@ -312,44 +319,30 @@ class _Chain:
         size = max(1, self.BATCH // max(1, self.degree))
         # the pool's slots, grown as needed: waiting rows' partly sifted
         # images, positions (level, generator, row) and stop levels, which
-        # slots are in use and which to sift on; and the positions of the
-        # waiting rows pushed out of the pool
+        # slots are in use and which to sift on
         buf = np.empty((size, self.degree), np.int32)  # its pages are touched as used
         pos, at = np.empty((3, 0), np.intp), np.empty(0, np.intp)
         used = todo = np.empty(0, bool)
-        gone = np.empty((3, 0), np.intp)
         while True:
-            # the pending rows without an image: pushed out, or not formed yet
-            ranges = self._unformed(size + 1)
-            lens = [b - a for _, _, a, b in ranges]
-            fresh = np.array([(lev, k, a - n) for (lev, k, a, _), n in
-                              zip(ranges, itertools.accumulate([0] + lens))],
-                             np.intp).reshape(-1, 3).repeat(lens, axis=0).T
-            fresh[2] += np.arange(fresh.shape[1])
-            cand = np.concatenate((gone, fresh), axis=1)
-            order = np.lexsort((cand[2], cand[1], -cand[0]))
             slots = used.nonzero()[0]
-            if not len(slots) and not len(order):
-                return
             room = size - len(slots)
-            if not room:
-                # push out up to a quarter of the pool: the last waiting
-                # rows, those behind the first row without an image
-                head = (-cand[0, order[0]], cand[1, order[0]], cand[2, order[0]])
-                last = slots[np.lexsort((pos[2, slots], pos[1, slots], -pos[0, slots]))[::-1]]
-                last = [t for t in last[:max(1, size // 4)].tolist()
-                        if (-pos[0, t], pos[1, t], pos[2, t]) > head]
-                if last:
-                    gone = np.concatenate((gone, pos[:, last]), axis=1)
-                    used[last] = todo[last] = False
-                    continue
+            if not room:  # never: see "The pool never fills" above
+                raise RuntimeError("a round started with all %d pool slots waiting" % size)
+            # in deepest-first order, the rows to form and the next unformed one
+            ranges = self._unformed(room + 1)
+            lens = [b - a for _, _, a, b in ranges]
+            cand = np.array([(lev, k, a - n) for (lev, k, a, _), n in
+                             zip(ranges, itertools.accumulate([0] + lens))],
+                            np.intp).reshape(-1, 3).repeat(lens, axis=0).T
+            cand[2] += np.arange(cand.shape[1])
+            if not len(slots) and not cand.shape[1]:
+                return
             if (cand[0] > 0).any() or (pos[0, slots] > 0).any():
                 # level 0's rows, the last in the order and those every level sifts,
                 # are formed only once no row of a deeper level is pending
                 room = min(room, int((cand[0] > 0).sum()))
-            make, rest = order[:room], order[room:]
-            taken = len(make) - int((make < gone.shape[1]).sum())
-            gone, make = cand[:, rest[rest < gone.shape[1]]], cand[:, make]
+            make = cand[:, :room]
+            taken = make.shape[1]
             for lev, k, a, b in ranges:
                 self.formed[lev][k] = a + min(taken, b - a)
                 taken -= min(taken, b - a)
@@ -376,11 +369,11 @@ class _Chain:
             slots = used.nonzero()[0]
             if not len(slots):
                 continue
-            # the first failure in deepest-first order is inserted, unless a
-            # row without an image comes before it; the others wait
+            # the first failure in deepest-first order is inserted, unless the
+            # next row without an image comes before it; the others wait
             first = slots[np.lexsort((pos[2, slots], pos[1, slots], -pos[0, slots]))[0]]
-            if len(rest):
-                nxt = cand[:, rest[0]]
+            if cand.shape[1] > make.shape[1]:
+                nxt = cand[:, make.shape[1]]
                 if (-nxt[0], nxt[1], nxt[2]) < (-pos[0, first], pos[1, first], pos[2, first]):
                     continue
             used[first] = False

@@ -158,6 +158,10 @@ class TestIsomorphism:
         swapped = GprGraph(T.rank, tuple(reversed(T.arrows)))
         assert not rooted_digraph_isomorphic(T, swapped)
 
+    def test_rank_mismatch(self):
+        G = cayley_gpr(build_toroidal_map(TorusParams("44", 2, 1)))
+        assert not rooted_digraph_isomorphic(G, GprGraph(G.rank - 1, G.arrows[:-1]))
+
     def test_restriction_to_component(self):
         # two disjoint copies restricted to one copy
         G = cayley_gpr(cube())

@@ -116,6 +116,16 @@ class TestPerm:
         assert wide == Perm([ell * 5 + x for ell in range(copies) for x in p.images])
         assert sorted(wide.images) == list(range(5 * copies))
 
+    @pytest.mark.parametrize("cycles", [[(0, 5)], [(0, -2), (1, 0)], [(3,)]])
+    def test_from_cycles_refuses_points_out_of_range(self, cycles):
+        # a negative point would otherwise index the image list from its end
+        with pytest.raises(ValueError, match="outside 0..2"):
+            Perm.from_cycles(3, cycles)
+
+    def test_repr(self):
+        assert repr(Perm.identity(3)) == "Perm.identity(3)"
+        assert repr(Perm([1, 2, 0, 3])) == "Perm[4: (0 1 2)]"
+
     def test_cycles_include_fixed(self):
         p = Perm.from_cycles(4, [(0, 1)])
         assert p.cycles() == [(0, 1)]
@@ -418,9 +428,9 @@ def random_groups():
 
 
 class TestSmallBatches:
-    """Pools of 1 and 3 rows split orbits, so residues land mid-round and
-    waiting rows are pushed out and formed again: the chain still matches
-    sympy."""
+    """Pools of 1 and 3 rows split orbits, so residues land mid-round; at 3
+    rows most rounds start with rows waiting, never more than two (the pool
+    never fills): the chain still matches sympy."""
 
     @staticmethod
     def check_against_sympy(gens, degree, rng):

@@ -484,6 +484,31 @@ class TestGoldenReports:
             ".mix.report.json": "2a9cc46f88aed69b9376fd3147459cd4071d738b0acf27ea360aff4b7e04fe54",
         }
 
+    def test_pipeline_4_2_without_mix(self, tmp_path):
+        # without --mix-s the extension report takes Gamma(P)'s order from
+        # a chain of P's own group; it equals the mix's orbit_order() above
+        prefix = str(tmp_path / "pl")
+        assert main(["pipeline", "--family", "44", "--b", "4", "--c", "2", "--db-s", "1",
+                     "--out-prefix", prefix]) == 0
+        digests = {ext: _digest(tmp_path / ("pl" + ext)) for ext in
+                   (".extension.json", ".extend-db.report.json")}
+        assert digests == {
+            ".extension.json": "a5dae2c64fab2dfcd129c5b7925b882cc84f5fe6ef73d7dc70d99940fd9d5177",
+            ".extend-db.report.json": "85eb0658795198b7312988a8a20fff5094d367ef4ec439e61efe058c1c32c435",
+        }
+        assert not (tmp_path / "pl.mix.report.json").exists()
+
+    def test_verify_gpr_report_5_1(self, tmp_path):
+        # the {4,4}_(5,1) extension at s = 1, whose group order the report
+        # takes from the extension's own chain
+        facet, ext, report = (tmp_path / name for name in ("k51.json", "ext.json", "v.json"))
+        assert main(["build-map", "--family", "44", "--b", "5", "--c", "1",
+                     "-o", str(facet)]) == 0
+        assert main(["extend-db", str(facet), "--s", "1", "-o", str(ext)]) == 0
+        assert main(["verify-gpr", str(ext), "--facet", str(facet),
+                     "--report", str(report)]) == 0
+        assert _digest(report) == "254c0ac332675bad60f7a63b4552a8879e14053bfde0cf4053dee598362f016c"
+
     def test_pipeline_36(self, tmp_path, capsys):
         # {3,6}_(2,1): the extension has last entry 30 and the mix with
         # {3,6}_(1,0) at s = 4 raises it to lcm(30, 8) = 120
