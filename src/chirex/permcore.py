@@ -79,6 +79,10 @@ class Perm:
     def from_cycles(cls, degree: int, cycles) -> "Perm":
         images = list(range(degree))
         for cyc in cycles:
+            try:
+                cyc = list(map(operator.index, cyc))
+            except TypeError as exc:
+                raise ValueError("cycle points are not integers: %s" % exc) from None
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 if not 0 <= a < degree:  # a negative point would index from the end
                     raise ValueError("cycle point %r is outside 0..%d" % (a, degree - 1))
@@ -208,7 +212,9 @@ class _Chain:
     deepest-first order (level, generator, row); ``formed[i][k]`` counts
     the rows of S_i's k-th generator formed so far. A round forms the next
     pending ones into a pool of at most ``BATCH // degree`` rows and sifts
-    them with the pool's waiting rows as one batch, each from its own level.
+    them with the pool's waiting rows as one batch, from the shallowest of
+    their levels: a Schreier generator of level i and a row that stopped at
+    level i both fix base[:i], so the levels above i leave them as they are.
     A row that sifts out is verified for good, since levels only gain rows.
     The first row in that order that does not is inserted, once every
     pending row before it has sifted out: it is the residue that sifting one
@@ -317,40 +323,19 @@ class _Chain:
         """Verify every Schreier generator, one round at a time."""
         np = self._np
         size = max(1, self.BATCH // max(1, self.degree))
-        # the pool's slots, grown as needed: waiting rows' partly sifted
-        # images, positions (level, generator, row) and stop levels, which
-        # slots are in use and which to sift on
+        # the pool's slots: waiting rows' partly sifted images, positions
+        # (level, generator, row) and stop levels, which slots are in use and
+        # which to sift on
         buf = np.empty((size, self.degree), np.int32)  # its pages are touched as used
-        pos, at = np.empty((3, 0), np.intp), np.empty(0, np.intp)
-        used = todo = np.empty(0, bool)
+        pos, at = np.zeros((3, size), np.intp), np.zeros(size, np.intp)
+        used, todo = np.zeros(size, bool), np.zeros(size, bool)
         while True:
-            slots = used.nonzero()[0]
-            room = size - len(slots)
+            room = size - int(used.sum())
             if not room:  # never: see "The pool never fills" above
                 raise RuntimeError("a round started with all %d pool slots waiting" % size)
-            # in deepest-first order, the rows to form and the next unformed one
-            ranges = self._unformed(room + 1)
-            lens = [b - a for _, _, a, b in ranges]
-            cand = np.array([(lev, k, a - n) for (lev, k, a, _), n in
-                             zip(ranges, itertools.accumulate([0] + lens))],
-                            np.intp).reshape(-1, 3).repeat(lens, axis=0).T
-            cand[2] += np.arange(cand.shape[1])
-            if not len(slots) and not cand.shape[1]:
+            make, nxt = self._take(room, bool((pos[0, used] > 0).any()))
+            if room == size and not make.shape[1]:
                 return
-            if (cand[0] > 0).any() or (pos[0, slots] > 0).any():
-                # level 0's rows, the last in the order and those every level sifts,
-                # are formed only once no row of a deeper level is pending
-                room = min(room, int((cand[0] > 0).sum()))
-            make = cand[:, :room]
-            taken = make.shape[1]
-            for lev, k, a, b in ranges:
-                self.formed[lev][k] = a + min(taken, b - a)
-                taken -= min(taken, b - a)
-            if len(slots) + make.shape[1] > len(used):
-                grow = min(size, max(len(slots) + make.shape[1], 2 * len(used))) - len(used)
-                pos = np.concatenate((pos, np.zeros((3, grow), np.intp)), axis=1)
-                at, used, todo = (np.concatenate((x, np.zeros(grow, x.dtype)))
-                                  for x in (at, used, todo))
             # form them into free slots; trivial ones are verified
             if make.shape[1]:
                 free = (~used).nonzero()[0]
@@ -359,12 +344,12 @@ class _Chain:
                 pos[:, free] = make[:, nontrivial]
                 at[free] = pos[0, free] + 1
                 used[free] = todo[free] = True
-            if todo.any():
-                stop = self._sift(buf[:len(todo)], np.where(todo, at, len(self.base) + 1))
-                at[todo] = stop[todo]
-                self.sifts += int((todo & (stop < 0)).sum())
-                used &= ~todo | (stop >= 0)
-                todo[:] = False
+            rows = todo.nonzero()[0]
+            if len(rows):  # a row fixes base[:at], so the levels above its own pass it as it is
+                stop = self._sift(buf, int(at[rows].min()), rows)[rows]
+                at[rows] = stop
+                self.sifts += int((stop < 0).sum())
+                used[rows[stop < 0]] = todo[rows] = False
                 self.rounds += 1
             slots = used.nonzero()[0]
             if not len(slots):
@@ -372,10 +357,9 @@ class _Chain:
             # the first failure in deepest-first order is inserted, unless the
             # next row without an image comes before it; the others wait
             first = slots[np.lexsort((pos[2, slots], pos[1, slots], -pos[0, slots]))[0]]
-            if cand.shape[1] > make.shape[1]:
-                nxt = cand[:, make.shape[1]]
-                if (-nxt[0], nxt[1], nxt[2]) < (-pos[0, first], pos[1, first], pos[2, first]):
-                    continue
+            if nxt is not None and \
+                    (-nxt[0], nxt[1], nxt[2]) < (-pos[0, first], pos[1, first], pos[2, first]):
+                continue
             used[first] = False
             self.sifts += 1
             j = int(at[first])
@@ -386,24 +370,37 @@ class _Chain:
             mark[grown] = True
             todo[:] = used & mark[at]
 
-    def _unformed(self, size: int) -> list[tuple[int, int, int, int]]:
-        """The first ``size`` Schreier generators not formed yet, in
-        deepest-first order, as (level, generator, first row, end row)."""
-        ranges, n = [], 0
+    def _take(self, room: int, deep: bool):
+        """Mark the next at most ``room`` Schreier generators not formed yet,
+        in deepest-first order, as formed. Level 0's, the last in the order
+        and those every level sifts, are taken only once no row of a deeper
+        level is pending (``deep``: one waits in the pool). Returns their
+        positions (level, generator, row) as columns, and the next unformed
+        position or None."""
+        np = self._np
+        ranges, nxt = [], None
         for lev in range(len(self.base) - 1, -1, -1):
             if not self.to_form[lev]:
                 continue
-            total = len(self.pts[lev])
+            total, hold = len(self.pts[lev]), lev == 0 and (deep or bool(ranges))
             for k, a in enumerate(self.formed[lev]):
                 if a < total:
-                    b = min(total, a + size - n)
-                    ranges.append((lev, k, a, b))
-                    n += b - a
-                    if n == size:
-                        return ranges
-            if not ranges or ranges[-1][0] != lev:
-                self.to_form[lev] = False
-        return ranges
+                    b = a if hold else min(total, a + room)
+                    if b > a:
+                        ranges.append((lev, k, a, b))
+                        self.formed[lev][k], room = b, room - (b - a)
+                    if b < total:  # held, or cut short by the pool: the next is inside
+                        nxt = (lev, k, b)
+                        break
+            if nxt is not None:
+                break
+            self.to_form[lev] = False
+        lens = [b - a for _, _, a, b in ranges]
+        make = np.array([(lev, k, a - n) for (lev, k, a, _), n in
+                         zip(ranges, itertools.accumulate([0] + lens))],
+                        np.intp).reshape(-1, 3).repeat(lens, axis=0).T
+        make[2] += np.arange(make.shape[1])
+        return make, nxt
 
     def _form(self, where, out, slots):
         """Write the nontrivial Schreier generators u_p s u_q^{-1} at the
@@ -429,34 +426,24 @@ class _Chain:
             done += len(w)
         return nontrivial
 
-    def _sift(self, g, start):
-        """Sift the rows of g in place, each from its own level (``start``
-        holds one level, or one per row). Returns, per row, the level where
-        it left an orbit or ended as a non-identity residue (len(base)), or
-        -1 where it sifted out. A row still moving a point of orbit0 past
-        the image levels stops at split."""
+    def _sift(self, g, start: int, rows=None):
+        """Sift the rows of g in place from level ``start``, or only those
+        listed in ``rows``. Returns, per row of g, the level where it left
+        an orbit or ended as a non-identity residue (len(base)), or -1 where
+        it sifted out or is not listed. A row still moving a point of orbit0
+        past the image levels stops at split. A row that fixes base[:i], as
+        a Schreier generator of level i and a row that stopped at level i
+        do, passes the levels start..i-1 unchanged, so rows fixing different
+        prefixes sift together from the shallowest of their levels."""
         np = self._np
         top = len(self.base)
         stop = np.full(len(g), -1, np.intp)
         step = max(1, self.BATCH // 8 // max(1, self.degree))  # rows per gather
-        if not len(g):
+        # act None: every row of a small g, in order, is still going
+        act = rows if rows is not None else None if len(g) <= step else np.arange(len(g))
+        if not len(g if act is None else act):
             return stop
-        if isinstance(start, int):
-            first, joins, joined = start, [len(g)] * (top + 1 - start), len(g)
-            # act None: every row of a small g, in order, is still going
-            act = None if len(g) <= step else np.arange(len(g))
-        else:
-            order = np.argsort(start, kind="stable")
-            first = int(start[order[0]])
-            joins = np.searchsorted(start[order], np.arange(first + 1, top + 2)).tolist()
-            act, joined = order[:0], 0  # the rows still going, and order[:joined] started
-        for lev, hi in enumerate(joins, first):
-            if hi > joined:
-                act, joined = np.concatenate((act, order[joined:hi])), hi
-            if act is not None and not len(act):
-                if joined == joins[-1]:
-                    break
-                continue
+        for lev in range(start, top + 1):
             if lev == top or lev == self.split:
                 # past the image levels a row moves no point of orbit0, past all none
                 pts = self.orbit0 if lev < top else slice(None)
@@ -468,14 +455,14 @@ class _Chain:
                     stop[live[out]] = lev
                     act = live[~out]
                 if lev == top or act is not None and not len(act):
-                    continue
+                    break
             at = self.row_of[lev][g[:, self.base[lev]] if act is None else g[act, self.base[lev]]]
             if at.min() < 0:
                 live = np.arange(len(g)) if act is None else act
                 stop[live[at < 0]] = lev
                 keep = (at >= 0).nonzero()[0]
-                if not len(keep) and joined == joins[-1]:
-                    return stop
+                if not len(keep):
+                    break
                 act, at = live[keep], at[keep]
             mv = at.nonzero()[0]  # a row fixing the base point stays as it is
             if act is None and len(mv) == len(g):
@@ -483,8 +470,8 @@ class _Chain:
                 continue
             for c in range(0, len(mv), step):
                 part = mv[c:c + step]
-                rows = part if act is None else act[part]
-                g[rows] = self._gather(self.uinv[lev], at[part], g[rows])
+                sub = part if act is None else act[part]
+                g[sub] = self._gather(self.uinv[lev], at[part], g[sub])
         return stop
 
     def _offsets(self, rows):

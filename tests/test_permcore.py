@@ -116,10 +116,15 @@ class TestPerm:
         assert wide == Perm([ell * 5 + x for ell in range(copies) for x in p.images])
         assert sorted(wide.images) == list(range(5 * copies))
 
-    @pytest.mark.parametrize("cycles", [[(0, 5)], [(0, -2), (1, 0)], [(3,)]])
-    def test_from_cycles_refuses_points_out_of_range(self, cycles):
-        # a negative point would otherwise index the image list from its end
-        with pytest.raises(ValueError, match="outside 0..2"):
+    @pytest.mark.parametrize("cycles,message", [
+        ([(0, 5)], "point 5 is outside 0..2"), ([(0, -2), (1, 0)], "point -2 is outside 0..2"),
+        ([(3,)], "point 3 is outside 0..2"), ([(0, 1.0)], "not integers: 'float'"),
+        ([(1.0, 0)], "not integers: 'float'"), ([(0, "1")], "not integers: 'str'"),
+    ], ids=["cycles%d" % k for k in range(6)])
+    def test_from_cycles_refuses_points_out_of_range(self, cycles, message):
+        # a negative point would otherwise index the image list from its end,
+        # and a float or string one raise TypeError
+        with pytest.raises(ValueError, match=message):
             Perm.from_cycles(3, cycles)
 
     def test_repr(self):
@@ -464,6 +469,24 @@ class TestSmallBatches:
             monkeypatch.setattr(_Chain, "BATCH", rows * gens[0].degree)
             self.check_against_sympy(gens, gens[0].degree, rng)
 
+    @pytest.mark.parametrize("degree", [12, 20])
+    def test_full_pool_raises(self, degree, monkeypatch):
+        # a chain that, while any row is unformed, reports the next unformed
+        # one ahead of every waiting row never inserts one; as it also forms
+        # level 0's rows while deeper ones wait, each round forms rows until
+        # the pool fills
+        class NeverInserts(_Chain):
+            def _take(self, room, deep):
+                make, nxt = super()._take(room, False)
+                return make, None if nxt is None else (len(self.base), 0, 0)
+
+        rng = random.Random(degree)
+        gens = [rng.sample(range(degree), degree) for _ in range(2)]
+        monkeypatch.setattr(_Chain, "BATCH", 3 * degree)
+        assert _Chain(gens, degree).order() > 1
+        with pytest.raises(RuntimeError, match="a round started with all 3 pool slots waiting"):
+            NeverInserts(gens, degree)
+
 
 @pytest.mark.parametrize("s", [8, 16, 32])
 def test_order_at_large_s(s):
@@ -648,16 +671,65 @@ class TestRoundsOracle:
 
     @pytest.mark.parametrize("s", [2, 3, 4])
     def test_mixes(self, s, monkeypatch):
-        # the diamond that regular_quotient_extension reports the order of
-        from chirex.extend_db import extend_dually_bipartite
-        from chirex.gpr import gpr_group
-        from chirex.maniplex import rotation_system
-        from chirex.mix import diamond
-        from chirex.toroidal import TorusParams, build_toroidal_map, regular_quotient
-        from chirex.two_s_m import build_two_s_m
-
-        params = TorusParams("44", 3, 1)
-        P = extend_dually_bipartite(build_toroidal_map(params), 1).graph
-        rs2 = rotation_system(build_two_s_m(regular_quotient(params).rooted, s).rooted)
-        G = diamond(gpr_group(P), PermGroup(rs2.degree, rs2.sigma))
+        G = mix_group(s)
         self.check(G.generators, G.degree, monkeypatch)
+
+
+class TestSiftStart:
+    """A row that fixes base[:i], and past split the orbit of point 0
+    pointwise, as level i's strong generators do, passes levels 0..i-1 as
+    it is: sifting it from level 0 or from level i gives the same stop
+    level and the same row. So a round sifts its rows from the shallowest
+    of their levels; rows not listed are left as they are."""
+
+    @staticmethod
+    def check(chain, rng):
+        degree, top = chain.degree, len(chain.base)
+        for i in range(top + 1):
+            fixed = set(chain.base[:i]) | set(chain.orbit0.tolist() if i > chain.split else [])
+            moved = [x for x in range(degree) if x not in fixed]
+            rows = [h.copy() for h in chain.gens[i]] if i < top else []
+            for _ in range(3):  # most lie outside the group and stop partly sifted
+                images = np.arange(degree, dtype=np.int32)
+                images[moved] = rng.permutation(moved)
+                rows.append(images)
+            from_0, from_i = np.array(rows, np.int32), np.array(rows, np.int32)
+            stop = chain._sift(from_i, i)
+            assert (chain._sift(from_0, 0) == stop).all() and (from_0 == from_i).all()
+            others = np.array([rng.permutation(degree) for _ in range(2)], np.int32)
+            batch = np.concatenate((others, rows))
+            listed = np.arange(len(others), len(batch))
+            got = chain._sift(batch, i, listed)
+            assert (got[listed] == stop).all() and (batch[listed] == from_i).all()
+            assert (got[:len(others)] == -1).all() and (batch[:len(others)] == others).all()
+
+    def test_extensions(self, extension_groups):
+        rng = np.random.default_rng(1)
+        for G in extension_groups.values():
+            self.check(G.chain, rng)
+
+    def test_mix(self):
+        chain = mix_group(3).chain
+        assert 0 < chain.split < len(chain.base)
+        self.check(chain, np.random.default_rng(2))
+
+    def test_intransitive_groups(self):
+        rng = np.random.default_rng(3)
+        for gens in intransitive_groups(160):
+            self.check(PermGroup(gens[0].degree, gens).chain, rng)
+
+
+def mix_group(s: int) -> PermGroup:
+    """The diamond of the {4,4}_(3,1) s = 1 extension and 2s^R, whose order
+    regular_quotient_extension reports."""
+    from chirex.extend_db import extend_dually_bipartite
+    from chirex.gpr import gpr_group
+    from chirex.maniplex import rotation_system
+    from chirex.mix import diamond
+    from chirex.toroidal import TorusParams, build_toroidal_map, regular_quotient
+    from chirex.two_s_m import build_two_s_m
+
+    params = TorusParams("44", 3, 1)
+    P = extend_dually_bipartite(build_toroidal_map(params), 1).graph
+    rs2 = rotation_system(build_two_s_m(regular_quotient(params).rooted, s).rooted)
+    return diamond(gpr_group(P), PermGroup(rs2.degree, rs2.sigma))
