@@ -15,7 +15,8 @@ from functools import cached_property
 from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
                        classify_symmetry, forced_map, rotation_system)
 from .maniplex import VerificationError  # noqa: F401  (re-exported)
-from .permcore import DegreeMismatch, Perm, PermGroup, left_product, orbit_of, orbit_partition
+from .permcore import (DegreeMismatch, Perm, PermGroup, cycle_power, left_product,
+                       orbit_of, orbit_partition)
 
 
 @dataclass(frozen=True)
@@ -256,14 +257,18 @@ def cyclic_meet_order(s: Perm, H) -> tuple[int, int]:
     The meet is the subgroup of <s> of order m, for some m dividing
     q = |s|, and s^(q/k) lies in H exactly when k divides m. So m is the
     product, over the primes p of q, of the largest p^e with s^(q/p^e)
-    in H. Every prime of q divides a cycle length of s.
+    in H. Every prime of q divides a cycle length of s. s is decomposed
+    into cycles once: q is the lcm of their lengths, and each tested
+    power turns the same cycles (:func:`cycle_power`), one pass over the
+    points per test.
     """
-    lengths = s.cycle_lengths()
+    cycles = s.cycles()
+    lengths = {len(c) for c in cycles}
     q = math.lcm(*lengths)
     m = 1
     for p in sorted(_prime_divisors(lengths)):
         k = p
-        while q % k == 0 and s ** (q // k) in H:
+        while q % k == 0 and cycle_power(s.degree, cycles, q // k) in H:
             m, k = m * p, k * p
     return q, m
 

@@ -32,7 +32,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .gpr import GprGraph, gpr_group, verify_extension_criterion
+from .gpr import (GprGraph, cayley_gpr, facet_components_isomorphic, gpr_group,
+                  verify_extension_criterion)
 from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
                        VerificationError, classify_symmetry, covers, facets,
                        forced_map, rotation_system)
@@ -150,9 +151,11 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     they are the orbit of point 0 and the mix's constituent there is
     Gamma(P), whose order is ``result.group.orbit_order()``.
 
-    No verdict of the mix builds a stabiliser chain; P's criterion builds
-    one only when P's facet components are not copies of Cay(K), and
-    ``facets-of-extension`` then refuses P. With that check passed, P's
+    No verdict of the mix builds a stabiliser chain. P's criterion would
+    build one for its cyclic meet when P's facet components are not copies
+    of Cay(K), so ``facets-of-extension`` decides that first, by
+    :func:`facet_components_isomorphic`, and refuses P before the criterion
+    runs. With that check passed, P's
     facet subgroup F_P = <s1, s2> acts regularly on C0, the component of
     vertex 0, so only its identity fixes 0, and its order is W, K's
     white-flag count. Three verdicts rest on that:
@@ -197,9 +200,9 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     check("covers-quotient", covers(K, R) is not None,
           "the input does not cover the quotient")
 
-    criterion = verify_extension_criterion(P, K)
-    check("facets-of-extension", "facet-components-isomorphic" not in criterion.failing(),
+    check("facets-of-extension", facet_components_isomorphic(P, cayley_gpr(K)),
           "a facet component of the extension is not the expected Cayley graph")
+    criterion = verify_extension_criterion(P, K)
     check("extension-chiral-facets", classify_symmetry(K) is Symmetry.CHIRAL,
           "facet polytope is not chiral")
 

@@ -112,16 +112,7 @@ class Perm:
         return _unchecked(tuple(inv))
 
     def __pow__(self, k: int) -> "Perm":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Perm.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return cycle_power(self.degree, self.cycles(), k)
 
     def cycles(self, include_fixed: bool = False):
         """Cycle decomposition, cycles listed by least element."""
@@ -181,6 +172,23 @@ def _unchecked(images: tuple) -> Perm:
     p = object.__new__(Perm)
     p.images = images
     return p
+
+
+def cycle_power(degree: int, cycles, k: int) -> Perm:
+    """s^k for the permutation s of the given degree whose cycles of
+    length 2 or more are ``cycles``, as :meth:`Perm.cycles` lists them.
+
+    Each cycle turns by k modulo its length, so every exponent, negative
+    included, costs one pass over the points; a caller that takes several
+    powers of one s decomposes it once.
+    """
+    images = list(range(degree))
+    for cyc in cycles:
+        r = k % len(cyc)
+        if r:
+            for a, b in zip(cyc, cyc[r:] + cyc[:r]):
+                images[a] = b
+    return _unchecked(tuple(images))
 
 
 def left_product(perms) -> Perm:

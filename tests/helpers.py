@@ -45,6 +45,22 @@ def brute_force_closure(gens, degree: int, cap: int = 10_000):
     return seen
 
 
+def power_by_squaring(p: Perm, k: int) -> Perm:
+    """p^k by square-and-multiply (about 2 log2 |k| products, the inverse
+    first for k < 0): the cross-check for ``Perm.__pow__``, which turns
+    each cycle of p instead."""
+    if k < 0:
+        return power_by_squaring(p.inverse(), -k)
+    result = Perm.identity(p.degree)
+    base = p
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base
+        k >>= 1
+    return result
+
+
 def cyclic_meet_by_loop(s: Perm, H: PermGroup) -> int:
     """Order of <s> meet H from the least j in 1..q-1 with s^j in H (q/j,
     or 1 if there is none), by q-1 products and sifts: the cross-check

@@ -189,6 +189,29 @@ class TestRegularQuotientExtension:
             regular_quotient_extension(P, K, R, 2)
         assert built == []
 
+    def test_foreign_facets_refused_before_any_chain(self, monkeypatch, tmp_path, capsys):
+        # the facets of the {4,4}_(5,1) extension are not copies of Cay(K)
+        # for K = {4,4}_(3,1): facets-of-extension refuses P before the
+        # criterion, whose cyclic meet would sift through a stabiliser
+        # chain of P's facet subgroup, both in the library and the CLI
+        k31, r11, ext = (tmp_path / name for name in ("k31.json", "r11.json", "ext.json"))
+        for path, b, c in ((k31, 3, 1), (r11, 1, 1), (tmp_path / "k51.json", 5, 1)):
+            assert cli.main(["build-map", "--family", "44", "--b", str(b), "--c", str(c),
+                             "-o", str(path)]) == 0
+        assert cli.main(["extend-db", str(tmp_path / "k51.json"), "--s", "1",
+                         "-o", str(ext)]) == 0
+        K = build_toroidal_map(TorusParams("44", 3, 1))
+        R = regular_quotient(TorusParams("44", 3, 1)).rooted
+        P = extend_dually_bipartite(build_toroidal_map(TorusParams("44", 5, 1)), 1).graph
+        capsys.readouterr()
+        built = count_chains(monkeypatch)
+        with pytest.raises(VerificationError, match="^facets-of-extension: a facet component"):
+            regular_quotient_extension(P, K, R, 2)
+        assert cli.main(["mix-extend", "--extension", str(ext), "--facet", str(k31),
+                         "--quotient", str(r11), "--s", "2"]) == 2
+        assert "facets-of-extension" in capsys.readouterr().err
+        assert built == []
+
     def test_each_fact_computed_once(self, monkeypatch):
         # K's rotation system serves the matching, the extension and the
         # criterion, and 2s^R's serves twosm-regular and the mix; the

@@ -12,7 +12,7 @@ from chirex.permcore import (DegreeMismatch, Perm, PermGroup, PreconditionError,
                              left_product, orbit_of, orbit_partition, repeated)
 
 from helpers import (CursorChain, GroupWord, brute_force_closure, components_union_find,
-                     evaluate_word, orbit_by_deque, word_action)
+                     evaluate_word, orbit_by_deque, power_by_squaring, word_action)
 
 
 def perms(degree):
@@ -99,6 +99,10 @@ class TestPerm:
         for _ in range(abs(k)):
             expected = expected * step
         assert p ** k == expected
+
+    @given(st.integers(0, 60).flatmap(perms), st.integers(-10**6, 10**6))
+    def test_power_against_square_and_multiply(self, p, k):
+        assert p ** k == power_by_squaring(p, k)
 
     @given(perms(8))
     def test_cycles_round_trip(self, p):
