@@ -93,10 +93,8 @@ class Perm:
     def degree(self) -> int:
         return len(self.images)
 
-    def apply(self, x: int) -> int:
+    def __call__(self, x: int) -> int:
         return self.images[x]
-
-    __call__ = apply
 
     def __mul__(self, other: "Perm") -> "Perm":
         # left-to-right: apply self first, then other
@@ -114,8 +112,8 @@ class Perm:
     def __pow__(self, k: int) -> "Perm":
         return cycle_power(self.degree, self.cycles(), k)
 
-    def cycles(self, include_fixed: bool = False):
-        """Cycle decomposition, cycles listed by least element."""
+    def cycles(self):
+        """Cycles of length 2 or more, each listed from its least point."""
         seen = [False] * self.degree
         out = []
         for start in range(self.degree):
@@ -128,27 +126,12 @@ class Perm:
                 seen[x] = True
                 cyc.append(x)
                 x = self.images[x]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 
-    def cycle_lengths(self) -> set[int]:
-        """The distinct cycle lengths, fixed points counting as length 1."""
-        images = self.images
-        seen = bytearray(len(images))
-        lengths = set()
-        for start in range(len(images)):
-            if not seen[start]:
-                n, x = 0, start
-                while not seen[x]:
-                    seen[x] = 1
-                    x = images[x]
-                    n += 1
-                lengths.add(n)
-        return lengths
-
     def order(self) -> int:
-        return math.lcm(*self.cycle_lengths())
+        return math.lcm(*map(len, self.cycles()))
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
@@ -239,11 +222,15 @@ class _Chain:
     nothing to form inserts or sifts out a waiting deeper row, which comes
     before every level-0 row. ``_verify`` raises RuntimeError if it fills.
 
-    One routine, ``_sift``, sifts input generators, rounds and membership
-    probes. Every product and sift step is a ``take`` on (or an assignment
-    to) the flat view of a level's rows, at np.intp row offsets, over at most
-    ``BATCH // 8`` elements at a time, so the offsets of a take stay within
-    a quarter of the pool's bytes.
+    One routine with one loop, ``_sift``, sifts input generators, rounds
+    and membership probes: it carries the indices of the rows still going,
+    every row of its input unless the caller lists some. The pool's rows
+    (``size``) and the rows of one gather (``step``) are fixed when the
+    chain is built. Every product and sift step is a ``take`` on (or an
+    assignment to) the flat view of a level's rows, at np.intp row offsets,
+    over at most ``BATCH // 8`` elements at a time, so the offsets of a take
+    stay within a quarter of the pool's bytes. A membership probe is one
+    row through that loop, a few numpy calls per level it passes.
 
     An intransitive group keeps the levels whose base point lies in orbit0,
     the orbit of point 0, ahead of the rest: the first ``split`` levels are
@@ -263,6 +250,9 @@ class _Chain:
         self._np = np
         self.degree = degree
         self.identity = np.arange(degree, dtype=np.int32)
+        # the pool's rows, and the rows of one gather: BATCH // 8 elements
+        self.size = max(1, self.BATCH // max(1, degree))
+        self.step = max(1, self.BATCH // 8 // max(1, degree))
         # one entry per level; to_form[i] is False once every row of level i is formed
         self.base, self.gens, self.formed, self.to_form = [], [], [], []
         self.pts, self.uinv, self.row_of = [], [], []
@@ -329,8 +319,7 @@ class _Chain:
 
     def _verify(self) -> None:
         """Verify every Schreier generator, one round at a time."""
-        np = self._np
-        size = max(1, self.BATCH // max(1, self.degree))
+        np, size = self._np, self.size
         # the pool's slots: waiting rows' partly sifted images, positions
         # (level, generator, row) and stop levels, which slots are in use and
         # which to sift on
@@ -416,7 +405,7 @@ class _Chain:
         the level's generator, p the row's point), to the rows slots[0], ...
         of out. Returns the mask of the positions that gave them."""
         np = self._np
-        n, step = where.shape[1], max(1, self.BATCH // 8 // max(1, self.degree))
+        n, step = where.shape[1], self.step
         levs = where[0].tolist()
         cuts = [0] + [k for k in range(1, n) if levs[k] != levs[k - 1] or k % step == 0] + [n]
         nontrivial, done = np.empty(n, bool), 0
@@ -435,51 +424,40 @@ class _Chain:
         return nontrivial
 
     def _sift(self, g, start: int, rows=None):
-        """Sift the rows of g in place from level ``start``, or only those
-        listed in ``rows``. Returns, per row of g, the level where it left
-        an orbit or ended as a non-identity residue (len(base)), or -1 where
-        it sifted out or is not listed. A row still moving a point of orbit0
+        """Sift the rows of g listed in ``rows``, or every row, in place from
+        level ``start``. Returns, per row of g, the level where it left an
+        orbit or ended as a non-identity residue (len(base)), or -1 where it
+        sifted out or is not listed. A row still moving a point of orbit0
         past the image levels stops at split. A row that fixes base[:i], as
         a Schreier generator of level i and a row that stopped at level i
         do, passes the levels start..i-1 unchanged, so rows fixing different
         prefixes sift together from the shallowest of their levels."""
         np = self._np
-        top = len(self.base)
+        top, step = len(self.base), self.step
         stop = np.full(len(g), -1, np.intp)
-        step = max(1, self.BATCH // 8 // max(1, self.degree))  # rows per gather
-        # act None: every row of a small g, in order, is still going
-        act = rows if rows is not None else None if len(g) <= step else np.arange(len(g))
-        if not len(g if act is None else act):
-            return stop
+        act = np.arange(len(g)) if rows is None else rows  # the rows still going
         for lev in range(start, top + 1):
             if lev == top or lev == self.split:
                 # past the image levels a row moves no point of orbit0, past all none
                 pts = self.orbit0 if lev < top else slice(None)
-                out = (g[:, pts] != self.identity[pts]).any(axis=1) if act is None else \
-                    np.concatenate([(g[act[c:c + step]][:, pts] != self.identity[pts])
-                                    .any(axis=1) for c in range(0, len(act), step)])
-                if out.any():
-                    live = np.arange(len(g)) if act is None else act
-                    stop[live[out]] = lev
-                    act = live[~out]
-                if lev == top or act is not None and not len(act):
-                    break
-            at = self.row_of[lev][g[:, self.base[lev]] if act is None else g[act, self.base[lev]]]
+                out = np.empty(len(act), bool)
+                for c in range(0, len(act), step):
+                    part = g.take(act[c:c + step], axis=0)[:, pts]
+                    out[c:c + step] = (part != self.identity[pts]).any(axis=1)
+                stop[act[out]] = lev
+                act = act[~out]
+            if lev == top or not len(act):
+                break
+            at = self.row_of[lev][g[:, self.base[lev]].take(act)]
             if at.min() < 0:
-                live = np.arange(len(g)) if act is None else act
-                stop[live[at < 0]] = lev
-                keep = (at >= 0).nonzero()[0]
-                if not len(keep):
-                    break
-                act, at = live[keep], at[keep]
+                keep = at >= 0
+                stop[act[~keep]] = lev
+                act, at = act[keep], at[keep]
             mv = at.nonzero()[0]  # a row fixing the base point stays as it is
-            if act is None and len(mv) == len(g):
-                g[:] = self._gather(self.uinv[lev], at, g)  # g * u^{-1}
-                continue
             for c in range(0, len(mv), step):
                 part = mv[c:c + step]
-                sub = part if act is None else act[part]
-                g[sub] = self._gather(self.uinv[lev], at[part], g[sub])
+                sub = act[part]
+                g[sub] = self._gather(self.uinv[lev], at[part], g.take(sub, axis=0))
         return stop
 
     def _offsets(self, rows):

@@ -69,9 +69,7 @@ class Lattice2D:
 
     def canon(self, x: int, y: int) -> tuple[int, int]:
         t = y // self.f
-        x -= t * self.e
-        y -= t * self.f
-        return (x % self.a, y)
+        return ((x - t * self.e) % self.a, y - t * self.f)
 
     def cells(self) -> list[tuple[int, int]]:
         return [(x, y) for y in range(self.f) for x in range(self.a)]
@@ -138,14 +136,11 @@ def build_toroidal_map(p: TorusParams) -> RootedManiplex:
     if N > MAX_FLAGS:
         raise PreconditionError("%s would have %d flags, more than the %d allowed"
                                 % (p, N, MAX_FLAGS))
-    a, e, f = lat.a, lat.e, lat.f
+    a = lat.a
     cell = np.arange(lat.index)[:, None]
     r0 = cell * L + local_r0
-    # r_2: Lattice2D.canon of each neighbouring cell, on whole arrays
-    X, Y = cell % a + dx, cell // a + dy
-    t = Y // f
-    X = (X - t * e) % a
-    Y -= t * f
+    # r_2: each neighbouring cell's canonical one; numpy's // and % round down as Python's
+    X, Y = lat.canon(cell % a + dx, cell // a + dy)
     r2 = (Y * a + X) * L + f2
     adjacency = (Perm.from_array(r0.ravel()), Perm.from_array(np.arange(N) ^ 1),
                  Perm.from_array(r2.ravel()))
