@@ -155,7 +155,9 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     build one for its cyclic meet when P's facet components are not copies
     of Cay(K), so ``facets-of-extension`` decides that first, by
     :func:`facet_components_isomorphic`, and refuses P before the criterion
-    runs. With that check passed, P's
+    runs; when the criterion has already run on P and K (as after
+    ``extend_dually_bipartite``), it reads that check's verdict from P's
+    stored report instead. With that check passed, P's
     facet subgroup F_P = <s1, s2> acts regularly on C0, the component of
     vertex 0, so only its identity fixes 0, and its order is W, K's
     white-flag count. Three verdicts rest on that:
@@ -200,7 +202,12 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     check("covers-quotient", covers(K, R) is not None,
           "the input does not cover the quotient")
 
-    check("facets-of-extension", facet_components_isomorphic(P, cayley_gpr(K)),
+    known = P.criterion_reports.get(K)  # the criterion's report, if it has run on P and K
+    if known is None:
+        facets_ok = facet_components_isomorphic(P, cayley_gpr(K))
+    else:
+        facets_ok = "facet-components-isomorphic" not in known.failing()
+    check("facets-of-extension", facets_ok,
           "a facet component of the extension is not the expected Cayley graph")
     criterion = verify_extension_criterion(P, K)
     check("extension-chiral-facets", classify_symmetry(K) is Symmetry.CHIRAL,

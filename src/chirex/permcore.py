@@ -30,11 +30,17 @@ class PreconditionError(ValueError):
 # benchmark (16384 flags), and small enough that the adjacency tuples fit
 # in a few hundred MB.
 MAX_FLAGS = 1 << 20
-# The most bytes one stabiliser-chain level (orbit x degree int32) maps,
-# checked before it maps them. The {4,4}_(3,1) extension on 80s points maps
-# 100 MB at s = 64, the largest order of the tests and the benchmark, and
-# 400 MB at s = 128; 1.6 GB at s = 256 is refused, as 4 TB at MAX_FLAGS is.
+# The most bytes one stabiliser-chain level (orbit x degree image rows, two
+# bytes a point up to 32768 points and four above) takes, checked before it
+# is allocated. The {4,4}_(3,1) extension on 80s points takes 50 MB at
+# s = 64, the largest order of the tests and the benchmark, 200 MB at
+# s = 128 and 840 MB at s = 256; 6.7 GB at s = 512 is refused, as 4 TB at
+# MAX_FLAGS is.
 MAX_LEVEL_BYTES = 1 << 30
+# A level of at least this many bytes gets its own anonymous mapping, a
+# smaller one a heap block: glibc's default M_MMAP_THRESHOLD, below which
+# malloc serves a block from the heap anyway.
+MAP_LEVEL_BYTES = 1 << 17
 
 
 class Perm:
@@ -190,12 +196,15 @@ def left_product(perms) -> Perm:
 class _Chain:
     """Certified, deterministic Schreier-Sims stabiliser chain, verified in rounds.
 
-    Permutations are numpy int32 image arrays. Level i keeps base[i], its
-    strong generators S_i (fixing base[:i]) and one array of inverse coset
-    representatives that only gains rows (row r of ``uinv[i]`` maps
-    ``pts[i][r]`` to base[i]; ``row_of[i][p]`` is p's row or -1), with at
-    most 25 % spare rows, in an anonymous mapping (a freed large malloc
-    block raises glibc's mmap threshold and leaves a fragmented heap).
+    Permutations are numpy image arrays of ``dtype``: int16 up to 32768
+    points, int32 above. Level i keeps base[i], its strong generators S_i
+    (fixing base[:i]) and one array of inverse coset representatives that
+    only gains rows (row r of ``uinv[i]`` maps ``pts[i][r]`` to base[i];
+    ``row_of[i][p]`` is p's row or -1), with at most 25 % spare rows. An
+    array of ``MAP_LEVEL_BYTES`` or more lies in an anonymous mapping (a
+    freed large malloc block raises glibc's mmap threshold and leaves a
+    fragmented heap); a smaller one, which malloc would serve from the heap
+    anyway, is a heap block and costs no mapping of its own.
     Input generators join S_0..S_j; a residue found at level i lies in
     <S_i>, so it joins S_{i+1}..S_j only.
 
@@ -220,7 +229,9 @@ class _Chain:
     left) and is inserted, or every row formed sifted out, so at most
     max(u, size - 1) rows wait after it. A round the level-0 rule leaves
     nothing to form inserts or sifts out a waiting deeper row, which comes
-    before every level-0 row. ``_verify`` raises RuntimeError if it fills.
+    before every level-0 row. ``_verify`` raises RuntimeError if the pool
+    fills, or if a round forms, sifts and inserts nothing while rows wait,
+    which would repeat forever.
 
     One routine with one loop, ``_sift``, sifts input generators, rounds
     and membership probes: it carries the indices of the rows still going,
@@ -249,7 +260,8 @@ class _Chain:
         import numpy as np
         self._np = np
         self.degree = degree
-        self.identity = np.arange(degree, dtype=np.int32)
+        self.dtype = np.dtype(np.int16 if degree <= 1 << 15 else np.int32)  # holds every point
+        self.identity = np.arange(degree, dtype=self.dtype)
         # the pool's rows, and the rows of one gather: BATCH // 8 elements
         self.size = max(1, self.BATCH // max(1, degree))
         self.step = max(1, self.BATCH // 8 // max(1, degree))
@@ -261,7 +273,7 @@ class _Chain:
         self.orbit0 = np.array(sorted(orbit_of(0, [_unchecked(tuple(g)) for g in gens]))
                                if degree else [], dtype=np.intp)
         for g in gens:
-            h = np.array([g], dtype=np.int32)
+            h = np.array([g], dtype=self.dtype)
             j = int(self._sift(h, 0)[0])
             if j >= 0:
                 self._insert(h[0], 0, j)
@@ -307,11 +319,15 @@ class _Chain:
                 grown.append(lev)
             inv, old = self.uinv[lev], len(pts) - len(new)
             if len(pts) > len(inv):  # a quarter more rows at least, old rows copied once
-                size = 4 * max(len(pts), len(inv) + len(inv) // 4) * self.degree
+                shape = (max(len(pts), len(inv) + len(inv) // 4), self.degree)
+                size = shape[0] * shape[1] * self.dtype.itemsize
                 if size > MAX_LEVEL_BYTES:
                     raise PreconditionError("a stabiliser chain level would map %d bytes, more "
                                             "than the %d allowed" % (size, MAX_LEVEL_BYTES))
-                inv = np.frombuffer(mmap.mmap(-1, size), np.int32).reshape(-1, self.degree)
+                if size < MAP_LEVEL_BYTES:
+                    inv = np.empty(shape, self.dtype)
+                else:
+                    inv = np.frombuffer(mmap.mmap(-1, size), self.dtype).reshape(shape)
                 inv[:old], self.uinv[lev] = self.uinv[lev][:old], inv
             for k, (r, s) in enumerate(new, old):
                 inv[k, s] = inv[r]  # u_k = u_r * s, so u_k^{-1}[s[y]] = u_r^{-1}[y]
@@ -323,7 +339,7 @@ class _Chain:
         # the pool's slots: waiting rows' partly sifted images, positions
         # (level, generator, row) and stop levels, which slots are in use and
         # which to sift on
-        buf = np.empty((size, self.degree), np.int32)  # its pages are touched as used
+        buf = np.empty((size, self.degree), self.dtype)  # its pages are touched as used
         pos, at = np.zeros((3, size), np.intp), np.zeros(size, np.intp)
         used, todo = np.zeros(size, bool), np.zeros(size, bool)
         while True:
@@ -356,6 +372,9 @@ class _Chain:
             first = slots[np.lexsort((pos[2, slots], pos[1, slots], -pos[0, slots]))[0]]
             if nxt is not None and \
                     (-nxt[0], nxt[1], nxt[2]) < (-pos[0, first], pos[1, first], pos[2, first]):
+                if not make.shape[1] and not len(rows):  # never: see "The pool never fills"
+                    raise RuntimeError("a round formed, sifted and inserted no row while %d "
+                                       "waited" % len(slots))
                 continue
             used[first] = False
             self.sifts += 1
@@ -476,7 +495,7 @@ class _Chain:
         return math.prod(len(p) for p in self.pts[:self.split])
 
     def contains(self, g) -> bool:
-        return self._sift(self._np.array([g], self._np.int32), 0)[0] < 0
+        return self._sift(self._np.array([g], self.dtype), 0)[0] < 0
 
     def stats(self) -> dict:
         """Base length, strong generators, nontrivial Schreier generators

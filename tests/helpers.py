@@ -958,7 +958,7 @@ class CursorChain(permcore._Chain):
                 b = min(len(pts), a + max(1, self.BATCH // self.degree))
                 w = self._gather(inv, row_of[s[pts[a:b]]], s)  # s * u_q^{-1}
                 rows = a + np.flatnonzero((w != inv[a:b]).any(axis=1))
-                g = np.empty((len(rows), self.degree), dtype=np.int32)
+                g = np.empty((len(rows), self.degree), dtype=self.dtype)
                 to = self._offsets(np.arange(len(rows)))[:, None] + inv[rows]
                 g.reshape(-1)[to] = w[rows - a]  # u_p * s * u_q^{-1}
                 self.sifts += len(rows)

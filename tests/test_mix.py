@@ -249,6 +249,32 @@ class TestRegularQuotientExtension:
         assert "stage mix-extend" in capsys.readouterr().out
         assert list(evaluations.values()) == [1]
 
+    def test_facet_check_read_from_the_criterion_report(self, monkeypatch):
+        # after extend_dually_bipartite, P keeps K's criterion report and the
+        # mix reads facets-of-extension from it; a copy of P without the
+        # report runs the forced maps, with the same verdicts and data
+        K = build_toroidal_map(TorusParams("44", 3, 1))
+        R = regular_quotient(TorusParams("44", 3, 1)).rooted
+        P = extend_dually_bipartite(K, 1).graph
+        calls = []
+        real = mix.facet_components_isomorphic
+        monkeypatch.setattr(mix, "facet_components_isomorphic",
+                            lambda G, cay: calls.append(G) or real(G, cay))
+        known = regular_quotient_extension(P, K, R, 2).report
+        assert calls == []
+        fresh = GprGraph(P.rank, P.arrows)
+        computed = regular_quotient_extension(fresh, K, R, 2).report
+        assert calls == [fresh]
+        assert (known.verdicts, known.data) == (computed.verdicts, computed.data)
+        assert ("facets-of-extension", True, "") in known.verdicts
+        # a stored failing verdict is what the mix reports
+        failing = Report()
+        failing.add("facet-components-isomorphic", False, "doctored")
+        fresh.criterion_reports[K] = failing
+        with pytest.raises(VerificationError, match="^facets-of-extension: a facet component"):
+            regular_quotient_extension(fresh, K, R, 2)
+        assert calls == [fresh]
+
     def test_rank_mismatch_rejected(self):
         K = build_toroidal_map(TorusParams("44", 3, 1))
         P = extend_dually_bipartite(K, 1).graph

@@ -1,7 +1,13 @@
 import hashlib
 import json
 import math
+import mmap
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,12 +396,14 @@ class TestChainPins:
         assert hashlib.sha256(blob.encode()).hexdigest() == sha
 
     def test_level_budget(self, extension_groups, monkeypatch):
-        # level 0 of the (3,1) s = 1 chain is 80 rows of 80 int32 points
+        # level 0 of the (3,1) s = 1 chain is 80 rows of 80 points in the
+        # chain's row width, two bytes a point
         gens = [g.images for g in extension_groups[(3, 1, 1)].generators]
-        monkeypatch.setattr(permcore, "MAX_LEVEL_BYTES", 4 * 80 * 80)
+        level = _Chain([], 80).dtype.itemsize * 80 * 80
+        monkeypatch.setattr(permcore, "MAX_LEVEL_BYTES", level)
         assert _Chain(gens, 80).order() == 414720000
-        monkeypatch.setattr(permcore, "MAX_LEVEL_BYTES", 4 * 80 * 80 - 1)
-        with pytest.raises(PreconditionError, match="would map 25600 bytes, more than the 25599"):
+        monkeypatch.setattr(permcore, "MAX_LEVEL_BYTES", level - 1)
+        with pytest.raises(PreconditionError, match="would map 12800 bytes, more than the 12799"):
             _Chain(gens, 80)
 
 
@@ -502,6 +510,88 @@ class TestSmallBatches:
         assert _Chain(gens, degree).order() > 1
         with pytest.raises(RuntimeError, match="a round started with all 3 pool slots waiting"):
             NeverInserts(gens, degree)
+
+    def test_stalled_round_raises(self):
+        # a chain that reports the next unformed row ahead of every waiting
+        # one but keeps the level-0 rule holds level 0's rows behind a
+        # waiting deeper row it never inserts, so a round forms, sifts and
+        # inserts nothing; in its own interpreter with a timeout, a chain
+        # that repeats that round forever fails the test instead of hanging
+        script = textwrap.dedent("""
+            import random
+            from chirex.permcore import _Chain
+
+            class Stalls(_Chain):
+                def _take(self, room, deep):
+                    make, nxt = super()._take(room, deep)
+                    return make, None if nxt is None else (len(self.base), 0, 0)
+
+            rng = random.Random(12)
+            gens = [rng.sample(range(12), 12) for _ in range(2)]
+            _Chain.BATCH = 3 * 12
+            Stalls(gens, 12)
+        """)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.splitlines()[-1] == \
+            "RuntimeError: a round formed, sifted and inserted no row while 1 waited"
+
+
+def mapped(a) -> bool:
+    """Whether the memory of array a, through its views, is an mmap."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return isinstance(a, memoryview) and isinstance(a.obj, mmap.mmap)
+
+
+class TestRowWidth:
+    """Rows are int16 up to 32768 points and int32 above; a level of
+    ``MAP_LEVEL_BYTES`` or more lies in its own mapping, a smaller one on
+    the heap."""
+
+    @staticmethod
+    def s4_on_the_last_point(degree):
+        # (0 d-1) and (0 1 2) generate the symmetric group on {0, 1, 2, d-1}
+        return PermGroup(degree, [Perm.from_cycles(degree, [(0, degree - 1)]),
+                                  Perm.from_cycles(degree, [(0, 1, 2)])])
+
+    @pytest.mark.parametrize("degree,dtype", [(32768, np.int16), (32769, np.int32)])
+    def test_last_point(self, degree, dtype):
+        G = self.s4_on_the_last_point(degree)
+        last = degree - 1
+        assert G.order() == 24
+        check_bsgs(G)
+        chain = G.chain
+        assert chain.dtype == dtype and chain.identity.dtype == dtype
+        assert all(inv.dtype == dtype for inv in chain.uinv)
+        assert last in chain.pts[0] and int(chain.uinv[0][:len(chain.pts[0])].max()) == last
+        for cycles in ([(1, last)], [(0, 1, 2, last)], [(0, last), (1, 2)]):
+            assert Perm.from_cycles(degree, cycles) in G
+        for cycles in ([(2, last - 1)], [(last - 1, last)], [(0, 3)]):
+            assert Perm.from_cycles(degree, cycles) not in G
+
+    @pytest.mark.parametrize("degree,is_mapped", [(32767, False), (32768, True)])
+    def test_mapped_from_map_level_bytes(self, degree, is_mapped):
+        # level 0 of <(0 d-1)> holds two rows: 131068 bytes at 32767
+        # points, one row short of MAP_LEVEL_BYTES, and 131072 at 32768
+        chain = _Chain([Perm.from_cycles(degree, [(0, degree - 1)]).images], degree)
+        inv = chain.uinv[0]
+        assert inv.shape == (2, degree)
+        assert (inv.nbytes >= permcore.MAP_LEVEL_BYTES) == is_mapped == mapped(inv)
+
+    def test_levels_of_an_extension(self):
+        # the {4,4}_(3,1) extension at s = 8: level 0 is 640 rows of 640
+        # points (819200 bytes), the eleven others at most 6400 bytes
+        from chirex.extend_db import extend_dually_bipartite
+        from chirex.gpr import gpr_group
+        from chirex.toroidal import TorusParams, build_toroidal_map
+
+        K = build_toroidal_map(TorusParams("44", 3, 1))
+        chain = gpr_group(extend_dually_bipartite(K, 8).graph).chain
+        assert [mapped(inv) for inv in chain.uinv] == [True] + [False] * 11 == \
+            [inv.nbytes >= permcore.MAP_LEVEL_BYTES for inv in chain.uinv]
 
 
 @pytest.mark.parametrize("s", [8, 16, 32])
@@ -639,13 +729,15 @@ class TestOrbitFirst:
     def test_inserted_level_budget(self, monkeypatch):
         # the first generator fixes the orbit {0..6} of point 0 and makes a
         # kernel level of 5 rows; the 7-cycle then inserts an image level
-        # of 7 rows ahead of it, 7 * 12 int32 that the budget refuses
+        # of 7 rows ahead of it, 7 * 12 points in the chain's row width that
+        # the budget refuses
         gens = [tuple(range(7)) + (8, 9, 10, 11, 7), (1, 2, 3, 4, 5, 6, 0) + tuple(range(7, 12))]
-        monkeypatch.setattr(permcore, "MAX_LEVEL_BYTES", 4 * 7 * 12)
+        level = _Chain([], 12).dtype.itemsize * 7 * 12
+        monkeypatch.setattr(permcore, "MAX_LEVEL_BYTES", level)
         chain = _Chain(gens, 12)
         assert (chain.base, chain.split, chain.order(), chain.orbit_order()) == ([0, 7], 1, 35, 7)
-        monkeypatch.setattr(permcore, "MAX_LEVEL_BYTES", 4 * 7 * 12 - 1)
-        with pytest.raises(PreconditionError, match="would map 336 bytes, more than the 335"):
+        monkeypatch.setattr(permcore, "MAX_LEVEL_BYTES", level - 1)
+        with pytest.raises(PreconditionError, match="would map 168 bytes, more than the 167"):
             _Chain(gens, 12)
 
 
