@@ -117,47 +117,32 @@ class Symmetry(enum.Enum):
 
 
 def validate(M: Maniplex) -> Report:
-    """Check the four flag-graph axioms plus connectivity."""
+    """Check the four flag-graph axioms plus connectivity. Each axiom is a
+    few numpy comparisons over all generators (or pairs) and flags at once;
+    a failing one names its first failing generator (or pair) and flag.
+    Connectivity is the orbit of flag 0 (:func:`permcore.orbit_of`)."""
+    import numpy as np
     report = Report()
-    N = M.num_flags
-    ok = True
-    for i, r in enumerate(M.adjacency):
-        for x, y in enumerate(r.images):
-            if y == x or r.images[y] != x:
-                ok = False
-                report.add("involution", False, "r_%d fails at flag %d" % (i, x))
-                break
-        if not ok:
-            break
-    if ok:
-        report.add("involution", True, "all r_i fixed-point-free involutions")
+    N, flags = M.num_flags, np.arange(M.num_flags, dtype=np.int32)
+    A = np.array([r.images for r in M.adjacency], np.int32).reshape(M.rank, N)
+    # r_i(r_j(x)) is flat[A[j, x] + at[i]]
+    flat, at = A.reshape(-1), np.arange(M.rank)[:, None] * N
+    I, J = np.array(list(combinations(range(M.rank), 2)), np.intp).reshape(-1, 2).T
 
-    distinct = True
-    for i, j in combinations(range(M.rank), 2):
-        ri, rj = M.adjacency[i].images, M.adjacency[j].images
-        for x in range(N):
-            if ri[x] == rj[x]:
-                distinct = False
-                report.add("distinct-neighbours", False,
-                           "r_%d and r_%d agree at flag %d" % (i, j, x))
-                break
-        if not distinct:
-            break
-    if distinct:
-        report.add("distinct-neighbours", True, "")
+    def first(bad):  # (row, flag) of the first entry of bad that holds, or None
+        k = int(bad.argmax()) if bad.size else 0
+        return divmod(k, N) if bad.size and bad.flat[k] else None
 
-    commuting = True
-    for i, j in combinations(range(M.rank), 2):
-        if j - i < 2:
-            continue
-        ri, rj = M.adjacency[i], M.adjacency[j]
-        if ri * rj != rj * ri:
-            commuting = False
-            report.add("far-commutation", False, "r_%d and r_%d do not commute" % (i, j))
-            break
-    if commuting:
-        report.add("far-commutation", True, "")
-
+    bad = first((A == flags) | (flat[A + at] != flags))  # fixed by r_i, or moved by r_i r_i
+    report.add("involution", bad is None, "all r_i fixed-point-free involutions"
+               if bad is None else "r_%d fails at flag %d" % bad)
+    bad = first(A[I] == A[J])
+    report.add("distinct-neighbours", bad is None, "" if bad is None else
+               "r_%d and r_%d agree at flag %d" % (I[bad[0]], J[bad[0]], bad[1]))
+    I, J = I[J - I >= 2], J[J - I >= 2]
+    bad = first(flat[A[I] + at[J]] != flat[A[J] + at[I]])
+    report.add("far-commutation", bad is None, "" if bad is None else
+               "r_%d and r_%d do not commute" % (I[bad[0]], J[bad[0]]))
     reached = orbit_of(0, M.adjacency) if N else []
     report.add("transitivity", len(reached) == N,
                "" if len(reached) == N else "%d of %d flags reachable" % (len(reached), N))

@@ -31,15 +31,17 @@ class PreconditionError(ValueError):
 # in a few hundred MB.
 MAX_FLAGS = 1 << 20
 # The most bytes one stabiliser-chain level (orbit x degree image rows, two
-# bytes a point up to 32768 points and four above) takes, checked before it
-# is allocated. The {4,4}_(3,1) extension on 80s points takes 50 MB at
+# bytes a point up to 32768 points and four above, a quarter more rows at
+# least each time it grows) counts in the chain's one table, checked before
+# the table grows. The {4,4}_(3,1) extension on 80s points takes 50 MB at
 # s = 64, the largest order of the tests and the benchmark, 200 MB at
 # s = 128 and 840 MB at s = 256; 6.7 GB at s = 512 is refused, as 4 TB at
 # MAX_FLAGS is.
 MAX_LEVEL_BYTES = 1 << 30
-# A level of at least this many bytes gets its own anonymous mapping, a
-# smaller one a heap block: glibc's default M_MMAP_THRESHOLD, below which
-# malloc serves a block from the heap anyway.
+# A chain's table of at least this many bytes is its own anonymous mapping,
+# a smaller one a heap block: glibc's default M_MMAP_THRESHOLD, below which
+# malloc serves a block from the heap anyway (a freed larger block would
+# raise that threshold and leave a fragmented heap).
 MAP_LEVEL_BYTES = 1 << 17
 
 
@@ -118,26 +120,26 @@ class Perm:
     def __pow__(self, k: int) -> "Perm":
         return cycle_power(self.degree, self.cycles(), k)
 
+    def _walk(self):
+        """Each cycle of length 2 or more, from its least point, as a list:
+        the one cycle walk of :meth:`cycles` and :meth:`order`."""
+        images, seen = self.images, [False] * len(self.images)
+        for start, x in enumerate(images):
+            if not seen[start] and x != start:
+                cyc = [start]
+                while x != start:
+                    seen[x] = True
+                    cyc.append(x)
+                    x = images[x]
+                yield cyc
+
     def cycles(self):
         """Cycles of length 2 or more, each listed from its least point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                seen[x] = True
-                cyc.append(x)
-                x = self.images[x]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
+        return [tuple(cyc) for cyc in self._walk()]
 
     def order(self) -> int:
-        return math.lcm(*map(len, self.cycles()))
+        # the distinct lengths only: no cycle outlives the step that reads it
+        return math.lcm(*{len(cyc) for cyc in self._walk()})
 
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
@@ -197,51 +199,52 @@ class _Chain:
     """Certified, deterministic Schreier-Sims stabiliser chain, verified in rounds.
 
     Permutations are numpy image arrays of ``dtype``: int16 up to 32768
-    points, int32 above. Level i keeps base[i], its strong generators S_i
-    (fixing base[:i]) and one array of inverse coset representatives that
-    only gains rows (row r of ``uinv[i]`` maps ``pts[i][r]`` to base[i];
-    ``row_of[i][p]`` is p's row or -1), with at most 25 % spare rows. An
-    array of ``MAP_LEVEL_BYTES`` or more lies in an anonymous mapping (a
-    freed large malloc block raises glibc's mmap threshold and leaves a
-    fragmented heap); a smaller one, which malloc would serve from the heap
-    anyway, is a heap block and costs no mapping of its own.
-    Input generators join S_0..S_j; a residue found at level i lies in
-    <S_i>, so it joins S_{i+1}..S_j only.
+    points, int32 above. Level i keeps base[i] and its strong generators S_i
+    (fixing base[:i]), listed in ``gens[i]`` as rows of ``strong``, which
+    holds each once. The inverse coset representatives of all levels lie in
+    one table, ``uinv``, which only gains rows: ``row_of[i][p]`` is the row
+    mapping p to base[i] (row 0, the identity, for p = base[i]) or -1, and
+    ``orbit[i]`` lists the orbit's points in row order. The table keeps at
+    most 25 % spare rows; from ``MAP_LEVEL_BYTES`` on it is a private
+    anonymous mapping, which grows by mremap without copying a row, below
+    that a heap block. Input generators join S_0..S_j; a residue found at
+    level i lies in <S_i>, so it joins S_{i+1}..S_j only.
 
     The Schreier generators u_p s u_q^{-1} are verified in rounds, in
-    deepest-first order (level, generator, row); ``formed[i][k]`` counts
-    the rows of S_i's k-th generator formed so far. A round forms the next
-    pending ones into a pool of at most ``BATCH // degree`` rows and sifts
-    them with the pool's waiting rows as one batch, from the shallowest of
-    their levels: a Schreier generator of level i and a row that stopped at
-    level i both fix base[:i], so the levels above i leave them as they are.
-    A row that sifts out is verified for good, since levels only gain rows.
-    The first row in that order that does not is inserted, once every
-    pending row before it has sifted out: it is the residue that sifting one
-    Schreier generator at a time inserts, so base, strong generators and
-    orbits do not depend on the pool size. Every other failing row waits,
-    partly sifted, at the level where it stopped, and is sifted on only once
-    that level gains points. Level 0's rows, the last in the order and the
-    ones every level sifts, are formed only once no row of a deeper level is
-    pending, as the pool has room. The pool never fills: a round starting
-    with u < size rows waiting forms at most size - u, all before the next
-    unformed row N; either the first failing row precedes N (or no N is
-    left) and is inserted, or every row formed sifted out, so at most
-    max(u, size - 1) rows wait after it. A round the level-0 rule leaves
-    nothing to form inserts or sifts out a waiting deeper row, which comes
-    before every level-0 row. ``_verify`` raises RuntimeError if the pool
-    fills, or if a round forms, sifts and inserts nothing while rows wait,
-    which would repeat forever.
+    deepest-first order (level, generator's row of ``strong``, row);
+    ``formed[i][k]`` counts the rows of S_i's k-th generator formed so far.
+    A round forms the next pending ones into a pool of at most
+    ``BATCH // degree`` rows and sifts them with the pool's waiting rows as
+    one batch, from the shallowest of their levels: a Schreier generator of
+    level i and a row that stopped at level i both fix base[:i], so the
+    levels above i leave them as they are. A row that sifts out is verified
+    for good, since levels only gain rows. The first row in that order that
+    does not is inserted, once every pending row before it has sifted out:
+    it is the residue that sifting one Schreier generator at a time inserts,
+    so base, strong generators and orbits do not depend on the pool size.
+    Every other failing row waits, partly sifted, at the level where it
+    stopped, and is sifted on only once that level gains points. Level 0's
+    rows, the last in the order and the ones every level sifts, are formed
+    only once no row of a deeper level is pending, as the pool has room. The
+    pool never fills: a round starting with u < size rows waiting forms at
+    most size - u, all before the next unformed row N; either the first
+    failing row precedes N (or no N is left) and is inserted, or every row
+    formed sifted out, so at most max(u, size - 1) rows wait after it. A
+    round the level-0 rule leaves nothing to form inserts or sifts out a
+    waiting deeper row, which comes before every level-0 row. ``_verify``
+    raises RuntimeError if the pool fills, or if a round forms, sifts and
+    inserts nothing while rows wait, which would repeat forever.
 
     One routine with one loop, ``_sift``, sifts input generators, rounds
-    and membership probes: it carries the indices of the rows still going,
-    every row of its input unless the caller lists some. The pool's rows
-    (``size``) and the rows of one gather (``step``) are fixed when the
-    chain is built. Every product and sift step is a ``take`` on (or an
-    assignment to) the flat view of a level's rows, at np.intp row offsets,
-    over at most ``BATCH // 8`` elements at a time, so the offsets of a take
-    stay within a quarter of the pool's bytes. A membership probe is one
-    row through that loop, a few numpy calls per level it passes.
+    and membership probes (one row, a few numpy calls per level it passes):
+    it carries the indices of the rows still going, every row of its input
+    unless the caller lists some. Every product is a ``take`` on (or an
+    assignment to) the table's flat view at np.intp row offsets, over at
+    most ``BATCH // 8`` elements (``step`` rows) at a time, so the offsets
+    of a take stay within a quarter of the pool's bytes (``size`` rows):
+    ``_form`` builds a round's Schreier generators over all its levels in
+    one gather per ``step`` rows, and ``_insert`` writes a BFS layer's new
+    rows in one assignment.
 
     An intransitive group keeps the levels whose base point lies in orbit0,
     the orbit of point 0, ahead of the rest: the first ``split`` levels are
@@ -265,9 +268,12 @@ class _Chain:
         # the pool's rows, and the rows of one gather: BATCH // 8 elements
         self.size = max(1, self.BATCH // max(1, degree))
         self.step = max(1, self.BATCH // 8 // max(1, degree))
-        # one entry per level; to_form[i] is False once every row of level i is formed
-        self.base, self.gens, self.formed, self.to_form = [], [], [], []
-        self.pts, self.uinv, self.row_of = [], [], []
+        # per level; to_form[i] is False once level i is formed, charged[i] its budgeted rows
+        self.base, self.gens, self.formed, self.to_form, self.pts, self.charged = \
+            [], [], [], [], [], []
+        self.strong, self.uinv, self.nrows, self._map = \
+            np.empty((0, degree), self.dtype), self.identity[None].copy(), 1, None
+        self.orbit, self.row_of = self.levels = np.empty((2, 0, degree), np.int32)
         self.sifts = self.rounds = self.split = 0
         # sorted(), not np.sort: the first np.sort call adds about 0.4 MB to peak RSS
         self.orbit0 = np.array(sorted(orbit_of(0, [_unchecked(tuple(g)) for g in gens]))
@@ -279,7 +285,7 @@ class _Chain:
                 self._insert(h[0], 0, j)
         self._verify()
 
-    def _insert(self, h, lo: int, j: int) -> tuple[list[int], bool]:
+    def _insert(self, h, lo: int, j: int):
         """h fixes base[:j] and joins S_lo..S_j, whose orbits are closed
         again. Returns the levels that gained points and whether level j is
         new, which moves the levels from j on down one."""
@@ -293,45 +299,74 @@ class _Chain:
             b = int(pts[np.flatnonzero(h[pts] != pts)[0]])
             self.split += bool(image)
             kernel = self.gens[j] if j < len(self.base) else []
-            row_of = (self.identity == b).astype(np.int32) - 1  # b is row 0, the rest -1
+            self.orbit, self.row_of = self.levels = np.concatenate((self.levels[:, :j], np.full(
+                (2, 1, self.degree), -1, np.int32), self.levels[:, j:]), axis=1)
+            self.orbit[j, 0], self.row_of[j, b] = b, 0
             for store, item in zip((self.base, self.gens, self.formed, self.to_form, self.pts,
-                                    self.uinv, self.row_of),
-                                   (b, list(kernel), [0] * len(kernel), True, [b],
-                                    self.identity[None], row_of)):
+                                    self.charged),
+                                   (b, list(kernel), [0] * len(kernel), True, [b], 1)):
                 store.insert(j, item)
-        grown = [j] if opened else []
+        self.strong = np.concatenate((self.strong, h[None]))
+        held = self.row_of[lo:j + 1] >= 0
+        leave = held > held.take(h, axis=1)  # the points that h maps out of their orbit
+        grows = leave.any(axis=1)
         for lev in range(lo, j + 1):
-            gens, pts, row_of = self.gens[lev], self.pts[lev], self.row_of[lev]
-            gens.append(h)
+            pts, row_of = self.pts[lev], self.row_of[lev]
+            self.gens[lev].append(len(self.strong) - 1)
             self.formed[lev].append(0)
             self.to_form[lev] = True
-            # old rows are closed under the older generators, new rows under none
-            edges = [(r, h) for r in np.flatnonzero(row_of[h[pts]] < 0).tolist()]
-            new = []  # the edge (row r, generator s) reaching each new point
-            for r, s in edges:
-                q = int(s[pts[r]])
-                if row_of[q] < 0:
-                    row_of[q] = len(pts)
-                    edges += [(len(pts), t) for t in gens]
-                    new.append((r, s))
-                    pts.append(q)
-            if new:
-                grown.append(lev)
-            inv, old = self.uinv[lev], len(pts) - len(new)
-            if len(pts) > len(inv):  # a quarter more rows at least, old rows copied once
-                shape = (max(len(pts), len(inv) + len(inv) // 4), self.degree)
-                size = shape[0] * shape[1] * self.dtype.itemsize
+            if not grows[lev - lo]:
+                continue
+            # breadth first, old rows (in row order) under h and new ones under
+            # every generator, along edges (point, its table row, generator)
+            gens, out = list(self.strong[self.gens[lev]]), self.orbit[lev, :len(pts)]
+            out = out[leave[lev - lo, out]]  # no argsort: the first sort adds 0.4 MB to peak RSS
+            edges = list(zip(out.tolist(), row_of[out].tolist(), [h] * len(out)))
+            new, ends, old = [], [], len(pts)
+            while edges:
+                top = len(pts)
+                for p, t, s in edges:
+                    q = int(s[p])
+                    if row_of[q] < 0:
+                        row_of[q] = self.nrows + len(new)
+                        new.append((t, s))  # the edge reaching q
+                        pts.append(q)
+                edges = [(q, self.nrows + k, s) for k, q in enumerate(pts[top:], top - old)
+                         for s in gens]
+                ends.append(len(new))
+            if len(pts) > self.charged[lev]:  # a quarter more rows at least, as its own array
+                self.charged[lev] = max(len(pts), self.charged[lev] + self.charged[lev] // 4)
+                size = self.charged[lev] * self.degree * self.dtype.itemsize
                 if size > MAX_LEVEL_BYTES:
                     raise PreconditionError("a stabiliser chain level would map %d bytes, more "
                                             "than the %d allowed" % (size, MAX_LEVEL_BYTES))
+            table = self.uinv
+            if self.nrows + len(new) > len(table):  # a quarter more rows at least
+                shape = (max(self.nrows + len(new), len(table) + len(table) // 4), self.degree)
+                size = shape[0] * shape[1] * self.dtype.itemsize
                 if size < MAP_LEVEL_BYTES:
-                    inv = np.empty(shape, self.dtype)
+                    self.uinv = np.empty(shape, self.dtype)
+                    self.uinv[:len(table)] = table
                 else:
-                    inv = np.frombuffer(mmap.mmap(-1, size), self.dtype).reshape(shape)
-                inv[:old], self.uinv[lev] = self.uinv[lev][:old], inv
-            for k, (r, s) in enumerate(new, old):
-                inv[k, s] = inv[r]  # u_k = u_r * s, so u_k^{-1}[s[y]] = u_r^{-1}[y]
-        return grown, opened
+                    if self._map is None:
+                        self._map = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+                        self._map.write(table.tobytes())
+                    else:  # mremap copies no page; a view left alive would raise BufferError
+                        self.uinv = table = None
+                        self._map.resize(size)
+                    self.uinv = np.frombuffer(self._map, self.dtype).reshape(shape)
+            self.orbit[lev, old:len(pts)] = pts[old:]
+            for a, b in itertools.pairwise([0] + ends[:-1]):  # a BFS layer; the last found none
+                for c in range(a, b, self.step):  # u_k = u_t * s: u_k^{-1}[s[y]] = u_t^{-1}[y]
+                    t, s = zip(*new[c:min(b, c + self.step)])
+                    k = self.nrows + c
+                    if len(t) == 1:  # most layers: a row assignment costs a third as much
+                        self.uinv[k, s[0]] = self.uinv[t[0]]
+                    else:
+                        k = np.arange(k, k + len(t))[:, None] * self.degree + np.array(s)
+                        self.uinv.reshape(-1)[k] = self.uinv.take(t, axis=0)
+            self.nrows += len(new)
+        return lo + grows.nonzero()[0], opened
 
     def _verify(self) -> None:
         """Verify every Schreier generator, one round at a time."""
@@ -403,10 +438,10 @@ class _Chain:
                 if a < total:
                     b = a if hold else min(total, a + room)
                     if b > a:
-                        ranges.append((lev, k, a, b))
+                        ranges.append((lev, self.gens[lev][k], a, b))
                         self.formed[lev][k], room = b, room - (b - a)
                     if b < total:  # held, or cut short by the pool: the next is inside
-                        nxt = (lev, k, b)
+                        nxt = (lev, self.gens[lev][k], b)
                         break
             if nxt is not None:
                 break
@@ -420,25 +455,23 @@ class _Chain:
 
     def _form(self, where, out, slots):
         """Write the nontrivial Schreier generators u_p s u_q^{-1} at the
-        positions (level, generator, row) in where, grouped by level (s is
-        the level's generator, p the row's point), to the rows slots[0], ...
-        of out. Returns the mask of the positions that gave them."""
+        positions (level, s's row of strong, row of p) in where to the rows
+        slots[0], ... of out, ``step`` positions of any levels at a time.
+        Returns the mask of the positions that gave them."""
         np = self._np
-        n, step = where.shape[1], self.step
-        levs = where[0].tolist()
-        cuts = [0] + [k for k in range(1, n) if levs[k] != levs[k - 1] or k % step == 0] + [n]
-        nontrivial, done = np.empty(n, bool), 0
-        for a, b in itertools.pairwise(cuts):
-            lev, gen, row = levs[a], where[1, a:b], where[2, a:b]
-            inv, pts = self.uinv[lev], self.pts[lev]
-            s = np.array([self.gens[lev][k] for k in gen.tolist()])
-            q = self.row_of[lev][s[np.arange(b - a), [pts[r] for r in row.tolist()]]]
-            w, up = self._gather(inv, q, s), inv[row]  # s * u_q^{-1}, u_p^{-1}
-            nontrivial[a:b] = keep = (w != up).any(axis=1)
+        lev, gen, p = where[0], where[1], self.orbit[where[0], where[2]]
+        # the table rows of u_q^{-1}, q = s(p), and of u_p^{-1}
+        q, up = self.row_of[lev, self.strong[gen, p]], self.row_of[lev, p]
+        nontrivial, done, to = np.empty(len(lev), bool), 0, self._offsets(slots)
+        for a in range(0, len(lev), self.step):
+            b = slice(a, a + self.step)
+            w = self._gather(q[b], self.strong.take(gen[b], axis=0))
+            u = self.uinv.take(up[b], axis=0)
+            nontrivial[b] = keep = (w != u).any(axis=1)  # w = s * u_q^{-1}
             if not keep.all():
-                w, up = w[keep], up[keep]
+                w, u = w[keep], u[keep]
             # u_p * s * u_q^{-1} maps u_p^{-1}[y] to w[y]
-            out.reshape(-1)[self._offsets(slots[done:done + len(w)])[:, None] + up] = w
+            out.reshape(-1)[to[done:done + len(w), None] + u] = w
             done += len(w)
         return nontrivial
 
@@ -476,16 +509,16 @@ class _Chain:
             for c in range(0, len(mv), step):
                 part = mv[c:c + step]
                 sub = act[part]
-                g[sub] = self._gather(self.uinv[lev], at[part], g.take(sub, axis=0))
+                g[sub] = self._gather(at[part], g.take(sub, axis=0))
         return stop
 
     def _offsets(self, rows):
         # in int32, rows * degree would wrap once a row passes 2**31 // degree
         return rows.astype(self._np.intp) * self.degree
 
-    def _gather(self, table, rows, cols):
-        """table[rows[k], cols[k, x]], one take on the flat view of table."""
-        return table.reshape(-1).take(self._offsets(rows)[:, None] + cols)
+    def _gather(self, rows, cols):
+        """uinv[rows[k], cols[k, x]], one take on the flat view of the table."""
+        return self.uinv.reshape(-1).take(self._offsets(rows)[:, None] + cols)
 
     def order(self) -> int:
         return math.prod(len(p) for p in self.pts)
@@ -500,8 +533,7 @@ class _Chain:
     def stats(self) -> dict:
         """Base length, strong generators, nontrivial Schreier generators
         sifted (each once), sift rounds, orbit lengths."""
-        strong = {id(h) for gens in self.gens for h in gens}
-        return {"base_length": len(self.base), "strong_generators": len(strong),
+        return {"base_length": len(self.base), "strong_generators": len(self.strong),
                 "schreier_sifts": self.sifts, "sift_rounds": self.rounds,
                 "orbit_sizes": [len(p) for p in self.pts]}
 

@@ -11,10 +11,10 @@ import numpy as np
 
 from chirex.gpr import GprGraph, components, rooted_digraph_isomorphic
 from chirex.gpr import rho_bar as perm_rho_bar
-from chirex.maniplex import (AutomorphismOrbit, Maniplex, PreconditionError, RootedManiplex,
-                             RotationSystem, Symmetry, VerificationError, classify_symmetry,
-                             facets, find_rooted_automorphism, forced_map, rotation_system,
-                             schlafli)
+from chirex.maniplex import (AutomorphismOrbit, Maniplex, PreconditionError, Report,
+                             RootedManiplex, RotationSystem, Symmetry, VerificationError,
+                             classify_symmetry, facets, find_rooted_automorphism, forced_map,
+                             rotation_system, schlafli)
 from chirex import permcore
 from chirex.permcore import Perm, PermGroup, left_product, orbit_of, orbit_partition
 from chirex.toroidal import (_SQUARES, _TRIANGLES, TorusParams, build_toroidal_map,
@@ -908,6 +908,54 @@ def hemicube() -> RootedManiplex:
     return RootedManiplex(Maniplex(3, adj), 0)
 
 
+def validate_by_loops(M: Maniplex) -> Report:
+    """``maniplex.validate`` flag by flag: the oracle for its whole-array checks."""
+    report = Report()
+    N = M.num_flags
+    ok = True
+    for i, r in enumerate(M.adjacency):
+        for x, y in enumerate(r.images):
+            if y == x or r.images[y] != x:
+                ok = False
+                report.add("involution", False, "r_%d fails at flag %d" % (i, x))
+                break
+        if not ok:
+            break
+    if ok:
+        report.add("involution", True, "all r_i fixed-point-free involutions")
+
+    distinct = True
+    for i, j in combinations(range(M.rank), 2):
+        ri, rj = M.adjacency[i].images, M.adjacency[j].images
+        for x in range(N):
+            if ri[x] == rj[x]:
+                distinct = False
+                report.add("distinct-neighbours", False,
+                           "r_%d and r_%d agree at flag %d" % (i, j, x))
+                break
+        if not distinct:
+            break
+    if distinct:
+        report.add("distinct-neighbours", True, "")
+
+    commuting = True
+    for i, j in combinations(range(M.rank), 2):
+        if j - i < 2:
+            continue
+        ri, rj = M.adjacency[i], M.adjacency[j]
+        if ri * rj != rj * ri:
+            commuting = False
+            report.add("far-commutation", False, "r_%d and r_%d do not commute" % (i, j))
+            break
+    if commuting:
+        report.add("far-commutation", True, "")
+
+    reached = orbit_of(0, M.adjacency) if N else []
+    report.add("transitivity", len(reached) == N,
+               "" if len(reached) == N else "%d of %d flags reachable" % (len(reached), N))
+    return report
+
+
 def cross_check_maps():
     """The 504 maps of the benchmark's sweep (-6 <= b, c <= 6, three
     families), the small polytopes and 2s^R for R = {4,4}_(2,0), s = 2, 3."""
@@ -951,20 +999,21 @@ class CursorChain(permcore._Chain):
 
     def _check(self, i: int) -> int:
         """Resume verifying level i; the next level to verify (i - 1 when done)."""
-        inv, row_of, pts = self.uinv[i], self.row_of[i], self.pts[i]
-        for k, s in enumerate(self.gens[i]):
+        pts, row_of = self.pts[i], self.row_of[i]
+        for k, s in enumerate(self.strong[self.gens[i]]):
             while self.formed[i][k] < len(pts):
                 a = self.formed[i][k]
-                b = min(len(pts), a + max(1, self.BATCH // self.degree))
-                w = self._gather(inv, row_of[s[pts[a:b]]], s)  # s * u_q^{-1}
-                rows = a + np.flatnonzero((w != inv[a:b]).any(axis=1))
+                p = np.array(pts[a:a + max(1, self.BATCH // self.degree)])
+                up = self.uinv.take(row_of[p], axis=0)  # u_p^{-1}
+                w = self._gather(row_of[s[p]], s)  # s * u_q^{-1}
+                rows = np.flatnonzero((w != up).any(axis=1))
                 g = np.empty((len(rows), self.degree), dtype=self.dtype)
-                to = self._offsets(np.arange(len(rows)))[:, None] + inv[rows]
-                g.reshape(-1)[to] = w[rows - a]  # u_p * s * u_q^{-1}
+                to = self._offsets(np.arange(len(rows)))[:, None] + up[rows]
+                g.reshape(-1)[to] = w[rows]  # u_p * s * u_q^{-1}
                 self.sifts += len(rows)
                 stop = self._sift(g, i + 1)
                 bad = np.flatnonzero(stop >= 0)
-                self.formed[i][k] = b if not len(bad) else int(rows[bad[0]]) + 1
+                self.formed[i][k] = a + len(p) if not len(bad) else a + int(rows[bad[0]]) + 1
                 if len(bad):
                     j = int(stop[bad[0]])
                     self._insert(g[bad[0]].copy(), i + 1, j)

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chirex.maniplex import (Maniplex, PreconditionError, RootedManiplex,
@@ -11,7 +13,7 @@ from chirex.two_s_m import build_two_s_m
 
 from helpers import (aut_count_by_scan, automorphism_orbit_by_closure, colouring_by_facet_bfs,
                      cross_check_maps, cube, hemicube, orientable_by_deque, polygon,
-                     schlafli_by_orders, tau, triangular_prism)
+                     schlafli_by_orders, tau, triangular_prism, validate_by_loops)
 
 
 class TestValidate:
@@ -45,6 +47,40 @@ class TestValidate:
         r1 = Perm.from_cycles(8, [(1, 2), (3, 0), (5, 6), (7, 4)])
         report = validate(Maniplex(2, (r0, r1)))
         assert "transitivity" in report.failing()
+
+    def test_against_the_flag_loop(self):
+        # passing maps and broken copies of them: one image swapped in r_i,
+        # r_i given to another colour, r_i replaced by a random involution
+        # or permutation, every r_i random, and two maps side by side; every
+        # verdict and detail, first failing flag included, is the flag loop's
+        rng = random.Random(3)
+        cases, failing = [], set()
+        for M in list(cross_check_maps())[::9]:
+            man = M.maniplex
+            rows, n = [list(r.images) for r in man.adjacency], man.num_flags
+            cases += [man, Maniplex(man.rank, tuple(
+                Perm(disjoint_union(r.images, r.images)) for r in man.adjacency))]
+            for kind in range(5):
+                broken, i = [r[:] for r in rows], rng.randrange(man.rank)
+                if kind == 0:
+                    a, b = rng.sample(range(n), 2)
+                    broken[i][a], broken[i][b] = broken[i][b], broken[i][a]
+                elif kind == 1:
+                    broken[(i + rng.randrange(1, man.rank)) % man.rank] = broken[i][:]
+                elif kind == 2:
+                    points, broken[i] = rng.sample(range(n), n), list(range(n))
+                    for a, b in zip(points[::2], points[1::2]):
+                        broken[i][a], broken[i][b] = b, a
+                elif kind == 3:
+                    broken[i] = rng.sample(range(n), n)
+                else:
+                    broken = [rng.sample(range(n), n) for _ in rows]
+                cases.append(Maniplex(man.rank, tuple(Perm(r) for r in broken)))
+        for man in cases:
+            report = validate(man)
+            assert report.verdicts == validate_by_loops(man).verdicts
+            failing.update(report.failing())
+        assert failing == {"involution", "distinct-neighbours", "far-commutation", "transitivity"}
 
     def test_shape_errors(self):
         with pytest.raises(ValueError):

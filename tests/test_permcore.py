@@ -311,21 +311,30 @@ def extension_groups():
 
 
 def check_bsgs(G: PermGroup) -> None:
-    """The stabiliser chain's invariants, read off its stored levels."""
+    """The stabiliser chain's invariants, read off its stored levels and
+    the one table of their inverse coset representatives."""
     chain = G.chain
     base = chain.base
     sizes = chain.stats()["orbit_sizes"]
-    for i, gens in enumerate(chain.gens):
+    table_rows = []
+    for i, ids in enumerate(chain.gens):
+        gens = chain.strong[ids]
         for h in gens:
             assert all(h[b] == b for b in base[:i])
         pts = chain.pts[i]
         # the stored orbit is the orbit of base[i] under the level's generators
         perms_i = [Perm(h.tolist()) for h in gens]
         assert sorted(pts) == sorted(orbit_of(base[i], perms_i))
-        assert len(pts) == sizes[i] <= len(chain.uinv[i]) <= max(1, 1.25 * len(pts))
-        for r, p in enumerate(pts):
-            assert chain.row_of[i][p] == r
-            assert chain.uinv[i][r][p] == base[i]
+        assert len(pts) == sizes[i] <= chain.charged[i] <= max(1, 1.25 * len(pts))
+        assert chain.orbit[i][:len(pts)].tolist() == pts
+        assert (chain.row_of[i] >= 0).sum() == len(pts)
+        for p in pts:
+            table_rows.append(int(chain.row_of[i][p]))
+            assert chain.uinv[table_rows[-1]][p] == base[i]
+    # the levels' rows are the table's rows in use: row 0, the identity,
+    # for every base point and each other row for one level's point
+    assert sorted(table_rows) == [0] * len(base) + list(range(1, chain.nrows))
+    assert chain.nrows <= len(chain.uinv) <= max(1, 1.25 * chain.nrows)
     assert math.prod(sizes) == G.order()
     assert chain.stats()["base_length"] == len(base)
 
@@ -390,6 +399,18 @@ class TestChainPins:
         else:
             K = build_toroidal_map(TorusParams("44", b, c))
             G = gpr_group(extend_dually_bipartite(K, s, seed=seed).graph)
+        self.check(G, order, sifts, sha)
+
+    def test_intransitive_mix(self):
+        # the s = 12 mix, mix-pipeline's largest group: 272 points, 13
+        # image levels ahead of one kernel level
+        G = mix_group(12)
+        assert (G.degree, G.chain.split, len(G.base())) == (272, 13, 14)
+        self.check(G, 2488320000, 305,
+                   "7741424ea24c50c59b3dd8d1008e9fb24d139fca65947bc8838204ff8717fc5a")
+
+    @staticmethod
+    def check(G, order, sifts, sha):
         stats = G.chain.stats()
         assert (G.order(), stats["schreier_sifts"]) == (order, sifts)
         blob = json.dumps({"base": list(G.base()), "stats": stats}, sort_keys=True)
@@ -411,10 +432,10 @@ class TestFlatGathers:
     def test_gather_matches_2d_indexing(self):
         rng = np.random.default_rng(3)
         chain = _Chain([], 13)
-        table = rng.integers(0, 13, size=(7, 13), dtype=np.int32)
+        chain.uinv = table = rng.integers(0, 13, size=(7, 13), dtype=np.int32)
         rows = rng.integers(0, 7, size=5, dtype=np.int32)
         cols = rng.integers(0, 13, size=(5, 13), dtype=np.int32)
-        assert (chain._gather(table, rows, cols) == table[rows[:, None], cols]).all()
+        assert (chain._gather(rows, cols) == table[rows[:, None], cols]).all()
 
     def test_row_offsets_do_not_wrap(self):
         # at 20480 points (s = 256) a row index past 2**31 // degree has a
@@ -425,6 +446,42 @@ class TestFlatGathers:
         assert offsets.dtype == np.intp
         assert offsets.tolist() == [r * degree for r in rows.tolist()]
         assert offsets[1] > 2**31 and (rows * np.int32(degree))[1] != offsets[1]
+
+
+class TestForm:
+    """One ``_form`` call over positions of several levels, in any order,
+    writes exactly the nontrivial Schreier generators u_p s u_q^{-1} to the
+    slots it is given, in the order of their positions."""
+
+    @pytest.mark.parametrize("step", [None, 5])
+    def test_positions_on_several_levels(self, extension_groups, step):
+        G = extension_groups[(3, 1, 1)]
+        chain = _Chain([g.images for g in G.generators], G.degree)
+        if step is not None:
+            chain.step = step  # several gathers, each over several levels
+        levels = [i for i in range(len(chain.base)) if len(chain.pts[i]) > 1]
+        assert len(levels) >= 3
+        positions = [(i, g, r) for i in levels for g in chain.gens[i][:2]
+                     for r in range(len(chain.pts[i]))]
+        rng = random.Random(8)
+        rng.shuffle(positions)
+        slots = np.array(rng.sample(range(len(positions) + 7), len(positions)))
+        out = np.zeros((len(positions) + 7, G.degree), chain.dtype)
+        mask = chain._form(np.array(positions, np.intp).T, out, slots)
+
+        def coset(i, p):  # u_p, which maps base[i] to p
+            return Perm(chain.uinv[chain.row_of[i][p]].tolist()).inverse()
+
+        expected = []
+        for i, g, r in positions:
+            p, s = chain.pts[i][r], Perm(chain.strong[g].tolist())
+            u_p = coset(i, p)
+            assert u_p(chain.base[i]) == p
+            expected.append(u_p * s * coset(i, s(p)).inverse())
+        assert mask.tolist() == [not e.is_identity() for e in expected]
+        assert 0 < mask.sum() < len(mask)
+        nontrivial = [e for e in expected if not e.is_identity()]
+        assert [Perm(out[k].tolist()) for k in slots[:len(nontrivial)]] == nontrivial
 
 
 def random_groups():
@@ -547,7 +604,7 @@ def mapped(a) -> bool:
 
 
 class TestRowWidth:
-    """Rows are int16 up to 32768 points and int32 above; a level of
+    """Rows are int16 up to 32768 points and int32 above; a table of
     ``MAP_LEVEL_BYTES`` or more lies in its own mapping, a smaller one on
     the heap."""
 
@@ -565,8 +622,9 @@ class TestRowWidth:
         check_bsgs(G)
         chain = G.chain
         assert chain.dtype == dtype and chain.identity.dtype == dtype
-        assert all(inv.dtype == dtype for inv in chain.uinv)
-        assert last in chain.pts[0] and int(chain.uinv[0][:len(chain.pts[0])].max()) == last
+        assert chain.uinv.dtype == dtype
+        assert last in chain.pts[0]
+        assert int(chain.uinv[chain.row_of[0][chain.pts[0]]].max()) == last
         for cycles in ([(1, last)], [(0, 1, 2, last)], [(0, last), (1, 2)]):
             assert Perm.from_cycles(degree, cycles) in G
         for cycles in ([(2, last - 1)], [(last - 1, last)], [(0, 3)]):
@@ -574,24 +632,29 @@ class TestRowWidth:
 
     @pytest.mark.parametrize("degree,is_mapped", [(32767, False), (32768, True)])
     def test_mapped_from_map_level_bytes(self, degree, is_mapped):
-        # level 0 of <(0 d-1)> holds two rows: 131068 bytes at 32767
-        # points, one row short of MAP_LEVEL_BYTES, and 131072 at 32768
+        # the table of <(0 d-1)> holds level 0's two rows: 131068 bytes at
+        # 32767 points, one row short of MAP_LEVEL_BYTES, and 131072 at 32768
         chain = _Chain([Perm.from_cycles(degree, [(0, degree - 1)]).images], degree)
-        inv = chain.uinv[0]
+        inv = chain.uinv
         assert inv.shape == (2, degree)
         assert (inv.nbytes >= permcore.MAP_LEVEL_BYTES) == is_mapped == mapped(inv)
 
     def test_levels_of_an_extension(self):
         # the {4,4}_(3,1) extension at s = 8: level 0 is 640 rows of 640
-        # points (819200 bytes), the eleven others at most 6400 bytes
+        # points (819200 bytes), the eleven others at most 6400 bytes; the
+        # table of all twelve is one mapping, grown in place as levels gain
+        # rows, with every row where it was written
         from chirex.extend_db import extend_dually_bipartite
         from chirex.gpr import gpr_group
         from chirex.toroidal import TorusParams, build_toroidal_map
 
         K = build_toroidal_map(TorusParams("44", 3, 1))
-        chain = gpr_group(extend_dually_bipartite(K, 8).graph).chain
-        assert [mapped(inv) for inv in chain.uinv] == [True] + [False] * 11 == \
-            [inv.nbytes >= permcore.MAP_LEVEL_BYTES for inv in chain.uinv]
+        G = gpr_group(extend_dually_bipartite(K, 8).graph)
+        chain = G.chain
+        level_bytes = [len(pts) * 640 * chain.dtype.itemsize for pts in chain.pts]
+        assert [size >= permcore.MAP_LEVEL_BYTES for size in level_bytes] == [True] + [False] * 11
+        assert mapped(chain.uinv) and chain.uinv.nbytes >= permcore.MAP_LEVEL_BYTES
+        check_bsgs(G)
 
 
 @pytest.mark.parametrize("s", [8, 16, 32])
@@ -755,8 +818,8 @@ class TestRoundsOracle:
             ours, theirs = _Chain(images, degree), CursorChain(images, degree)
             assert (ours.base, ours.split, ours.pts, ours.order()) == \
                 (theirs.base, theirs.split, theirs.pts, theirs.order())
-            assert [[h.tolist() for h in level] for level in ours.gens] == \
-                [[h.tolist() for h in level] for level in theirs.gens]
+            assert ours.gens == theirs.gens
+            assert ours.strong.tolist() == theirs.strong.tolist()
             monkeypatch.undo()
 
     @pytest.mark.parametrize("b,c,s,seed", [(3, 1, 1, None), (3, 1, 2, None), (3, 1, 3, None),
@@ -796,7 +859,7 @@ class TestSiftStart:
         for i in range(top + 1):
             fixed = set(chain.base[:i]) | set(chain.orbit0.tolist() if i > chain.split else [])
             moved = [x for x in range(degree) if x not in fixed]
-            rows = [h.copy() for h in chain.gens[i]] if i < top else []
+            rows = list(chain.strong[chain.gens[i]]) if i < top else []
             for _ in range(3):  # most lie outside the group and stop partly sifted
                 images = np.arange(degree, dtype=np.int32)
                 images[moved] = rng.permutation(moved)
