@@ -59,11 +59,39 @@ class RootedManiplex:
     # rotation_system read these, so each pass over the flags runs once.
     @cached_property
     def rotary(self) -> bool:
-        """True iff, for every i, some automorphism sends the base flag to
-        s_i(base) = r_{i-1} r_i (base)."""
-        rows, base = [r.images for r in self.maniplex.adjacency], self.base_flag
-        return all(forced_map(rows, rows, base, rows[i - 1][rows[i][base]], [-1] * len(rows[0]))
-                   is not None for i in range(1, len(rows)))
+        """True iff, for every i, some automorphism of the base flag's
+        component sends the base flag to s_i(base) = r_{i-1} r_i (base).
+
+        Each s_i is one forced map base -> s_i(base) over the even-word
+        graph, whose arrows are the rotations s_1..s_{n-1}: it walks the
+        base flag's orbit E under the rotation group G+ (half the flags
+        when they are 2-coloured, with n-1 arrows instead of n). A flag
+        automorphism commutes with every s_j, so it restricts to that map,
+        and a failing map rules it out. A map beta that succeeds commutes
+        with G+ on E, and extends as follows.
+
+        - r_0(base) not in E (the component is bipartite, E its white
+          flags). Then alpha(w) = beta(w) and alpha(r_0 w) = r_0 beta(w) for
+          w in E is a flag automorphism, because r_j r_0 and r_0 r_j are
+          even words: r_j alpha(w) = r_0 beta(r_0 r_j w) = alpha(r_j w), and
+          alpha(r_j r_0 w) = beta(r_j r_0 w) = r_j r_0 beta(w) = r_j alpha(r_0 w).
+        - r_0(base) in E (E is the whole component). Then beta itself must
+          commute with r_0, which holds iff beta(r_0 base) = r_0 beta(base).
+          Both beta and r_0 beta r_0 centralise G+ (r_0 s_j r_0 is an even
+          word), G+ is transitive on E, and the condition says they agree
+          at the base, so they agree everywhere. Then beta commutes with
+          every r_j = r_0 (r_0 r_j).
+        """
+        man, base = self.maniplex, self.base_flag
+        rows, r0 = rotation_rows(man), man.adjacency[0].images
+        for s in rows:
+            image = [-1] * man.num_flags
+            if forced_map(rows, rows, base, s[base], image) is None:
+                return False
+            mirror = image[r0[base]]
+            if mirror != -1 and mirror != r0[s[base]]:
+                return False
+        return True
 
     @cached_property
     def symmetry(self) -> Symmetry:
@@ -147,6 +175,14 @@ def validate(M: Maniplex) -> Report:
     report.add("transitivity", len(reached) == N,
                "" if len(reached) == N else "%d of %d flags reachable" % (len(reached), N))
     return report
+
+
+def rotation_rows(M: Maniplex) -> list[tuple[int, ...]]:
+    """Image tuples of the rotations s_1..s_{n-1}, s_i = r_{i-1} r_i
+    (r_i applied first), on all flags, for ``RootedManiplex.rotary``; no
+    maniplex keeps them."""
+    rows = [r.images for r in M.adjacency]
+    return [tuple(map(rows[i - 1].__getitem__, rows[i])) for i in range(1, len(rows))]
 
 
 def is_orientable(M: Maniplex, base_flag: int = 0) -> frozenset[int] | None:
@@ -315,14 +351,14 @@ def dually_bipartite_colouring(M: Maniplex, base_flag: int = 0) -> list[int] | N
 
     One forced map onto the two-point graph in which r_0..r_{n-2} fix both
     points and r_{n-1} swaps them: it is constant on each facet, sends the
-    base facet to 0 and must reach every flag."""
+    base facet to 0 and must reach every flag.
+
+    A colouring forces an even last entry p_{n-1}: r_{n-2} keeps a flag's
+    colour and r_{n-1} flips it, so r_{n-2} r_{n-1} flips it too, and every
+    cycle of that product has even length."""
     image = [-1] * M.num_flags
     reached = forced_map([r.images for r in M.adjacency],
                          [(0, 1)] * (M.rank - 1) + [(1, 0)], base_flag, 0, image)
     if reached is None or len(reached) != M.num_flags:
         return None
-    if M.rank >= 2:
-        p_last = (M.adjacency[-1] * M.adjacency[-2]).order()
-        if p_last % 2 != 0:
-            raise VerificationError("dually bipartite forces an even last entry")
     return [1 - 2 * image[blk[0]] for blk in M.facet_partition[0]]

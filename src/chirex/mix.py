@@ -167,7 +167,12 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
       F_P, injectively iff s_i -> t_i extends to a homomorphism onto
       2s^R's facet subgroup <t1, t2>; then its order is W. That holds iff
       the forced map of C0 succeeds from one point of each orbit of
-      <t1, t2> (:func:`extension_obstruction`).
+      <t1, t2> (:func:`extension_obstruction`), and, once
+      ``twosm-regular`` has passed, iff the one map 0 -> white flag 0
+      succeeds: the orientation-preserving automorphisms of 2s^R commute
+      with t1 and t2 and are transitive on its white flags, so composed
+      with them that map reaches every other orbit. A failure names
+      white flag 0, the point ``extension_obstruction`` tries first.
     - ``result-chiral``. A mirror automorphism of the mix sends s1 to
       s1^-1 and s2 to s1^2 s2, inside the facet subgroup, so it restricts
       to a mirror automorphism of that subgroup, which is isomorphic to
@@ -224,7 +229,9 @@ def regular_quotient_extension(P: GprGraph, K: RootedManiplex,
     gens = result.group.generators
 
     facet_arrows = P.arrows[:-1]
-    y = extension_obstruction(facet_arrows, rs2.sigma[:-1])
+    # 2s^R is regular, so one forced map decides for every orbit of <t1, t2>
+    y = 0 if forced_map([a.images for a in facet_arrows], [t.images for t in rs2.sigma[:-1]],
+                        0, 0, [-1] * P.num_vertices) is None else None
     white_count = rotation_system(K).degree
     check("facet-projection-collapses", y is None,
           "facet subgroup of the mix does not project isomorphically: the forced "

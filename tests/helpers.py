@@ -14,7 +14,7 @@ from chirex.gpr import rho_bar as perm_rho_bar
 from chirex.maniplex import (AutomorphismOrbit, Maniplex, PreconditionError, Report,
                              RootedManiplex, RotationSystem, Symmetry, VerificationError,
                              classify_symmetry, facets, find_rooted_automorphism, forced_map,
-                             rotation_system, schlafli)
+                             rotation_system, schlafli, validate)
 from chirex import permcore
 from chirex.permcore import Perm, PermGroup, left_product, orbit_of, orbit_partition
 from chirex.toroidal import (_SQUARES, _TRIANGLES, TorusParams, build_toroidal_map,
@@ -320,7 +320,7 @@ def orientable_by_deque(M: Maniplex, base_flag: int = 0) -> frozenset[int] | Non
 def colouring_by_facet_bfs(M: Maniplex, base_flag: int = 0) -> list[int] | None:
     """The facet 2-colouring by a deque BFS over the facet adjacency sets,
     base facet 1, None if there is none: the cross-check for
-    ``maniplex.dually_bipartite_colouring`` (without its last-entry check)."""
+    ``maniplex.dually_bipartite_colouring``."""
     facet_list, facet_of = M.facet_partition
     last = M.adjacency[-1].images
     # f and the facet of r_{n-1}(flag) share an (n-2)-face
@@ -353,6 +353,54 @@ def facets_regular_by_submaniplex(K: RootedManiplex) -> bool:
     sub = Maniplex(man.rank - 1, tuple(Perm([pos[r.images[f]] for f in blk])
                                        for r in man.adjacency[:-1]))
     return classify_symmetry(RootedManiplex(sub, pos[K.base_flag])) is Symmetry.REGULAR
+
+
+def rotary_by_flag_maps(M: RootedManiplex) -> bool:
+    """True iff, for every i, a forced map over the whole flag graph sends
+    the base flag to s_i(base) = r_{i-1} r_i (base): the cross-check for
+    ``RootedManiplex.rotary``, which maps over the even-word graph."""
+    rows, base = [r.images for r in M.maniplex.adjacency], M.base_flag
+    return all(forced_map(rows, rows, base, rows[i - 1][rows[i][base]], [-1] * len(rows[0]))
+               is not None for i in range(1, len(rows)))
+
+
+def symmetry_by_flag_maps(M: RootedManiplex) -> Symmetry:
+    """Regular, chiral or neither from flag-graph forced maps only: the
+    cross-check for ``RootedManiplex.symmetry``."""
+    if not rotary_by_flag_maps(M):
+        return Symmetry.OTHER
+    rows, base = [r.images for r in M.maniplex.adjacency], M.base_flag
+    if forced_map(rows, rows, base, rows[0][base], [-1] * len(rows[0])) is None:
+        return Symmetry.CHIRAL
+    return Symmetry.REGULAR
+
+
+def mirror_sensitive_maniplex() -> RootedManiplex:
+    """An 8-flag non-orientable 3-maniplex, not rotary, on which every
+    forced map base -> s_i(base) over the even-word graph (here all flags)
+    succeeds: only the r_0 comparison of ``RootedManiplex.rotary`` refuses
+    it. Found by a random search over rank-3 flag graphs of up to 32 flags."""
+    rows = ([1, 0, 3, 2, 6, 7, 4, 5], [3, 5, 4, 0, 2, 1, 7, 6], [2, 3, 0, 1, 7, 6, 5, 4])
+    return RootedManiplex(Maniplex(3, tuple(Perm(r) for r in rows)), 0)
+
+
+def random_rank3_maniplex(rng, blocks: int) -> Maniplex | None:
+    """A random rank-3 flag graph on 4 * blocks flags, or None when the
+    draw fails the axioms: r_0 and r_2 act on each block {a, b, c, d} as
+    (a b)(c d) and (a c)(b d), and r_1 is a random fixed-point-free
+    involution."""
+    n = 4 * blocks
+    pts = rng.sample(range(n), n)
+    r0, r1, r2 = [0] * n, [0] * n, [0] * n
+    for j in range(0, n, 4):
+        a, b, c, d = pts[j:j + 4]
+        r0[a], r0[b], r0[c], r0[d] = b, a, d, c
+        r2[a], r2[b], r2[c], r2[d] = c, d, a, b
+    pts = rng.sample(range(n), n)
+    for a, b in zip(pts[::2], pts[1::2]):
+        r1[a], r1[b] = b, a
+    man = Maniplex(3, tuple(Perm(r) for r in (r0, r1, r2)))
+    return man if validate(man).passed else None
 
 
 def schlafli_by_orders(M: RootedManiplex) -> list[int]:

@@ -5,15 +5,17 @@ import pytest
 from chirex.maniplex import (Maniplex, PreconditionError, RootedManiplex,
                              Symmetry, automorphism_orbit, classify_symmetry,
                              covers, dually_bipartite_colouring, facets,
-                             find_rooted_automorphism, is_orientable,
-                             rotation_system, schlafli, validate)
+                             find_rooted_automorphism, forced_map, is_orientable,
+                             rotation_rows, rotation_system, schlafli, validate)
 from chirex.permcore import Perm, PermGroup, disjoint_union, left_product, orbit_partition
 from chirex.toroidal import TorusParams, build_toroidal_map
 from chirex.two_s_m import build_two_s_m
 
 from helpers import (aut_count_by_scan, automorphism_orbit_by_closure, colouring_by_facet_bfs,
-                     cross_check_maps, cube, hemicube, orientable_by_deque, polygon,
-                     schlafli_by_orders, tau, triangular_prism, validate_by_loops)
+                     cross_check_maps, cube, hemicube, mirror_sensitive_maniplex,
+                     orientable_by_deque, polygon, random_rank3_maniplex, rotary_by_flag_maps,
+                     schlafli_by_orders, symmetry_by_flag_maps, tau, triangular_prism,
+                     validate_by_loops)
 
 
 class TestValidate:
@@ -172,6 +174,75 @@ class TestSymmetry:
 
 def torus(family, b, c):
     return build_toroidal_map(TorusParams(family, b, c))
+
+
+class TestRotaryOnEvenWords:
+    """``rotary`` maps over the rotations s_1..s_{n-1}; every verdict is the
+    flag-graph forced maps' (``helpers.rotary_by_flag_maps``)."""
+
+    def check(self, man: Maniplex, bases) -> tuple[int, int, int]:
+        # (rotary, non-bipartite, all) counts of the bases checked
+        rotary = non_bipartite = checked = 0
+        for base in bases:
+            rooted = RootedManiplex(man, base)
+            assert rooted.rotary == rotary_by_flag_maps(rooted), base
+            assert rooted.symmetry is symmetry_by_flag_maps(rooted), base
+            rotary += rooted.rotary
+            non_bipartite += is_orientable(man, base) is None
+            checked += 1
+        return rotary, non_bipartite, checked
+
+    def test_rotation_rows_are_r_i_first(self):
+        for rooted in (cube(), torus("36", 2, 1), build_two_s_m(polygon(4), 2).rooted):
+            man, rows = rooted.maniplex, rotation_rows(rooted.maniplex)
+            assert len(rows) == man.rank - 1
+            for i, s in enumerate(rows, start=1):
+                assert s == left_product([man.adjacency[i - 1], man.adjacency[i]]).images
+
+    def test_matches_flag_maps_on_the_cross_check_maps(self):
+        # every flag of the small maps, the base flag and flag 1 of the rest
+        rotary, non_bipartite, checked = 0, 0, 0
+        for rooted in cross_check_maps():
+            man = rooted.maniplex
+            bases = range(man.num_flags) if man.num_flags <= 64 else {rooted.base_flag, 1}
+            r, b, c = self.check(man, bases)
+            rotary, non_bipartite, checked = rotary + r, non_bipartite + b, checked + c
+        assert 0 < rotary < checked and non_bipartite > 0
+
+    def test_two_copies_side_by_side(self):
+        # disconnected flag graphs: the maps see the base flag's copy only,
+        # a bipartite one and one on which the r_0 comparison decides
+        for rooted, symmetry in ((torus("44", 3, 1), Symmetry.CHIRAL),
+                                 (mirror_sensitive_maniplex(), Symmetry.OTHER)):
+            man = rooted.maniplex
+            n = man.num_flags
+            twice = Maniplex(3, tuple(Perm(disjoint_union(r.images, r.images))
+                                      for r in man.adjacency))
+            for base in (rooted.base_flag, n + rooted.base_flag):
+                assert RootedManiplex(twice, base).symmetry is symmetry
+            self.check(twice, range(0, 2 * n, 1 + n // 16))
+
+    def test_non_bipartite_graphs(self):
+        # r_0(base) is reached, so beta must also commute with r_0
+        man = hemicube().maniplex
+        assert self.check(man, range(man.num_flags)) == (24, 24, 24)
+        sensitive = mirror_sensitive_maniplex()
+        man, base = sensitive.maniplex, sensitive.base_flag
+        rows = rotation_rows(man)
+        # every even-word map succeeds, yet no flag map does for some s_i
+        assert is_orientable(man) is None
+        assert all(forced_map(rows, rows, base, s[base], [-1] * man.num_flags) is not None
+                   for s in rows)
+        assert not sensitive.rotary and sensitive.symmetry is Symmetry.OTHER
+        self.check(man, range(man.num_flags))
+
+    def test_random_rank3_graphs(self):
+        rng = random.Random(11)
+        drawn = [random_rank3_maniplex(rng, rng.randrange(2, 9)) for _ in range(300)]
+        drawn = [man for man in drawn if man is not None]
+        rotary, non_bipartite, checked = map(sum, zip(*(self.check(man, range(man.num_flags))
+                                                        for man in drawn)))
+        assert len(drawn) > 50 and 0 < rotary < checked and non_bipartite > 0
 
 
 class TestAutomorphismOrbit:
@@ -348,3 +419,13 @@ class TestDuallyBipartite:
     def test_cube_faces_are_not_two_colourable(self):
         assert dually_bipartite_colouring(cube().maniplex) is None
 
+    def test_a_colouring_forces_an_even_last_entry(self):
+        # the proof in dually_bipartite_colouring's docstring, which stands
+        # in for a runtime check of the product's order
+        found = 0
+        for rooted in cross_check_maps():
+            man = rooted.maniplex
+            if dually_bipartite_colouring(man, rooted.base_flag) is not None:
+                assert (man.adjacency[-1] * man.adjacency[-2]).order() % 2 == 0
+                found += 1
+        assert found > 100

@@ -12,7 +12,7 @@ from chirex.maniplex import (PreconditionError, Report, Symmetry,
                              classify_symmetry, rotation_system)
 from chirex.mix import (diamond, enantiomorph_generators, extension_obstruction,
                         is_regular_via_mix, paired_perm, regular_quotient_extension)
-from chirex.permcore import Perm, PermGroup, left_product
+from chirex.permcore import Perm, PermGroup, left_product, orbit_partition
 from chirex.toroidal import TorusParams, build_toroidal_map, regular_quotient
 from chirex.two_s_m import build_two_s_m
 
@@ -339,6 +339,27 @@ class TestCertifiedVerdicts:
         order = facet_group.order()
         assert verdict["facet-projection-collapses"] is (order == rotation_system(K).degree)
         assert result.report.data["facet_order"] == order
+
+    def test_one_facet_map_decides_every_orbit(self, monkeypatch):
+        # facet-projection-collapses runs the one forced map 0 -> white flag
+        # 0 of 2s^R; extension_obstruction, one map per orbit of <t1, t2>,
+        # gives the same verdict and the same failing point, also where
+        # covers-quotient is doctored so that the map fails
+        cases = [_seed(3, 1, 1) + (s,) for s in (2, 3)] + [_seed(4, 2, 1) + (2,)]
+        K31, P31, _ = cases[0][:3]
+        cases.append((K31, P31, build_toroidal_map(TorusParams("44", 2, 0)), 2))
+        monkeypatch.setattr(mix, "covers", lambda M, N: True)
+        for K, P, R, s in cases:
+            t = rotation_system(build_two_s_m(R, s).rooted).sigma[:-1]
+            assert len(orbit_partition(t, t[0].degree)[0]) > 1
+            y = extension_obstruction(P.arrows[:-1], t)
+            if y is None:
+                assert regular_quotient_extension(P, K, R, s).report.passed
+            else:
+                with pytest.raises(VerificationError, match="facet-projection-collapses: .*"
+                                                            "white flag %d fails" % y):
+                    regular_quotient_extension(P, K, R, s)
+        assert y == 0
 
     def test_rank_4_skips_the_whole_mix(self, monkeypatch):
         calls = []

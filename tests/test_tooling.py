@@ -174,6 +174,28 @@ def test_verification_survives_python_O(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+def test_classify_survives_python_O(tmp_path):
+    # the rotary test's r_0 comparison and the colouring's proof carry no
+    # assert: classify prints the same line and exits alike under -O, on a
+    # chiral torus (bipartite) and on the hemicube (r_0(base) an even word)
+    from helpers import hemicube
+    from chirex.serial import maniplex_to_json, save_json
+    from chirex.toroidal import TorusParams, build_toroidal_map
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    expected = {"torus": "Chiral rank=3 flags=80 type=[4, 4]",
+                "hemicube": "Regular rank=3 flags=24 type=[4, 3]"}
+    for name, rooted in (("torus", build_toroidal_map(TorusParams("44", 3, 1))),
+                         ("hemicube", hemicube())):
+        path = tmp_path / ("%s.json" % name)
+        save_json(str(path), maniplex_to_json(rooted))
+        runs = [subprocess.run([sys.executable, *flags, "-m", "chirex.cli", "classify", str(path)],
+                               cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+                for flags in ([], ["-O"])]
+        assert [(r.returncode, r.stdout.strip()) for r in runs] == [(0, expected[name])] * 2, \
+            [r.stderr for r in runs]
+
+
 def test_importing_the_package_leaves_numpy_unloaded():
     # numpy is imported inside the functions that use it (the chain, the
     # GPR rows, the torus builder), so the CLI starts without paying for it
