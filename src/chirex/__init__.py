@@ -11,7 +11,7 @@ from .maniplex import (AutomorphismOrbit, Maniplex,
                        rotation_system, schlafli, validate)
 from .toroidal import TorusParams, build_toroidal_map, regular_quotient
 from .gpr import (GprGraph, cayley_gpr, check_tau_relations, components,
-                  facet_components_isomorphic, gpr_group,
+                  facet_components_isomorphic, faithful_group, gpr_group,
                   rho_bar, rooted_digraph_isomorphic, verify_extension_criterion)
 from .extend_db import (DbExtensionResult, Matching, build_matching,
                         extend_dually_bipartite)

@@ -12,7 +12,7 @@ import sys
 import time
 
 from .extend_db import extend_dually_bipartite
-from .gpr import gpr_group, verify_extension_criterion
+from .gpr import faithful_group, verify_extension_criterion
 from .maniplex import (PreconditionError, Symmetry, VerificationError,
                        classify_symmetry, schlafli)
 from .mix import regular_quotient_extension
@@ -48,7 +48,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_extend_db(args) -> int:
     rooted = maniplex_from_json(load_json(args.maniplex))
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = extend_dually_bipartite(rooted, args.s, seed=args.seed)
     # every value is taken before the first file is written, so a refused
     # group order leaves no file behind
@@ -58,8 +58,8 @@ def _cmd_extend_db(args) -> int:
             "extend-db",
             {"s": args.s, "seed": args.seed, "input_flags": rooted.maniplex.num_flags},
             result.report.verdicts,
-            orders={"group": gpr_group(result.graph).order()},
-            timing=time.time() - t0,
+            orders={"group": faithful_group(result.graph).order()},
+            timing=time.perf_counter() - t0,
         )
         report["last_entry"] = result.last_entry
         report["edge_count"] = len(result.matching.partner) // 2
@@ -85,13 +85,13 @@ def _cmd_two_sm(args) -> int:
 def _cmd_verify_gpr(args) -> int:
     graph = gpr_from_json(load_json(args.graph))
     facet = maniplex_from_json(load_json(args.facet))
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = verify_extension_criterion(graph, facet)
     if args.report:
         save_json(args.report, report_to_json(
             "verify-gpr", {"vertices": graph.num_vertices, "rank": graph.rank},
-            report.verdicts, orders={"group": gpr_group(graph).order()},
-            timing=time.time() - t0))
+            report.verdicts, orders={"group": faithful_group(graph).order()},
+            timing=time.perf_counter() - t0))
     for name, ok, detail in report.verdicts:
         print("%-32s %s %s" % (name, "pass" if ok else "FAIL", detail))
     if not report.passed:
@@ -103,14 +103,14 @@ def _cmd_mix_extend(args) -> int:
     ext = gpr_from_json(load_json(args.extension))
     facet = maniplex_from_json(load_json(args.facet))
     quotient = maniplex_from_json(load_json(args.quotient))
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = regular_quotient_extension(ext, facet, quotient, args.s)
     order = result.group.order()
     out = report_to_json(
         "mix-extend", {"s": args.s, "q": result.q},
         result.report.verdicts,
         orders={"group": order, "facet_subgroup": result.report.data["facet_order"]},
-        schlafli=result.schlafli, timing=time.time() - t0)
+        schlafli=result.schlafli, timing=time.perf_counter() - t0)
     if args.report:
         save_json(args.report, out)
     print("type %s, group order %s" % (result.schlafli, order))
@@ -129,23 +129,23 @@ def _cmd_pipeline(args) -> int:
             raise PreconditionError("%s has no regular quotient with two facets" % params)
         print("stage quotient: %s" % quotient.params)
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = extend_dually_bipartite(rooted, args.db_s, seed=args.seed)
     q = result.last_entry
     print("stage extend-db: s=%d, last entry %d (2s | %d), %.1fs"
-          % (args.db_s, q, q, time.time() - t0))
+          % (args.db_s, q, q, time.perf_counter() - t0))
     if args.mix_s is not None:
-        t0 = time.time()
+        t0 = time.perf_counter()
         mix_result = regular_quotient_extension(result.graph, rooted,
                                                 quotient.rooted, args.mix_s)
         print("stage mix-extend: s=%d, type %s, last entry lcm(%d,%d)=%d, %.1fs"
               % (args.mix_s, mix_result.schlafli, q, 2 * args.mix_s,
-                 mix_result.schlafli[-1], time.time() - t0))
+                 mix_result.schlafli[-1], time.perf_counter() - t0))
     if not args.out_prefix:
         return EXIT_OK
     # every order is taken before the first file is written
     if args.mix_s is None:
-        order = gpr_group(result.graph).order()
+        order = faithful_group(result.graph).order()
     else:
         # the mix acts on P's vertices, the orbit of point 0, as Gamma(P), so
         # the mix's chain gives Gamma(P)'s order too; order() builds the chain

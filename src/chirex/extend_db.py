@@ -77,6 +77,24 @@ def build_matching(K: RootedManiplex, colouring, s: int,
     ``colouring`` is the facet 2-colouring (values +-1). With no seed
     the Step 3 representative is the least-index eligible flag;
     otherwise it is drawn from a seeded RNG.
+
+    At s = 1 the matching involution t is a flag involution tau times the
+    swap of the two copies, t(lW + w) = (1 - l)W + tau(w), for every
+    Step-3 seed. Steps 1-2 match flag a of the base cycle to the flag
+    s_{n-1}^{-j} w0 read off a alone, and move the copy by +-1, which is
+    1 - l when there are two copies. Step 3 matches flag phi to phi in
+    the other copy, and there is one odd copy, so one draw of phi per
+    component. So before step 4 the anchor of a component is the same
+    flag in both copies, with the same partner flag, and step 4 spreads
+    each anchor pair by a map of flags alone (the same ``spreads`` entry)
+    into the anchor's partner copy, the other one. Then
+    s_n = s_{n-1}^{-1} t is a flag permutation times the swap, and every
+    other arrow keeps the copy, which is what
+    :func:`chirex.gpr.faithful_group` needs. At s >= 2 steps 1-2 send
+    copy 0 to copy 1 from a flag of colour +1 and to copy 2s - 1 from
+    one of colour -1, and s_{n-1} moves every flag to an adjacent facet,
+    of the other colour, so the base cycle holds both: the copy of t(v)
+    is not a function of the copy of v, and t is no product.
     """
     if s < 1:
         raise PreconditionError("s must be positive")

@@ -15,8 +15,8 @@ from functools import cached_property
 from .maniplex import (PreconditionError, Report, RootedManiplex, Symmetry,
                        classify_symmetry, forced_map, rotation_system)
 from .maniplex import VerificationError  # noqa: F401  (re-exported)
-from .permcore import (DegreeMismatch, Perm, PermGroup, cycle_power, left_product,
-                       orbit_of, orbit_partition)
+from .permcore import (DegreeMismatch, Perm, PermGroup, cycle_power, disjoint_union,
+                       left_product, orbit_of, orbit_partition)
 
 
 @dataclass(frozen=True)
@@ -167,6 +167,41 @@ class FacetSubgroup:
 
 def gpr_group(G: GprGraph) -> PermGroup:
     return PermGroup(G.num_vertices, G.arrows)
+
+
+def faithful_group(G: GprGraph) -> PermGroup:
+    """A permutation group isomorphic to ``gpr_group(G)``, on W + c points
+    where the arrows allow it, so its order is |gpr_group(G)|.
+
+    W is the size of the facet component of vertex 0 (labels 1..n-1) and
+    c = V / W. If W divides V, W + c < V and every arrow is a product map
+    lW + w -> pi(l)W + sigma(w) on c copies of W points, the result is
+    generated by the arrows' sigma acting on 0..W-1 beside their pi on
+    W..W+c-1; otherwise it is ``gpr_group(G)``.
+
+    The two groups are isomorphic. An arrow is a bijection, so its sigma
+    and pi are too. The product of two product maps is the product map
+    of (sigma sigma', pi pi'), so every element of the group generated by
+    the arrows is a product map, and g -> (sigma_g, pi_g) is a
+    homomorphism onto the group generated by the pairs. It is injective,
+    since g(lW + w) = pi_g(l)W + sigma_g(w) recovers g from its pair. And
+    a pair acts faithfully on the disjoint union of W points and c copies.
+
+    Every unseeded or seeded s = 1 extension is of this form
+    (:func:`chirex.extend_db.build_matching`), so its order is taken on
+    W + 2 points instead of 2W; an extension at s >= 2 is not.
+    """
+    V, n = G.num_vertices, G.rank
+    W = len(orbit_of(0, G.arrows[:n - 1]))
+    c = V // W
+    if V % W or W + c >= V:
+        return gpr_group(G)
+    import numpy as np
+    copy, flag = np.divmod(np.array([a.images for a in G.arrows]).reshape(n, c, W), W)
+    if not ((flag == flag[:, :1]).all() and (copy == copy[:, :, :1]).all()):
+        return gpr_group(G)
+    return PermGroup(W + c, [Perm(disjoint_union(sigma, pi)) for sigma, pi
+                             in zip(flag[:, 0].tolist(), copy[:, :, 0].tolist())])
 
 
 def verify_extension_criterion(G: GprGraph, K: RootedManiplex) -> Report:

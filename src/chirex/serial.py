@@ -20,7 +20,48 @@ class SchemaError(ValueError):
 
 
 def canonical_dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """``json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1)``
+    and a newline, for str keys. ``indent`` makes json build its
+    pure-Python encoder, a web of closures that only the cyclic collector
+    frees, on every call; this writer leaves no cycles, and it writes a
+    list of ints with one join."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list[str]) -> None:
+    """Append obj's text to ``out``; ``newline`` is a newline followed by
+    the indent of the line obj starts on."""
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner, sep = newline + " ", "{"
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError("keys must be str, not %s" % type(key).__name__)
+            out.append(sep + inner + json.dumps(key) + ": ")
+            _write(obj[key], inner, out)
+            sep = ","
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + " "
+        if set(map(type, obj)) == {int}:  # bool, an int subclass, is written as true/false
+            out.append("[" + inner + ("," + inner).join(map(str, obj)) + newline + "]")
+            return
+        sep = "["
+        for item in obj:
+            out.append(sep + inner)
+            _write(item, inner, out)
+            sep = ","
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(obj))
 
 
 def _is_int(value) -> bool:

@@ -10,8 +10,8 @@ from chirex import permcore
 from chirex.extend_db import extend_dually_bipartite
 from chirex.gpr import (FacetSubgroup, GprGraph, cayley_gpr, check_tau_relations,
                         components, cyclic_meet_order, facet_components_isomorphic,
-                        gpr_group, rooted_digraph_isomorphic, unmatched_component_level,
-                        verify_extension_criterion)
+                        faithful_group, gpr_group, rooted_digraph_isomorphic,
+                        unmatched_component_level, verify_extension_criterion)
 from chirex.maniplex import PreconditionError, rotation_system
 from chirex.permcore import DegreeMismatch, Perm, PermGroup, disjoint_union, orbit_of
 from chirex.toroidal import TorusParams, build_toroidal_map
@@ -136,6 +136,52 @@ class TestCayley:
         assert classify_symmetry(prism) is Symmetry.OTHER
         with pytest.raises(PreconditionError):
             cayley_gpr(prism)
+
+
+def product_graph(sigmas, pis) -> GprGraph:
+    """The GPR-graph whose arrow k sends vertex lW + w to pi_k(l)W + sigma_k(w)."""
+    W = len(sigmas[0])
+    return GprGraph(len(sigmas), tuple(
+        Perm([pi[ell] * W + sigma[w] for ell in range(len(pi)) for w in range(W)])
+        for sigma, pi in zip(sigmas, pis)))
+
+
+class TestFaithfulGroup:
+    @pytest.mark.parametrize("family,b,c,seed", [
+        ("44", 3, 1, None), ("44", 3, 1, 7), ("44", 4, 2, None), ("44", 4, 2, 7),
+        ("44", 5, 1, None), ("44", 5, 1, 7), ("36", 2, 1, None), ("36", 2, 1, 7)])
+    def test_s1_extensions_match_the_dense_chain(self, family, b, c, seed):
+        K = build_toroidal_map(TorusParams(family, b, c))
+        G = extend_dually_bipartite(K, 1, seed=seed).graph
+        F = faithful_group(G)
+        assert F.degree == G.num_vertices // 2 + 2
+        assert F.order() == gpr_group(G).order()
+
+    @pytest.mark.parametrize("arrow2,order", [
+        # (id, swap) is trivial on the three flags and swaps the copies
+        ((0, 1, 2), 2 * 3),
+        # the copy is the parity of the flag permutation: no such word
+        ((1, 0, 2), 6)])
+    def test_hand_made_products_match_the_closure(self, arrow2, order):
+        G = product_graph([(1, 2, 0), arrow2], [(0, 1), (1, 0)])
+        F = faithful_group(G)
+        assert F.degree == 3 + 2
+        assert F.order() == len(brute_force_closure(G.arrows, 6)) == order
+
+    @pytest.mark.parametrize("case", ["s2", "s3", "flag-off", "copy-off", "indivisible",
+                                      "one-copy"])
+    def test_falls_back_to_the_dense_chain(self, case):
+        W, G = 40, extension(3, 1, 1)
+        G = {"s2": extension(3, 1, 2), "s3": extension(3, 1, 3),
+             # label 1 in copy 1 differs from label 1 in copy 0 at two flags
+             "flag-off": swap_heads(G, 1, W, W + 1),
+             # the last arrow out of flag 0 keeps the copy in copy 0 only
+             "copy-off": swap_heads(G, 3, 0, W),
+             # a facet component of 3 of the 5 vertices
+             "indivisible": product_graph([(1, 2, 0, 4, 3), (0, 1, 2, 3, 4)], [(0,), (0,)]),
+             "one-copy": product_graph([(1, 2, 3, 0), (2, 1, 0, 3)], [(0,), (0,)])}[case]
+        F = faithful_group(G)
+        assert (F.degree, F.generators) == (G.num_vertices, G.arrows)
 
 
 class TestIsomorphism:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chirex import cli
 from chirex.cli import main
@@ -45,6 +47,61 @@ class TestRoundTrips:
         b = canonical_dumps({"a": [2, 3], "b": 1})
         assert a == b
         assert a.endswith("\n")
+
+
+def json_canonical(obj) -> str:
+    """The canonical form by the json module, which ``canonical_dumps`` writes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+JSON_VALUES = st.recursive(
+    st.integers() | st.booleans() | st.none() | st.floats() | st.text(),
+    lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner), max_leaves=30)
+
+
+class TestCanonicalDumps:
+    def test_every_file_kind_the_cli_writes(self, tmp_path):
+        k31, e31, r11 = (str(tmp_path / name) for name in ("k31.json", "e31.json", "r11.json"))
+        for argv in (["build-map", "--family", "44", "--b", "3", "--c", "1", "-o", k31],
+                     ["build-map", "--family", "44", "--b", "1", "--c", "1", "-o", r11],
+                     ["extend-db", k31, "--s", "1", "-o", e31,
+                      "--report", str(tmp_path / "e31.report.json")],
+                     ["verify-gpr", e31, "--facet", k31, "--report", str(tmp_path / "v.json")],
+                     ["two-sm", r11, "--s", "2", "-o", str(tmp_path / "tsm.json")],
+                     ["pipeline", "--family", "44", "--b", "3", "--c", "1", "--db-s", "1",
+                      "--mix-s", "2", "--out-prefix", str(tmp_path / "pl")]):
+            assert main(argv) == 0, argv
+        ext, facet, quotient = _mix_inputs(tmp_path)
+        assert main(["mix-extend", "--extension", str(ext), "--facet", str(facet),
+                     "--quotient", str(quotient), "--s", "2",
+                     "--report", str(tmp_path / "mix.json")]) == 0
+        files = sorted(tmp_path.iterdir())
+        assert len(files) == 14
+        for path in files:
+            text = path.read_text()
+            assert text == canonical_dumps(json.loads(text)) == json_canonical(json.loads(text))
+
+    @settings(max_examples=60, deadline=None)
+    @given(JSON_VALUES)
+    @example([1, True, 0, False])  # bools among ints are true/false, not 1/0
+    @example({"a": [[]], "b": {"c": [-2, 3]}, "": 0.5})
+    def test_values_match_the_json_module(self, obj):
+        assert canonical_dumps(obj) == json_canonical(obj)
+
+    def test_one_save_leaves_no_cyclic_garbage(self, tmp_path):
+        G = extend_dually_bipartite(build_toroidal_map(TorusParams("44", 3, 1)), 1).graph
+        data = gpr_to_json(G)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            del gc.garbage[:]
+            save_json(str(tmp_path / "g.json"), data)
+            gc.collect()
+            assert gc.garbage == []
+        finally:
+            gc.set_debug(0)
+            del gc.garbage[:]
 
 
 class TestSchemaErrors:
@@ -435,6 +492,27 @@ class TestOneChainPerMix:
                      "--quotient", str(quotient), "--s", "2",
                      "--report", str(tmp_path / "mix.json")]) == 0
         assert [gens for _, gens in built] == [3]
+
+
+class TestOrdersOfProducts:
+    """Every s = 1 extension is a product of flag maps and copy maps, so the
+    commands take its order on W + 2 points (``gpr.faithful_group``); at
+    s = 2 the order is the extension's own chain on 2sW points."""
+
+    @pytest.mark.parametrize("s,degree", [(1, 40 + 2), (2, 160)])
+    def test_one_chain_per_order(self, tmp_path, monkeypatch, s, degree):
+        k31, ext = str(tmp_path / "k31.json"), str(tmp_path / "ext.json")
+        assert main(["build-map", "--family", "44", "--b", "3", "--c", "1", "-o", k31]) == 0
+        built = count_chains(monkeypatch)
+        assert main(["extend-db", k31, "--s", str(s), "-o", ext,
+                     "--report", str(tmp_path / "r.json")]) == 0
+        assert main(["verify-gpr", ext, "--facet", k31, "--report", str(tmp_path / "v.json")]) == 0
+        assert main(["pipeline", "--family", "44", "--b", "3", "--c", "1", "--db-s", str(s),
+                     "--out-prefix", str(tmp_path / "pl")]) == 0
+        assert built == [(degree, 3)] * 3
+        orders = [json.loads((tmp_path / name).read_text())["orders"]["group"]
+                  for name in ("r.json", "v.json", "pl.extend-db.report.json")]
+        assert orders == ["414720000"] * 3
 
 
 class TestGoldenReports:

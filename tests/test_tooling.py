@@ -251,3 +251,12 @@ def test_mix_pipeline_demo_script_runs():
     verdicts = [line.split() for line in lines if line.startswith("  ")]
     assert ["facets-of-extension", "pass"] in verdicts
     assert all(v[1] == "pass" for v in verdicts)
+
+
+def test_order_probe_script_runs():
+    # one dense and one product process on {4,4}_(3,1) s = 1, then the medians
+    lines = [json.loads(line) for line in
+             _run_script("order_probe.py", "--case", "44:3:1:1", "--repeats", "1")]
+    assert [(r["kind"], r["degree"], r["order"]) for r in lines[:2]] == [
+        ("dense", 80, "414720000"), ("product", 42, "414720000")]
+    assert lines[2]["case"] == "44:3:1:1" and set(lines[2]["median_s"]) == {"dense", "product"}
